@@ -30,7 +30,7 @@ functions of the transaction id (SplitMix64, no RNG draws), sibling
 tids come from a decrementing counter in submission order, and retry
 jitter for transaction ``tid`` is drawn from
 ``random.Random(derive_seed(seed, "2pc", tid))`` — distributed runs
-are bit-identical for any ``--jobs N`` and across kernel lanes, and a
+are bit-identical for any ``--jobs N``, and a
 ``cross_shard_fraction=0`` run is bit-identical to the same scenario
 without the axis.
 

@@ -31,7 +31,7 @@ Determinism: backoff jitter for transaction ``tid`` is drawn from
 ``random.Random(derive_seed(seed, "resilience", tid))`` — its own
 stream, untouched by engine draws — and shedding victims are chosen by
 admission sequence number, so resilient runs stay bit-identical for
-any ``--jobs N`` and across kernel lanes.
+any ``--jobs N``.
 
 Goodput vs. throughput: with a deadline armed, every commit happened
 within its budget (late attempts are aborted), so *goodput* equals the

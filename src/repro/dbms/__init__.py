@@ -25,7 +25,7 @@ from repro.dbms.config import (
     IsolationLevel,
     LockSchedulingPolicy,
 )
-from repro.dbms.cpu import CProcessorSharingPool, ProcessorSharingPool, make_ps_pool
+from repro.dbms.cpu import ProcessorSharingPool
 from repro.dbms.disk import Disk, DiskArray
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.lockmgr import (
@@ -53,8 +53,6 @@ __all__ = [
     "LogManager",
     "PreemptionError",
     "Priority",
-    "CProcessorSharingPool",
     "ProcessorSharingPool",
-    "make_ps_pool",
     "Transaction",
 ]

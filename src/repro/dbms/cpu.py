@@ -405,139 +405,3 @@ class ProcessorSharingPool(Station):
                 timer._cb = self._timer_callback
         else:
             self._arm_timer()
-
-
-class CProcessorSharingPool(ProcessorSharingPool):
-    """:class:`ProcessorSharingPool` backed by the compiled kernel.
-
-    The settle / water-fill / completion-timer machinery runs inside
-    ``sim/_ckernel/kernel.c`` (a mirror of this module's arithmetic,
-    operation for operation); completion timers never materialize as
-    Python :class:`~repro.sim.engine.Timeout` events — they live in
-    the kernel heap as negative handles and are consumed entirely
-    in-kernel by the drain loop, which only surfaces the pool when
-    jobs actually finished.  This class keeps the Python half: job
-    metadata (event, demand, priority) in admission order — mirroring
-    the kernel's dense job arrays index for index — plus per-class
-    stats and event firing.
-
-    Results are bit-identical to the pure-Python pool; only
-    wall-clock differs.  Use :func:`make_ps_pool` to construct the
-    right pool for a simulator's lane.
-    """
-
-    def __init__(self, sim: Simulator, cores: int, speed: float = 1.0):
-        super().__init__(sim, cores, speed)
-        agenda = sim._agenda
-        ffi, lib = agenda._ffi, agenda._lib
-        cp = lib.ck_pool_new(agenda._c, cores, speed)
-        if cp == ffi.NULL:
-            raise SimulationError("compiled kernel pool table is full")
-        self._lib = lib
-        self._cp = ffi.gc(cp, lib.ck_pool_free)
-        #: admission-order mirror of the kernel's job arrays
-        self._meta: List[_Job] = []
-        pool_id = lib.ck_pool_id(self._cp)
-        assert pool_id == len(sim._c_pools)
-        sim._c_pools.append(self)
-
-    def execute(self, demand: float, weight: float = 1.0, priority: int = 0) -> Event:
-        """Submit a job of CPU demand ``demand``; fires when served."""
-        if demand < 0:
-            raise ValueError(f"demand must be non-negative, got {demand!r}")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
-        if demand <= _EPSILON:
-            self._record(priority)
-            return self.sim.fired()
-        event = self.sim.event()  # pooled
-        job = _Job.__new__(_Job)
-        job.handle = next(self._handles)
-        job.demand = demand = float(demand)
-        job.weight = weight
-        job.event = event
-        job.priority = priority
-        self._meta.append(job)
-        if self._lib.ck_pool_execute(self._cp, self.sim.now, demand, weight):
-            self._finish_from_c()
-        return event
-
-    def set_weight(self, handle: int, weight: float) -> None:
-        """Change a running job's weight (rarely needed; for tooling)."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
-        meta = self._meta
-        index = -1
-        for i, job in enumerate(meta):
-            if job.handle == handle:
-                index = i
-                break
-        if index < 0:
-            raise SimulationError(f"no active job with handle {handle!r}")
-        meta[index].weight = weight
-        if self._lib.ck_pool_set_weight(self._cp, self.sim.now, index, weight):
-            self._finish_from_c()
-
-    @property
-    def active_jobs(self) -> int:
-        """Number of jobs currently in service."""
-        return len(self._meta)
-
-    def _settle(self) -> None:
-        # metrics face: the kernel settles (leaving completions
-        # pending, exactly like the Python pool) and this mirror pulls
-        # the busy-time integral so the base-class properties read it
-        self._lib.ck_pool_settle_metrics(self._cp, self.sim.now)
-        self._busy_core_time = self._lib.ck_pool_raw_busy_core_time(self._cp)
-
-    def _finish_from_c(self) -> None:
-        """Fire the completions the last kernel call surfaced.
-
-        The kernel reports the finished jobs' pre-compaction dense
-        indices (ascending — admission order, the order the Python
-        pool completes them in); the metadata mirror pops the same
-        indices and fires the events through the same-instant lane.
-        """
-        lib = self._lib
-        cp = self._cp
-        count = lib.ck_pool_finished_count(cp)
-        meta = self._meta
-        if count == 1:  # the overwhelmingly common case
-            finished = (meta.pop(lib.ck_pool_finished_at(cp, 0)),)
-        else:
-            at = lib.ck_pool_finished_at
-            indices = [at(cp, i) for i in range(count)]
-            finished = [meta[i] for i in indices]
-            for i in reversed(indices):
-                del meta[i]
-        per_class = self.per_class
-        fire = self._fire
-        for job in finished:
-            demand = job.demand
-            self._work_completed += demand
-            priority = job.priority
-            stats = per_class.get(priority)  # inlined Station._record
-            if stats is None:
-                stats = per_class[priority] = ClassStats()
-            stats.requests += 1
-            stats.service_time += demand
-            # inlined job.event.succeed(): known untriggered, no value
-            event = job.event
-            event._triggered = True
-            fire(event)
-
-
-def make_ps_pool(sim: Simulator, cores: int, speed: float = 1.0) -> ProcessorSharingPool:
-    """Build the PS pool matching ``sim``'s kernel lane.
-
-    On the compiled lane this returns a :class:`CProcessorSharingPool`
-    unless the kernel's pool table is full (256 pools per simulator),
-    in which case the pure-Python pool — which runs fine on either
-    lane — takes over.  Results are identical either way.
-    """
-    if getattr(sim, "kernel_lane", "py") == "c":
-        try:
-            return CProcessorSharingPool(sim, cores, speed)
-        except SimulationError:
-            pass
-    return ProcessorSharingPool(sim, cores, speed)

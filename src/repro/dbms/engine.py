@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from repro.dbms.bufferpool import AnalyticBufferPool
 from repro.dbms.config import HardwareConfig, InternalPolicy, IsolationLevel
-from repro.dbms.cpu import make_ps_pool
+from repro.dbms.cpu import ProcessorSharingPool
 from repro.dbms.disk import DiskArray
 from repro.dbms.lockmgr import DeadlockError, LockManager, PreemptionError
 from repro.dbms.transaction import Transaction, TxStatus
@@ -94,7 +94,7 @@ class DatabaseEngine:
         )
         log_write = Exponential(hardware.log_write_mean_ms * second)
 
-        self.cpu = make_ps_pool(sim, hardware.num_cpus, hardware.cpu_speed)
+        self.cpu = ProcessorSharingPool(sim, hardware.num_cpus, hardware.cpu_speed)
         self.disks = DiskArray(
             sim, hardware.num_disks, disk_service, streams.stream("disk")
         )

@@ -32,18 +32,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import platform
 import shutil
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core import scenario as scenario_module
 from repro.core.scenario import ScenarioSpec
 from repro.experiments import figures, parallel, tables
-from repro.sim.engine import SimulationError, resolve_kernel_lane
 from repro.sim.random import replicate_seeds
 
 _FIGURES: Dict[str, Callable] = {
@@ -127,32 +125,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="content-addressed result cache; re-runs of unchanged "
         "figures become near-instant",
     )
-    parser.add_argument(
-        "--kernel-lane",
-        default=None,
-        choices=("py", "c", "auto"),
-        help="simulation kernel lane (default: the REPRO_KERNEL "
-        "environment variable, else 'py'); both lanes produce "
-        "bit-identical results",
-    )
-
-
-def _apply_kernel_lane(lane: Optional[str]) -> Optional[int]:
-    """Validate + export a ``--kernel-lane`` choice; non-None = exit code.
-
-    The lane is exported through ``REPRO_KERNEL`` rather than threaded
-    through call signatures so that parallel-runner *worker processes*
-    (which rebuild their own simulators) inherit it too.
-    """
-    if lane is None:
-        return None
-    try:
-        resolve_kernel_lane(lane)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.environ["REPRO_KERNEL"] = lane
-    return None
 
 
 def bench_main(argv: List[str]) -> int:
@@ -207,9 +179,6 @@ def bench_main(argv: List[str]) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    exit_code = _apply_kernel_lane(args.kernel_lane)
-    if exit_code is not None:
-        return exit_code
     if args.repeats < 1:
         print(f"error: --repeats must be >= 1, got {args.repeats}", file=sys.stderr)
         return 2
@@ -248,7 +217,6 @@ def bench_main(argv: List[str]) -> int:
         "benchmark": "parallel-runner",
         "figure": key,
         "grid_size": len(grid),
-        "kernel_lane": resolve_kernel_lane(),
         "jobs": args.jobs,
         "repeats": args.repeats,
         "cache_dir": args.cache_dir,
@@ -396,18 +364,8 @@ def scenario_main(argv: List[str]) -> int:
         metavar="PATH",
         help="write the JSON here instead of stdout",
     )
-    parser.add_argument(
-        "--kernel-lane",
-        default=None,
-        choices=("py", "c", "auto"),
-        help="with run: simulation kernel lane (results are "
-        "bit-identical across lanes)",
-    )
     args = parser.parse_args(argv)
 
-    exit_code = _apply_kernel_lane(args.kernel_lane)
-    if exit_code is not None:
-        return exit_code
     if args.list_demos:
         for name in sorted(scenario_module.demo_scenarios()):
             print(name)
@@ -498,15 +456,8 @@ def fuzz_main(argv: List[str]) -> int:
         "--cache-dir", default=None, metavar="DIR",
         help="result cache shared with the jobs-invariance oracle's runner",
     )
-    parser.add_argument(
-        "--kernel-lane", default=None, choices=("py", "c", "auto"),
-        help="simulation kernel lane (both lanes must satisfy the oracles)",
-    )
     args = parser.parse_args(argv)
 
-    exit_code = _apply_kernel_lane(args.kernel_lane)
-    if exit_code is not None:
-        return exit_code
     if args.iterations < 1:
         print(f"error: --iterations must be >= 1, got {args.iterations}",
               file=sys.stderr)
@@ -612,9 +563,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    exit_code = _apply_kernel_lane(args.kernel_lane)
-    if exit_code is not None:
-        return exit_code
 
     figure_ids = list(args.figure)
     table_ids = list(args.table)

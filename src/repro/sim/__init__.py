@@ -13,7 +13,6 @@ from repro.sim.engine import (
     Agenda,
     AllOf,
     AnyOf,
-    CAgenda,
     Event,
     Interrupt,
     KernelHooks,
@@ -44,7 +43,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BlockSampler",
-    "CAgenda",
     "Deterministic",
     "Distribution",
     "Empirical",

@@ -47,7 +47,6 @@ implementation.
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
@@ -182,210 +181,13 @@ class Agenda:
         return bool(self._heap) or bool(self._dq)
 
 
-def resolve_kernel_lane(lane: Optional[str] = None) -> str:
-    """Resolve which kernel lane a new :class:`Simulator` should run.
+def resolve_kernel_lane() -> str:
+    """The kernel implementation every :class:`Simulator` runs: ``"py"``.
 
-    ``lane`` (or, when None, the ``REPRO_KERNEL`` environment variable)
-    selects between:
-
-    * ``"py"`` — the pure-Python kernel, the canonical implementation
-      and the default;
-    * ``"c"`` — the compiled (cffi) lane; an error if it is not built,
-      because an explicit request must never silently fall back;
-    * ``"auto"`` — the compiled lane when built, otherwise ``"py"``.
-
-    Both lanes produce bit-identical results (same IEEE-754 binary64
-    operations in the same order), so the choice only affects
-    wall-clock — never fingerprints, digests or run arrays.
+    Kept so benchmark artifacts can keep recording the kernel they
+    measured; the pure-Python kernel is the only one.
     """
-    if lane is None:
-        lane = os.environ.get("REPRO_KERNEL", "py")
-    lane = lane.lower()
-    if lane == "py":
-        return "py"
-    if lane in ("c", "auto"):
-        from repro.sim import _ckernel
-
-        if _ckernel.available():
-            return "c"
-        if lane == "c":
-            raise SimulationError(
-                "kernel lane 'c' requested but the compiled kernel is not built; "
-                "run `python -m repro.sim._ckernel.builder` (needs cffi and a C "
-                "compiler) or select lane 'py'/'auto'"
-            )
-        return "py"
-    raise SimulationError(f"unknown kernel lane {lane!r}; expected 'py', 'c' or 'auto'")
-
-
-class CAgenda:
-    """The :class:`Agenda` API over the compiled (cffi) kernel heap.
-
-    The (when, sequence) heap lives in C (``sim/_ckernel/kernel.c``);
-    events cross the boundary as integer *slot handles* — indices into
-    :attr:`_slots`, recycled through :attr:`_free`.  The same-instant
-    FIFO stays a Python deque so every existing zero-delay fast path
-    (``Event.succeed``, ``Simulator._fire_now``, process bootstrap)
-    works unchanged, byte for byte in the same order.
-
-    Pool completion timers armed by the in-kernel PS pools live in the
-    heap as *negative* handles and are consumed inside the kernel's
-    drain; the one visible difference from the Python lane is that the
-    one-at-a-time faces (:meth:`pop` / :meth:`pop_batch`) process such
-    timers transparently instead of surfacing them as ``Timeout``
-    events.  :meth:`Simulator.run` — the canonical face — is
-    bit-identical across lanes.
-    """
-
-    __slots__ = (
-        "_ffi",
-        "_lib",
-        "_c",
-        "_dq",
-        "_now",
-        "_slots",
-        "_free",
-        "_sim",
-        "_w_out",
-        "_s_out",
-        "_h_out",
-        "_p_out",
-    )
-
-    def __init__(self, sim: "Simulator"):
-        from repro.sim import _ckernel
-
-        loaded = _ckernel.load()
-        if loaded is None:  # pragma: no cover - guarded by resolve_kernel_lane
-            raise SimulationError("compiled kernel lane is not built")
-        self._ffi, self._lib = loaded
-        self._c = self._ffi.gc(self._lib.ck_agenda_new(), self._lib.ck_agenda_free)
-        self._dq: Deque["Event"] = deque()
-        self._now = 0.0
-        self._slots: List[Optional["Event"]] = []
-        self._free: List[int] = []
-        self._sim = sim
-        # out-params reused across every kernel call
-        self._w_out = self._ffi.new("double *")
-        self._s_out = self._ffi.new("int64_t *")
-        self._h_out = self._ffi.new("int64_t *")
-        self._p_out = self._ffi.new("int32_t *")
-
-    def schedule(self, event: "Event", when: float) -> None:
-        """Add ``event`` at time ``when`` (ties fire in schedule order)."""
-        if when == self._now:
-            self._dq.append(event)
-        else:
-            free = self._free
-            slots = self._slots
-            if free:
-                slot = free.pop()
-                slots[slot] = event
-            else:
-                slot = len(slots)
-                slots.append(event)
-            self._lib.ck_heap_push(self._c, when, slot)
-
-    def flush(self) -> None:
-        """Fold pending same-instant entries into the heap."""
-        dq = self._dq
-        if dq:
-            now = self._now
-            push = self._lib.ck_heap_push
-            c = self._c
-            free = self._free
-            slots = self._slots
-            for event in dq:
-                if free:
-                    slot = free.pop()
-                    slots[slot] = event
-                else:
-                    slot = len(slots)
-                    slots.append(event)
-                push(c, now, slot)
-            dq.clear()
-
-    def peek(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        if self._dq:
-            return self._now
-        return self._lib.ck_peek(self._c)
-
-    def pop(self) -> Tuple[float, "Event"]:
-        """Remove and return the earliest ``(when, event)`` pair.
-
-        In-kernel pool timers encountered on the way are fired
-        in-kernel (their completions join the FIFO with fresh sequence
-        numbers, exactly as on the Python lane) and not surfaced.
-        """
-        self.flush()
-        lib = self._lib
-        c = self._c
-        w, s, h = self._w_out, self._s_out, self._h_out
-        slots = self._slots
-        while True:
-            if not lib.ck_pop(c, w, s, h):
-                raise SimulationError("agenda is empty")
-            when = w[0]
-            handle = h[0]
-            self._now = when
-            if handle >= 0:
-                event = slots[handle]
-                slots[handle] = None
-                self._free.append(handle)
-                return when, event
-            v = -(handle + 1)
-            pool = self._sim._c_pools[v & 0xFF]
-            if lib.ck_pool_timer_fire(pool._cp, when, v >> 8):
-                pool._finish_from_c()
-                self.flush()
-
-    def pop_batch(self, out: list) -> int:
-        """Pop every entry of the earliest timestamp into ``out``.
-
-        Appends ``(when, sequence, event)`` triples in firing order
-        (the sequence numbers are the kernel's, identical to the
-        Python lane's); in-kernel pool timers are consumed
-        transparently and do not appear in ``out``.
-        """
-        self.flush()
-        lib = self._lib
-        c = self._c
-        w, s, h = self._w_out, self._s_out, self._h_out
-        slots = self._slots
-        free = self._free
-        count = 0
-        batch_when = None
-        while True:
-            if batch_when is not None and lib.ck_peek(c) != batch_when:
-                break
-            if not lib.ck_pop(c, w, s, h):
-                if batch_when is None:
-                    raise SimulationError("agenda is empty")
-                break
-            when = w[0]
-            handle = h[0]
-            self._now = when
-            batch_when = when
-            if handle >= 0:
-                event = slots[handle]
-                slots[handle] = None
-                free.append(handle)
-                out.append((when, s[0], event))
-                count += 1
-            else:
-                v = -(handle + 1)
-                pool = self._sim._c_pools[v & 0xFF]
-                if lib.ck_pool_timer_fire(pool._cp, when, v >> 8):
-                    pool._finish_from_c()
-                    self.flush()
-        return count
-
-    def __len__(self) -> int:
-        return int(self._lib.ck_heap_len(self._c)) + len(self._dq)
-
-    def __bool__(self) -> bool:
-        return bool(self._dq) or self._lib.ck_heap_len(self._c) > 0
+    return "py"
 
 
 class KernelHooks:
@@ -744,12 +546,6 @@ class Simulator:
         When true (the default), an exception escaping a process body
         propagates out of :meth:`run` instead of silently failing the
         process event.
-    kernel_lane:
-        ``"py"`` (canonical pure Python), ``"c"`` (the compiled cffi
-        kernel; errors if unbuilt) or ``"auto"`` (compiled when built,
-        else Python).  Defaults to the ``REPRO_KERNEL`` environment
-        variable, falling back to ``"py"``.  Both lanes are
-        bit-identical; see :func:`resolve_kernel_lane`.
     """
 
     #: Upper bound on the timeout free list (see :meth:`timeout`); also
@@ -762,20 +558,10 @@ class Simulator:
     #: code and safe to recycle.
     _FREE_REFCOUNT = sys.getrefcount(object())
 
-    def __init__(self, strict: bool = True, kernel_lane: Optional[str] = None):
+    def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        lane = resolve_kernel_lane(kernel_lane)
-        self.kernel_lane = lane
-        if lane == "c":
-            self._agenda = CAgenda(self)
-            #: in-kernel PS-pool wrappers, indexed by their C pool id
-            self._c_pools: list = []
-            # instance attribute shadows the class method, so the
-            # pure-Python lane pays nothing for lane dispatch
-            self.run = self._run_c
-        else:
-            self._agenda = Agenda()
+        self._agenda = Agenda()
         # The same-instant fast lane, pre-bound once.  Components that
         # complete events on their hot paths (the CPU pool, disks, WAL,
         # front-end) cache this instead of reaching into the agenda
@@ -1061,172 +847,6 @@ class Simulator:
         finally:
             # fold any pending same-instant entries back into the heap
             # so the agenda is self-contained between runs
-            agenda.flush()
-        if until is not None:
-            self.now = until
-            agenda._now = until
-        if stop is not None and stop._processed:
-            return stop._value
-        return None
-
-    def _run_c(
-        self,
-        until: Optional[float] = None,
-        stop: Optional[Event] = None,
-        hooks: Optional[KernelHooks] = None,
-    ) -> Any:
-        """:meth:`run` for the compiled lane (installed as ``self.run``).
-
-        Identical control flow, with phase 1 (heap entries at the
-        current instant) served by the C kernel's ``ck_drain``: Python
-        events come back one at a time as slot handles and go through
-        exactly the dispatch block of the Python lane; in-kernel pool
-        completion timers are consumed entirely inside the kernel
-        (stale-generation drop, settle, water-fill, re-arm) and only
-        surface when jobs actually finished, for the pool wrapper to
-        fire their completion events.  Phases 2 and 3 are verbatim
-        copies of the Python lane's.
-        """
-        now = self.now
-        if until is not None and until < now:
-            raise SimulationError(f"until={until!r} lies in the past (now={now!r})")
-        if stop is not None and stop._processed:
-            return stop._value
-        # locals-bound hot state
-        agenda = self._agenda
-        lib = agenda._lib
-        c = agenda._c
-        drain = lib.ck_drain
-        ck_peek = lib.ck_peek
-        ck_heap_len = lib.ck_heap_len
-        slots = agenda._slots
-        free_slots = agenda._free
-        h_out = agenda._h_out
-        p_out = agenda._p_out
-        c_pools = self._c_pools
-        dq = agenda._dq
-        popleft = dq.popleft
-        until_t = float("inf") if until is None else until
-        counter = target = None
-        if hooks is not None:
-            counter = hooks.counter
-            target = hooks.target
-            if len(counter) >= target:
-                return None
-        pool = self._timeout_pool
-        pool_limit = self.TIMEOUT_POOL_LIMIT
-        free_threshold = self._FREE_REFCOUNT + 1
-        getrefcount = sys.getrefcount
-        timeout_class = Timeout
-        now_t = agenda._now
-        event_class = Event
-        event_pool = self._event_pool
-        try:
-            while True:
-                # -- phase 1: heap entries at the current instant,
-                #    popped by the C kernel ---------------------------
-                while True:
-                    kind = drain(c, now_t, h_out, p_out)
-                    if kind == 0:
-                        break
-                    if kind == 2:
-                        # a pool completion timer finished jobs: fire
-                        # their events (same-instant FIFO appends, no
-                        # sequence numbers — exactly the Python lane)
-                        c_pools[p_out[0]]._finish_from_c()
-                        continue
-                    slot = h_out[0]
-                    event = slots[slot]
-                    slots[slot] = None
-                    free_slots.append(slot)
-                    event._processed = True
-                    callback = event._cb
-                    if callback is not None:
-                        event._cb = None
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            callback(event)
-                        else:
-                            event.callbacks = None
-                            callback(event)
-                            for callback in callbacks:
-                                callback(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks is not None:
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                    if event is stop:
-                        return event._value
-                    if (
-                        event.__class__ is timeout_class
-                        and len(pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        pool.append(event)
-                    elif (
-                        event.__class__ is event_class
-                        and len(event_pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        event_pool.append(event)
-                    if counter is not None and len(counter) >= target:
-                        return None
-                # -- phase 2: the same-instant FIFO (verbatim) --------
-                while dq:
-                    event = popleft()
-                    event._processed = True
-                    callback = event._cb
-                    if callback is not None:
-                        event._cb = None
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            callback(event)
-                        else:
-                            event.callbacks = None
-                            callback(event)
-                            for callback in callbacks:
-                                callback(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks is not None:
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                    if event is stop:
-                        return event._value
-                    if (
-                        event.__class__ is event_class
-                        and len(event_pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        event_pool.append(event)
-                    elif (
-                        event.__class__ is timeout_class
-                        and len(pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        pool.append(event)
-                    if counter is not None and len(counter) >= target:
-                        return None
-                # -- phase 3: advance virtual time --------------------
-                if ck_heap_len(c):
-                    when = ck_peek(c)
-                    if when > until_t:
-                        self.now = until
-                        agenda._now = until
-                        return None
-                    now_t = when
-                    self.now = when
-                    agenda._now = when
-                else:
-                    break
-        finally:
             agenda.flush()
         if until is not None:
             self.now = until

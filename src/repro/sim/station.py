@@ -22,13 +22,6 @@ to the model means subclassing :class:`Station` and registering it —
 no engine surgery.  :class:`DelayStation` is the drop-in example: an
 infinite-server delay (network hop, front-end parsing) that slots into
 the pipeline without touching any other layer.
-
-The protocol is also what lets a station swap its *implementation*
-without the engine noticing: on the compiled kernel lane the CPU slot
-is filled by :class:`repro.dbms.cpu.CProcessorSharingPool` (the cffi
-water-fill/settle kernel) via :func:`repro.dbms.cpu.make_ps_pool`,
-bit-identical to the pure-Python pool behind the same ``Station``
-surface.
 """
 
 from __future__ import annotations

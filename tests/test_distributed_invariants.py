@@ -12,9 +12,8 @@ half-commits an atom:
   ever commits under an abort decision or vice versa;
 * strict 2PL through prepare — a branch parked at its commit gate
   still holds every lock it acquired;
-* distributed runs are deterministic — bit-identical replay, identical
-  results for any ``--jobs N``, byte-equal outcome JSON across the
-  python and compiled kernel lanes on a real xs figure cell;
+* distributed runs are deterministic — bit-identical replay and
+  identical results for any ``--jobs N``;
 * ``cross_shard_fraction=0`` is result-identical to the same scenario
   without the axis, and the axis fingerprints orthogonally.
 """
@@ -47,11 +46,6 @@ from repro.core.scenario import (
 )
 from repro.experiments.figures import _xs_spec
 from repro.experiments.parallel import ParallelRunner
-from repro.sim import _ckernel
-
-needs_c = pytest.mark.skipif(
-    not _ckernel.available(), reason="compiled kernel lane is not built"
-)
 
 
 def _dspec(
@@ -285,18 +279,6 @@ class TestDistributedDeterminism:
             assert a.throughput == b.throughput
             assert a.mean_response_time == b.mean_response_time
             assert a.completed == b.completed
-
-    @needs_c
-    def test_kernel_lane_parity_on_an_xs_cell(self, monkeypatch):
-        """A real xs figure cell's canonical outcome JSON is byte-equal
-        across the python and compiled kernel lanes."""
-
-        def outcome_json(lane):
-            monkeypatch.setenv("REPRO_KERNEL", lane)
-            spec = _xs_spec(2, 0.2, "static", transactions=120, seed=3)
-            return json.dumps(execute_scenario(spec).to_json_dict(), sort_keys=True)
-
-        assert outcome_json("py") == outcome_json("c")
 
 
 class TestFractionZeroIdentity:

@@ -11,6 +11,8 @@ detachment (with its timeout-pool interaction).
 import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import (
     Agenda,
@@ -243,6 +245,48 @@ class TestAgenda:
         agenda.schedule(Event(sim), 7.0)
         assert len(agenda) == 2
         assert bool(agenda)
+
+    # delays are multiples of small binary fractions, so `now + delay`
+    # often lands on a pending timestamp and exercises tie-breaking;
+    # 0.0 exercises the same-instant FIFO
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.sampled_from((0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 2.75)),
+                st.just("pop"),
+                st.just("flush"),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_pop_order_matches_a_time_then_insertion_model(self, ops):
+        """Any schedule/pop/flush sequence pops in (when, insertion
+        order), whether an entry went through the heap or the FIFO."""
+        agenda = Agenda()
+        sim = Simulator()
+        events = []  # insertion order
+        model = []  # pending (when, insertion index)
+        for op in ops:
+            if op == "flush":
+                agenda.flush()
+            elif op == "pop":
+                if not model:
+                    continue
+                batch = []
+                agenda.pop_batch(batch)
+                earliest = min(when for when, _ in model)
+                expected = [entry for entry in model if entry[0] == earliest]
+                model = [entry for entry in model if entry[0] != earliest]
+                assert [(when, events.index(event)) for when, _, event in batch] == expected
+            else:
+                event = Event(sim)
+                when = agenda._now + op
+                agenda.schedule(event, when)
+                model.append((when, len(events)))
+                events.append(event)
+        assert len(agenda) == len(model)
 
 
 # -- KernelHooks --------------------------------------------------------------

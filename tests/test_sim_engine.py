@@ -8,6 +8,7 @@ from repro.sim.engine import (
     Interrupt,
     SimulationError,
     Simulator,
+    resolve_kernel_lane,
 )
 
 
@@ -246,6 +247,22 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(4.0)
     assert sim.peek() == 4.0
+
+
+def test_step_walks_the_agenda_in_time_order():
+    sim = Simulator()
+    for delay in (0.5, 0.5, 1.25, 0.0, 3.0):
+        sim.timeout(delay)
+    times = []
+    while sim.peek() != float("inf"):
+        sim.step()
+        times.append(sim.now)
+    assert times == [0.0, 0.5, 0.5, 1.25, 3.0]
+
+
+def test_resolve_kernel_lane_is_py():
+    # benchmark artifacts record this value
+    assert resolve_kernel_lane() == "py"
 
 
 def test_step_on_empty_agenda_rejected():

@@ -33,6 +33,10 @@ class TestProtocol:
         for station in (engine.cpu, engine.disks, engine.log, engine.lockmgr):
             assert isinstance(station, Station)
 
+    def test_engine_cpu_is_the_processor_sharing_pool(self):
+        sim, engine = _engine()
+        assert type(engine.cpu) is ProcessorSharingPool
+
     def test_engine_station_registry(self):
         sim, engine = _engine()
         assert set(engine.stations) == {"cpu", "disk", "log", "locks"}
