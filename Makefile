@@ -1,6 +1,7 @@
 # One entry point per CI job, so local runs and CI are identical.
 #
-#   make test        tier-1 test suite (what CI's test matrix runs);
+#   make test        tier-1 test suite (what CI's test matrix runs),
+#                    listing the 15 slowest tests;
 #                    with pytest-cov installed it also prints coverage
 #                    and gates the cluster/routing modules at COV_MIN%
 #   make lint        ruff (falls back to a syntax check if ruff is absent)
@@ -31,11 +32,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 test:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
-		$(PYTHON) -m pytest -x -q $(COV_MODULES) \
+		$(PYTHON) -m pytest -x -q --durations=15 $(COV_MODULES) \
 			--cov-report=term-missing --cov-fail-under=$(COV_MIN); \
 	else \
 		echo "pytest-cov not installed; running without the coverage gate"; \
-		$(PYTHON) -m pytest -x -q; \
+		$(PYTHON) -m pytest -x -q --durations=15; \
 	fi
 
 lint:

@@ -8,7 +8,13 @@ busy "servers" floats between 1 and MPL while the total service rate
 stays that of the single PS server.  The state is (n, i) with n jobs
 in the system and i phase-1 jobs among the min(n, MPL) in service —
 exactly the CTMC of Figure 9 — and the repeating structure for
-n ≥ MPL makes it a QBD solved by matrix-geometric methods.
+n ≥ MPL makes it a QBD solved by matrix-geometric methods: R by
+logarithmic reduction (:mod:`repro.queueing.qbd`), then levels 0..MPL
+by linear level reduction, which folds the block-tridiagonal boundary
+in from the top and back-substitutes ``pi_{n+1} = pi_n R_n`` from
+``pi_0`` [Gaver, Jacobs & Latouche, "Finite birth-and-death models in
+randomly changing environments", Adv. Appl. Prob. 16 (1984)].  Every
+factor is non-negative, so no clamp or round-off renormalization is needed.
 
 Sanity anchors (enforced by the test suite):
 
@@ -93,6 +99,7 @@ class MplPsQueue:
         self.mu1 = float(mu1)
         self.mu2 = float(mu2)
         self._solution: Optional[Tuple[List[np.ndarray], np.ndarray]] = None
+        self._tail_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- basic quantities ------------------------------------------------------
 
@@ -193,46 +200,22 @@ class MplPsQueue:
         m = self.mpl
         a0, a1, a2 = self.repeating_blocks()
         rate_matrix = compute_rate_matrix(a0, a1, a2)
-
-        sizes = [n + 1 for n in range(m + 1)]
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
-        total = offsets[-1]
-
-        balance = np.zeros((total, total))
-
-        def add(row_level: int, col_level: int, block: np.ndarray) -> None:
-            r0, c0 = offsets[row_level], offsets[col_level]
-            balance[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
-
-        for n in range(m):
-            add(n, n, self.boundary_local(n))
-            add(n, n + 1, self.boundary_up(n))
-        for n in range(1, m + 1):
-            add(n, n - 1, self.boundary_down(n))
-        # level m local, folding in the geometric tail: A1 + R A2
-        add(m, m, a1 + rate_matrix @ a2)
-        # level m up-flow is already accounted for inside A1's -λ terms;
-        # the inflow from level m+1 is the R A2 term above.
-
-        # pi Q = 0  →  Q^T pi^T = 0; replace one equation with the
-        # normalization sum(levels<m) + pi_m (I - R)^-1 1 = 1.
-        inv1, _inv2 = geometric_tail_sums(rate_matrix)
-        system = balance.T.copy()
-        weights = np.ones(total)
-        weights[offsets[m] :] = inv1.sum(axis=1)
-        system[-1, :] = weights
-        rhs = np.zeros(total)
-        rhs[-1] = 1.0
-        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        solution = np.maximum(solution, 0.0)
-        # renormalize to wash out lstsq round-off
-        norm = float(weights @ solution)
-        solution /= norm
-
-        pis = [solution[offsets[n] : offsets[n + 1]] for n in range(m + 1)]
-        self._solution = (pis, rate_matrix)
+        # Level reduction: with local_{n+1} the level-(n+1) local block
+        # after folding in every level above it, the balance equations
+        # give pi_{n+1} = pi_n R_n, R_n = up(n) (-local_{n+1})^-1.
+        local = a1 + rate_matrix @ a2
+        factors = []
+        for n in range(m - 1, -1, -1):
+            factor = self.boundary_up(n) @ np.linalg.inv(-local)
+            factors.append(factor)
+            local = self.boundary_local(n) + factor @ self.boundary_down(n + 1)
+        pis = [np.ones(1)]
+        for factor in reversed(factors):
+            pis.append(pis[-1] @ factor)
+        self._tail_sums = geometric_tail_sums(rate_matrix)
+        norm = sum(float(pi.sum()) for pi in pis[:m])
+        norm += float((pis[m] @ self._tail_sums[0]).sum())
+        self._solution = ([pi / norm for pi in pis], rate_matrix)
         return self._solution
 
     def level_probabilities(self, max_level: int) -> List[float]:
@@ -254,7 +237,7 @@ class MplPsQueue:
         pis, rate_matrix = self.solve()
         m = self.mpl
         total = sum(n * float(pis[n].sum()) for n in range(m))
-        inv1, inv2 = geometric_tail_sums(rate_matrix)
+        inv1, inv2 = self._tail_sums
         # sum_j (m + j) pi_m R^j 1 = m pi_m (I-R)^-1 1 + pi_m R (I-R)^-2 1
         tail_mass = pis[m] @ inv1
         tail_extra = pis[m] @ (rate_matrix @ inv2)

@@ -9,8 +9,14 @@ non-negative solution of
     A0 + R A1 + R^2 A2 = 0
 
 with A0/A1/A2 the up/local/down transition blocks of the repeating
-portion.  :func:`compute_rate_matrix` finds R by the classic fixed
-point iteration; helpers compute the geometric tail sums needed for
+portion.  :func:`compute_rate_matrix` finds R through G, the minimal
+solution of ``A2 + A1 G + A0 G^2 = 0`` (first passage one level
+down), by logarithmic reduction, which converges quadratically in
+tens of steps [Latouche & Ramaswami, "A logarithmic reduction
+algorithm for quasi-birth-death processes", J. Appl. Prob. 30 (1993)],
+then sets ``R = A0 (-(A1 + A0 G))^-1`` [Latouche & Ramaswami,
+*Introduction to Matrix Analytic Methods in Stochastic Modeling*,
+SIAM 1999].  Helpers compute the geometric tail sums needed for
 normalization and mean queue lengths.
 """
 
@@ -22,7 +28,7 @@ import numpy as np
 
 
 class QbdConvergenceError(RuntimeError):
-    """The R iteration failed to converge (chain unstable or ill-posed)."""
+    """The R computation failed to converge (chain unstable or ill-posed)."""
 
 
 def compute_rate_matrix(
@@ -30,13 +36,15 @@ def compute_rate_matrix(
     a1: np.ndarray,
     a2: np.ndarray,
     tolerance: float = 1e-12,
-    max_iterations: int = 200_000,
+    max_iterations: int = 100,
 ) -> np.ndarray:
     """Solve ``A0 + R A1 + R^2 A2 = 0`` for the minimal R ≥ 0.
 
-    Uses the natural fixed point ``R ← -(A0 + R² A2) A1⁻¹`` starting
-    from 0, which converges monotonically for irreducible positive
-    recurrent QBDs.
+    Logarithmic reduction on the jump chain ``B0 = (-A1)^-1 A0``,
+    ``B2 = (-A1)^-1 A2``: after step k, G accumulates the paths that
+    reach the level below within 2^k levels, and T is the probability
+    of climbing 2^k levels first.  For a positive recurrent QBD T
+    vanishes quadratically; iteration stops once ``‖T‖∞ < tolerance``.
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -45,23 +53,30 @@ def compute_rate_matrix(
     for block in (a0, a1, a2):
         if block.shape != (size, size):
             raise ValueError("A0, A1, A2 must be square and equally sized")
-    a1_inv = np.linalg.inv(a1)
-    r = np.zeros((size, size))
+    identity = np.eye(size)
+    up = np.linalg.solve(-a1, a0)
+    down = np.linalg.solve(-a1, a2)
+    g, t = down.copy(), up.copy()
     for _ in range(max_iterations):
-        r_next = -(a0 + r @ r @ a2) @ a1_inv
-        delta = np.max(np.abs(r_next - r))
-        r = r_next
-        if delta < tolerance:
-            spectral_radius = max(abs(np.linalg.eigvals(r)))
-            if spectral_radius >= 1.0 - 1e-9:
-                raise QbdConvergenceError(
-                    f"R has spectral radius {spectral_radius:.6f} >= 1; "
-                    "the chain is not positive recurrent (offered load too high?)"
-                )
-            return r
-    raise QbdConvergenceError(
-        f"R iteration did not converge within {max_iterations} steps"
-    )
+        mix = np.linalg.inv(identity - up @ down - down @ up)
+        up, down = mix @ (up @ up), mix @ (down @ down)
+        g += t @ down
+        t = t @ up
+        if np.max(np.abs(t).sum(axis=1)) < tolerance:
+            break
+    else:
+        raise QbdConvergenceError(
+            f"logarithmic reduction did not converge within {max_iterations} "
+            "steps; the chain is not positive recurrent (offered load too high?)"
+        )
+    r = a0 @ np.linalg.inv(-(a1 + a0 @ g))
+    spectral_radius = max(abs(np.linalg.eigvals(r)))
+    if spectral_radius >= 1.0 - 1e-9:
+        raise QbdConvergenceError(
+            f"R has spectral radius {spectral_radius:.6f} >= 1; "
+            "the chain is not positive recurrent (offered load too high?)"
+        )
+    return r
 
 
 def geometric_tail_sums(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,55 @@ class TestModelAnchors:
         assert model.mean_response_time() == pytest.approx(mm1, rel=1e-6)
 
 
+class TestAccuracy:
+    """Tight agreement with closed forms and with the full generator."""
+
+    def test_mpl_one_near_saturation_matches_pollaczek_khinchine(self):
+        mean, scv = 0.05, 20.0
+        lam = 0.99 / mean
+        model = MplPsQueue(arrival_rate=lam, mpl=1, service_mean=mean,
+                           service_scv=scv)
+        assert model.mean_response_time() == pytest.approx(
+            mg1_fifo_response_time(lam, mean, scv), rel=1e-9
+        )
+
+    def test_exponential_sizes_at_mpl_35_are_mm1(self):
+        mean, lam = 0.05, 18.0
+        model = MplPsQueue(arrival_rate=lam, mpl=35, service_mean=mean,
+                           service_scv=1.0)
+        assert model.mean_response_time() == pytest.approx(
+            mean / (1 - lam * mean), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("mpl", [1, 2, 7, 35])
+    @pytest.mark.parametrize("load,scv", [(0.7, 2.0), (0.9, 15.0), (0.98, 30.0)])
+    def test_solution_balances_the_dense_boundary_generator(self, load, scv, mpl):
+        """pi Q = 0 on levels 0..MPL, with the tail folded into level MPL
+        as ``A1 + R A2``, assembled densely as an independent oracle."""
+        mean = 0.05
+        model = MplPsQueue(arrival_rate=load / mean, mpl=mpl,
+                           service_mean=mean, service_scv=scv)
+        pis, rate_matrix = model.solve()
+        offsets = np.cumsum([0] + [n + 1 for n in range(mpl + 1)])
+        generator = np.zeros((offsets[-1], offsets[-1]))
+
+        def add(row_level, col_level, block):
+            r0, c0 = offsets[row_level], offsets[col_level]
+            generator[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
+
+        for n in range(mpl):
+            add(n, n, model.boundary_local(n))
+            add(n, n + 1, model.boundary_up(n))
+            add(n + 1, n, model.boundary_down(n + 1))
+        _a0, a1, a2 = model.repeating_blocks()
+        add(mpl, mpl, a1 + rate_matrix @ a2)
+        pi = np.concatenate(pis)
+        assert np.max(np.abs(pi @ generator)) < 1e-10
+        assert np.all(pi >= 0.0)
+        tail = pis[mpl] @ np.linalg.inv(np.eye(mpl + 1) - rate_matrix)
+        assert pi[: offsets[mpl]].sum() + tail.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestMonotonicity:
     def test_response_time_decreases_with_mpl_for_variable_sizes(self):
         mean, lam, scv = 0.05, 14.0, 15.0

@@ -63,9 +63,9 @@ def test_balanced_min_mpl_achieves_fraction(resources, fraction):
 
 
 @given(
-    load=st.floats(min_value=0.05, max_value=0.92),
+    load=st.floats(min_value=0.05, max_value=0.98),
     scv=st.floats(min_value=1.0, max_value=25.0),
-    mpl=st.integers(min_value=1, max_value=12),
+    mpl=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=40, deadline=None)
 def test_qbd_between_fifo_and_ps(load, scv, mpl):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.queueing.mpl_ps_queue import MplPsQueue
 from repro.queueing.qbd import (
     QbdConvergenceError,
     compute_rate_matrix,
@@ -51,6 +52,18 @@ def test_rate_matrix_solves_quadratic():
     residual = a0 + r @ a1 + r @ r @ a2
     assert np.max(np.abs(residual)) < 1e-9
     assert np.all(r >= -1e-12)
+
+
+def test_rate_matrix_residual_on_figure9_blocks():
+    """The largest Figure 10 chain: load 0.9, C^2 = 15, MPL 35."""
+    mean = 0.05
+    model = MplPsQueue(arrival_rate=0.9 / mean, mpl=35, service_mean=mean,
+                       service_scv=15.0)
+    a0, a1, a2 = model.repeating_blocks()
+    r = compute_rate_matrix(a0, a1, a2)
+    residual = a0 + r @ a1 + r @ r @ a2
+    assert np.max(np.abs(residual)) < 1e-12
+    assert np.all(r >= 0.0)
 
 
 def test_geometric_tail_sums():
