@@ -19,15 +19,53 @@ Adjustments are deliberately small and constant (±1): the queueing
 models give the loop a close-to-optimal starting value, so it
 converges in a handful of iterations anyway — the paper reports < 10,
 and ``benchmarks/test_bench_controller.py`` measures ours.
+
+The SLO controllers (one engine, or a sharded cluster) search for the
+*highest* MPL whose HIGH p95 meets a target, through one walk
+(:func:`highest_feasible_walk`) that takes the actuator applying an MPL
+and the floor it may not cross.  :class:`MplController` keeps its own
+loop: it gallops down even inside a known bracket, and
+``adaptive=False`` is the paper's constant-step ablation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.system import SimulatedSystem
+from repro.dbms.transaction import Priority
 from repro.metrics import stats
+
+
+def check_loop_ranges(
+    initial_mpl: Optional[int],
+    window: int,
+    step: int,
+    max_mpl: Optional[int] = None,
+    max_iterations: Optional[int] = None,
+    floor: int = 1,
+) -> None:
+    """Reject knobs no observe-then-step loop can run with.
+
+    ``None`` skips a check (a model jump-start leaves ``initial_mpl``
+    open); ``floor`` is the lowest MPL the loop may apply.
+    """
+    if initial_mpl is not None and initial_mpl < floor:
+        raise ValueError(
+            f"initial_mpl must be >= {floor} (one MPL slot per shard), "
+            f"got {initial_mpl!r}"
+        )
+    if max_mpl is not None and max_mpl < initial_mpl:
+        raise ValueError(
+            f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
+        )
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window!r}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step!r}")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,16 +166,7 @@ class MplController:
         max_mpl: int = 512,
         check_response_time: bool = True,
     ):
-        if initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {initial_mpl!r}")
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
+        check_loop_ranges(initial_mpl, window, step, max_mpl, max_iterations)
         self.system = system
         self.baseline = baseline
         self.thresholds = thresholds
@@ -154,7 +183,6 @@ class MplController:
         # estimates of the MPL'd and unlimited systems carry different
         # transient biases.
         self.check_response_time = check_response_time
-        self._feasibility: Dict[int, bool] = {}
         self._window_arrivals: List[int] = []
 
     # -- observation -----------------------------------------------------------
@@ -185,11 +213,7 @@ class MplController:
         # the window's own estimation uncertainty, otherwise noisy
         # windows on heavy-tailed workloads send the loop on runaway
         # up-walks.
-        gaps = [
-            b.completion_time - a.completion_time
-            for a, b in zip(records, records[1:])
-        ]
-        throughput_noise = min(0.25, stats.relative_half_width(gaps))
+        throughput_noise = min(0.25, stats.relative_half_width(_gaps(records)))
         rt_noise = min(0.5, stats.relative_half_width(response_times))
         feasible = loss <= self.thresholds.max_throughput_loss + throughput_noise
         if self.check_response_time:
@@ -215,11 +239,7 @@ class MplController:
     def _needs_extension(self, records, response_times) -> bool:
         if stats.relative_half_width(response_times) > self.MAX_RELATIVE_CI:
             return True
-        gaps = [
-            b.completion_time - a.completion_time
-            for a, b in zip(records, records[1:])
-        ]
-        if stats.relative_half_width(gaps) > self.MAX_THROUGHPUT_CI:
+        if stats.relative_half_width(_gaps(records)) > self.MAX_THROUGHPUT_CI:
             return True
         arrivals = self.system.collector.arrivals
         self._window_arrivals.append(arrivals)
@@ -257,21 +277,15 @@ class MplController:
         lowest_feasible: Optional[int] = None
         highest_infeasible = 0
         step = self.step
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
+        for iteration in range(1, self.max_iterations + 1):
             self.system.frontend.set_mpl(mpl)
             observation = self._observe(mpl)
             trajectory.append(observation)
-            self._feasibility[mpl] = observation.feasible
             if observation.feasible:
                 if lowest_feasible is None or mpl < lowest_feasible:
                     lowest_feasible = mpl
                 if mpl - 1 <= highest_infeasible:
-                    return ControllerReport(
-                        final_mpl=mpl, iterations=iteration,
-                        converged=True, trajectory=trajectory,
-                    )
+                    return ControllerReport(mpl, iteration, True, trajectory)
                 if self.adaptive:
                     next_mpl = max(highest_infeasible + 1, mpl - step)
                     step *= 2
@@ -283,10 +297,7 @@ class MplController:
                     highest_infeasible = mpl
                 if lowest_feasible is not None and lowest_feasible - 1 <= mpl:
                     self.system.frontend.set_mpl(lowest_feasible)
-                    return ControllerReport(
-                        final_mpl=lowest_feasible, iterations=iteration,
-                        converged=True, trajectory=trajectory,
-                    )
+                    return ControllerReport(lowest_feasible, iteration, True, trajectory)
                 if self.adaptive and lowest_feasible is not None:
                     # bisect the (infeasible, feasible) bracket
                     mpl = (mpl + lowest_feasible) // 2
@@ -296,35 +307,119 @@ class MplController:
                         # even the cap is infeasible: accept it (the
                         # thresholds are unattainable on this system)
                         self.system.frontend.set_mpl(self.max_mpl)
-                        return ControllerReport(
-                            final_mpl=self.max_mpl, iterations=iteration,
-                            converged=False, trajectory=trajectory,
-                        )
+                        return ControllerReport(self.max_mpl, iteration, False, trajectory)
                     if self.adaptive:
                         next_mpl = mpl + step
                         step *= 2
                     else:
                         next_mpl = mpl + self.step
                     mpl = min(next_mpl, self.max_mpl)
-        final = (
-            lowest_feasible
-            if lowest_feasible is not None
-            else self._lowest_known_feasible(mpl)
-        )
+        final = lowest_feasible if lowest_feasible is not None else mpl
         self.system.frontend.set_mpl(final)
-        return ControllerReport(
-            final_mpl=final,
-            iterations=iteration,
-            converged=False,
-            trajectory=trajectory,
-        )
+        return ControllerReport(final, self.max_iterations, False, trajectory)
 
-    def _lowest_known_feasible(self, fallback: int) -> int:
-        feasible = [m for m, ok in self._feasibility.items() if ok]
-        return min(feasible) if feasible else fallback
+
+def _gaps(records) -> List[float]:
+    """Inter-completion gaps of a record window."""
+    return [b.completion_time - a.completion_time for a, b in zip(records, records[1:])]
 
 
 # -- per-class SLO control -----------------------------------------------------
+
+#: SLO windows are extended until they contain at least this many
+#: HIGH-class completions — a p95 over fewer samples is noise.
+MIN_HIGH_SAMPLES = 20
+#: Upper bound on window extensions per SLO observation.
+MAX_HIGH_EXTENSIONS = 6
+
+
+def observe_high_class(system, window: int, target_p95_s: float) -> Dict[str, Any]:
+    """One SLO window: every observation field but the MPL (and split).
+
+    Extends the window, at most :data:`MAX_HIGH_EXTENSIONS` times, until
+    it holds :data:`MIN_HIGH_SAMPLES` HIGH completions.
+    """
+    records = system.run_transactions(window)
+    extensions = 0
+    while (
+        extensions < MAX_HIGH_EXTENSIONS
+        and sum(1 for r in records if r.priority == Priority.HIGH)
+        < MIN_HIGH_SAMPLES
+    ):
+        extensions += 1
+        records = records + system.run_transactions(window)
+    high = [r.response_time for r in records if r.priority == Priority.HIGH]
+    low_count = len(records) - len(high)
+    elapsed = records[-1].completion_time - records[0].completion_time
+    p95 = stats.percentile(high, 95.0)
+    return {
+        "completed": len(records),
+        "high_count": len(high),
+        "high_p95": p95,
+        "low_throughput": low_count / elapsed if elapsed > 0 else 0.0,
+        "feasible": bool(high) and p95 <= target_p95_s,
+    }
+
+
+def highest_feasible_walk(
+    actuate: Callable[[int], Any],
+    observe: Callable[[int], Any],
+    floor: int,
+    initial_mpl: int,
+    step: int,
+    max_mpl: int,
+    max_iterations: int,
+) -> Tuple[int, int, bool, list]:
+    """Search for the highest MPL whose observation is feasible.
+
+    Each iteration applies an MPL through ``actuate`` and judges it by
+    ``observe(mpl).feasible``.  Feasible probes walk up, infeasible ones
+    down, with a doubling stride until the bracket closes, then bisect.
+    It converges at a feasible MPL whose successor is known infeasible
+    or that reaches ``max_mpl``; an infeasible ``floor`` (unattainable
+    target) or a spent budget ends it unconverged.
+
+    Returns ``(final_mpl, iterations, converged, trajectory)``.
+    """
+    mpl = initial_mpl
+    trajectory: list = []
+    highest_feasible: Optional[int] = None
+    lowest_infeasible: Optional[int] = None
+    stride = step
+    for iteration in range(1, max_iterations + 1):
+        actuate(mpl)
+        observation = observe(mpl)
+        trajectory.append(observation)
+        if observation.feasible:
+            if highest_feasible is None or mpl > highest_feasible:
+                highest_feasible = mpl
+            if mpl >= max_mpl or (
+                lowest_infeasible is not None and mpl + 1 >= lowest_infeasible
+            ):
+                return mpl, iteration, True, trajectory
+            if lowest_infeasible is None:
+                mpl = min(max_mpl, mpl + stride)
+                stride *= 2
+            else:
+                mpl = (mpl + lowest_infeasible) // 2
+                stride = step
+        else:
+            if lowest_infeasible is None or mpl < lowest_infeasible:
+                lowest_infeasible = mpl
+            if highest_feasible is not None and mpl - 1 <= highest_feasible:
+                actuate(highest_feasible)
+                return highest_feasible, iteration, True, trajectory
+            if mpl <= floor:
+                return floor, iteration, False, trajectory
+            if highest_feasible is None:
+                mpl = max(floor, mpl - stride)
+                stride *= 2
+            else:
+                mpl = (mpl + highest_feasible) // 2
+                stride = step
+    final = highest_feasible if highest_feasible is not None else floor
+    actuate(final)
+    return final, max_iterations, False, trajectory
 
 
 @dataclasses.dataclass(frozen=True)
@@ -357,24 +452,16 @@ class PerClassSloController:
     the DBA's constraint is a latency SLO on the HIGH class, and the
     MPL is the lever — a lower MPL means fewer transactions competing
     inside the DBMS, so prioritized HIGH work finishes faster, at the
-    cost of LOW throughput.  The loop therefore searches for the
-    *highest* MPL whose windowed HIGH p95 still meets the target:
-    feasible windows probe upward (reclaiming LOW throughput),
-    infeasible ones step down, and — like the paper's loop — the
-    bracket is refined geometrically and declared converged once the
-    controller sits at a feasible MPL whose immediate successor is
-    known infeasible.
+    cost of LOW throughput.  The loop is :func:`highest_feasible_walk`
+    on the engine's ``set_mpl`` with a floor of 1: feasible windows
+    probe upward (reclaiming LOW throughput), infeasible ones step
+    down, and it converges at a feasible MPL whose immediate successor
+    is known infeasible.
 
     Requires a running system whose workload carries HIGH-priority
     transactions (e.g. ``high_priority_fraction > 0`` with the
     ``priority`` external queue policy).
     """
-
-    #: Windows are extended until they contain at least this many
-    #: HIGH-class completions — a p95 over fewer samples is noise.
-    MIN_HIGH_SAMPLES = 20
-    #: Upper bound on window extensions per observation.
-    MAX_EXTENSIONS = 6
 
     def __init__(
         self,
@@ -388,16 +475,7 @@ class PerClassSloController:
     ):
         if target_p95_s <= 0:
             raise ValueError(f"target_p95_s must be positive, got {target_p95_s!r}")
-        if initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {initial_mpl!r}")
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
+        check_loop_ranges(initial_mpl, window, step, max_mpl, max_iterations)
         self.system = system
         self.target_p95_s = target_p95_s
         self.initial_mpl = initial_mpl
@@ -407,29 +485,8 @@ class PerClassSloController:
         self.max_iterations = max_iterations
 
     def _observe(self, mpl: int) -> SloObservation:
-        from repro.dbms.transaction import Priority
-
-        records = self.system.run_transactions(self.window)
-        extensions = 0
-        while (
-            extensions < self.MAX_EXTENSIONS
-            and sum(1 for r in records if r.priority == Priority.HIGH)
-            < self.MIN_HIGH_SAMPLES
-        ):
-            extensions += 1
-            records = records + self.system.run_transactions(self.window)
-        high = [r.response_time for r in records if r.priority == Priority.HIGH]
-        low_count = len(records) - len(high)
-        elapsed = records[-1].completion_time - records[0].completion_time
-        low_throughput = low_count / elapsed if elapsed > 0 else 0.0
-        p95 = stats.percentile(high, 95.0)
         return SloObservation(
-            mpl=mpl,
-            completed=len(records),
-            high_count=len(high),
-            high_p95=p95,
-            low_throughput=low_throughput,
-            feasible=bool(high) and p95 <= self.target_p95_s,
+            mpl=mpl, **observe_high_class(self.system, self.window, self.target_p95_s)
         )
 
     def tune(self) -> SloReport:
@@ -440,65 +497,34 @@ class PerClassSloController:
         value), or the feasible region reaches ``max_mpl``, or the
         iteration budget runs out.
         """
-        mpl = self.initial_mpl
-        trajectory: List[SloObservation] = []
-        highest_feasible: Optional[int] = None
-        lowest_infeasible: Optional[int] = None
-        step = self.step
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
-            self.system.frontend.set_mpl(mpl)
-            observation = self._observe(mpl)
-            trajectory.append(observation)
-            if observation.feasible:
-                if highest_feasible is None or mpl > highest_feasible:
-                    highest_feasible = mpl
-                if mpl >= self.max_mpl or (
-                    lowest_infeasible is not None and mpl + 1 >= lowest_infeasible
-                ):
-                    return SloReport(
-                        final_mpl=mpl, iterations=iteration,
-                        converged=True, trajectory=trajectory,
-                    )
-                if lowest_infeasible is None:
-                    next_mpl = min(self.max_mpl, mpl + step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + lowest_infeasible) // 2
-                    step = self.step
-                mpl = next_mpl
-            else:
-                if lowest_infeasible is None or mpl < lowest_infeasible:
-                    lowest_infeasible = mpl
-                if highest_feasible is not None and mpl - 1 <= highest_feasible:
-                    self.system.frontend.set_mpl(highest_feasible)
-                    return SloReport(
-                        final_mpl=highest_feasible, iterations=iteration,
-                        converged=True, trajectory=trajectory,
-                    )
-                if mpl <= 1:
-                    # even MPL 1 misses the SLO: the target is
-                    # unattainable on this system — hold the floor
-                    return SloReport(
-                        final_mpl=1, iterations=iteration,
-                        converged=False, trajectory=trajectory,
-                    )
-                if highest_feasible is None:
-                    next_mpl = max(1, mpl - step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + highest_feasible) // 2
-                    step = self.step
-                mpl = next_mpl
-        final = highest_feasible if highest_feasible is not None else 1
-        self.system.frontend.set_mpl(final)
-        return SloReport(
-            final_mpl=final,
-            iterations=iteration,
-            converged=False,
-            trajectory=trajectory,
-        )
+        return SloReport(*highest_feasible_walk(
+            self.system.frontend.set_mpl, self._observe, 1,
+            self.initial_mpl, self.step, self.max_mpl, self.max_iterations,
+        ))
+
+
+# -- shard load weights (clusters) ---------------------------------------------
+
+#: Split weight for dead/parked shards: small enough that the
+#: largest-remainder split leaves them the minimum of 1, without
+#: dividing by zero.
+PARKED_WEIGHT = 1e-9
+
+
+def load_weights(system) -> List[float]:
+    """Load-proportional global-MPL split weights for a cluster.
+
+    Each routable shard weighs 1 + in-service + queued, so hot shards
+    and cross-shard fan-in pull capacity; every other shard gets
+    :data:`PARKED_WEIGHT`.
+    """
+    router = system.router
+    return [
+        1.0 + shard.frontend.in_service + shard.frontend.queue_length
+        if router.routable(index)
+        else PARKED_WEIGHT
+        for index, shard in enumerate(system.shards)
+    ]
 
 
 # -- elastic capacity control (clusters) --------------------------------------
@@ -550,11 +576,6 @@ class ElasticCapacityController:
     early still terminates (the kernel stops on its completion target
     regardless).
     """
-
-    #: Load-proportional weight floor for dead/parked shards: small
-    #: enough that the largest-remainder split leaves them the minimum
-    #: of 1, without dividing by zero.
-    PARKED_WEIGHT = 1e-9
 
     def __init__(
         self,
@@ -610,13 +631,12 @@ class ElasticCapacityController:
 
     # -- one tick ----------------------------------------------------------
 
-    def _active_indices(self) -> List[int]:
-        router = self.system.router
-        return [i for i in range(len(self.system.shards)) if router.routable(i)]
+    def _log(self, kind: str, mpls: tuple, detail: str) -> None:
+        self.report.actions.append(ElasticAction(self.system.sim.now, kind, mpls, detail))
 
     def _rebalance(self) -> None:
         system = self.system
-        active = self._active_indices()
+        active = system.router.live_targets()
         if not active:
             return
         loads = [
@@ -626,25 +646,15 @@ class ElasticCapacityController:
         admitted = sum(system.shards[i].frontend.in_service for i in active)
         utilization = admitted / max(1, self.global_mpl)
         self._manage_rotation(active, loads, utilization)
-        active = self._active_indices()
-        weights = [
-            (1.0 + loads[i]) if i in set(active) else self.PARKED_WEIGHT
-            for i in range(len(system.shards))
-        ]
         mpls = tuple(
-            system.scheduler.set_global_mpl(self.global_mpl, weights=weights)
+            system.scheduler.set_global_mpl(
+                self.global_mpl, weights=load_weights(system)
+            )
         )
         self.report.final_mpls = mpls
         if mpls != self._last_mpls:
             self._last_mpls = mpls
-            self.report.actions.append(
-                ElasticAction(
-                    t=system.sim.now,
-                    kind="resplit",
-                    mpls=mpls,
-                    detail=f"loads={tuple(loads)}",
-                )
-            )
+            self._log("resplit", mpls, f"loads={tuple(loads)}")
 
     def _manage_rotation(
         self, active: List[int], loads: List[int], utilization: float
@@ -656,13 +666,8 @@ class ElasticCapacityController:
             for index in range(len(system.shards)):
                 if router.alive[index] and not router.in_rotation[index]:
                     router.set_rotation(index, True)
-                    self.report.actions.append(
-                        ElasticAction(
-                            t=system.sim.now, kind="activate", mpls=(),
-                            detail=f"shard {index} back in rotation "
-                                   f"(utilization {utilization:.2f})",
-                        )
-                    )
+                    self._log("activate", (), f"shard {index} back in rotation "
+                                              f"(utilization {utilization:.2f})")
                     return
             return
         if utilization < self.low_watermark and len(active) > self.min_shards:
@@ -670,13 +675,7 @@ class ElasticCapacityController:
             # highest index, so shard 0 parks last) and let it drain
             index = min(reversed(active), key=lambda i: loads[i])
             router.set_rotation(index, False)
-            self.report.actions.append(
-                ElasticAction(
-                    t=system.sim.now, kind="park", mpls=(),
-                    detail=f"shard {index} parked "
-                           f"(utilization {utilization:.2f})",
-                )
-            )
+            self._log("park", (), f"shard {index} parked (utilization {utilization:.2f})")
 
 # -- cluster-wide SLO control (clusters) ---------------------------------------
 
@@ -711,25 +710,19 @@ class ClusterSloController:
 
     :class:`PerClassSloController` lifted from single-engine to cluster
     scope: the observation window is the cluster collector (every
-    shard's completions), and the reaction re-splits the *global* MPL
+    shard's completions), and the actuator re-splits the *global* MPL
     across shards via
     :meth:`~repro.core.cluster.ShardedExternalScheduler.set_global_mpl`
-    with health-aware weights — each routable shard weighted by its
-    current load (in-service + queued, so hot shards and cross-shard
-    fan-in pull capacity), dead/parked shards floored at the parked
-    weight, and shards whose circuit breaker is not closed discounted.
-    The search itself is the same highest-feasible bracket walk, except
-    the floor is one MPL slot per shard (``split_mpl`` needs that) —
-    a 2PC branch parked at its prepare gate occupies a slot, so a
-    cluster starved below one-per-shard would distributed-deadlock.
+    with health-aware weights — :func:`load_weights`, with shards whose
+    circuit breaker is not closed discounted.  The search is the same
+    :func:`highest_feasible_walk`, except the floor is one MPL slot per
+    shard (``split_mpl`` needs that) — a 2PC branch parked at its
+    prepare gate occupies a slot, so a cluster starved below
+    one-per-shard would distributed-deadlock.
     """
 
-    MIN_HIGH_SAMPLES = 20
-    MAX_EXTENSIONS = 6
     #: Weight multiplier for shards whose breaker is open/half-open.
     UNHEALTHY_DISCOUNT = 0.25
-    #: Weight floor for dead/parked shards (the elastic idiom).
-    PARKED_WEIGHT = 1e-9
 
     def __init__(
         self,
@@ -741,22 +734,12 @@ class ClusterSloController:
         max_mpl: int = 256,
         max_iterations: int = 30,
     ):
-        num_shards = len(system.shards)
         if target_p95_s <= 0:
             raise ValueError(f"target_p95_s must be positive, got {target_p95_s!r}")
-        if initial_mpl < num_shards:
-            raise ValueError(
-                f"initial_mpl {initial_mpl!r} cannot cover {num_shards} "
-                "shards (need >= 1 each)"
-            )
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
+        self.floor = len(system.shards)
+        check_loop_ranges(
+            initial_mpl, window, step, max_mpl, max_iterations, floor=self.floor
+        )
         self.system = system
         self.target_p95_s = target_p95_s
         self.initial_mpl = initial_mpl
@@ -764,63 +747,31 @@ class ClusterSloController:
         self.step = step
         self.max_mpl = max_mpl
         self.max_iterations = max_iterations
-        self.floor = num_shards
         self._last_split: tuple = ()
 
     def _split_weights(self) -> List[float]:
         """Health-aware weights for the global-MPL split."""
         system = self.system
-        router = system.router
-        breakers = (
-            system.resilience.breakers
-            if getattr(system, "resilience", None) is not None
-            else None
-        )
-        weights: List[float] = []
-        for index, shard in enumerate(system.shards):
-            if not router.routable(index):
-                weights.append(self.PARKED_WEIGHT)
-                continue
-            weight = 1.0 + shard.frontend.in_service + shard.frontend.queue_length
-            if breakers is not None and breakers[index].state != "closed":
-                weight *= self.UNHEALTHY_DISCOUNT
-            weights.append(weight)
+        weights = load_weights(system)
+        resilience = getattr(system, "resilience", None)
+        breakers = resilience.breakers if resilience is not None else None
+        for index, breaker in enumerate(breakers or ()):
+            if system.router.routable(index) and breaker.state != "closed":
+                weights[index] *= self.UNHEALTHY_DISCOUNT
         return weights
 
-    def _apply(self, mpl: int) -> tuple:
-        split = tuple(
+    def _apply(self, mpl: int) -> None:
+        self._last_split = tuple(
             self.system.scheduler.set_global_mpl(
                 mpl, weights=self._split_weights()
             )
         )
-        self._last_split = split
-        return split
 
-    def _observe(self, mpl: int, split: tuple) -> ClusterSloObservation:
-        from repro.dbms.transaction import Priority
-
-        records = self.system.run_transactions(self.window)
-        extensions = 0
-        while (
-            extensions < self.MAX_EXTENSIONS
-            and sum(1 for r in records if r.priority == Priority.HIGH)
-            < self.MIN_HIGH_SAMPLES
-        ):
-            extensions += 1
-            records = records + self.system.run_transactions(self.window)
-        high = [r.response_time for r in records if r.priority == Priority.HIGH]
-        low_count = len(records) - len(high)
-        elapsed = records[-1].completion_time - records[0].completion_time
-        low_throughput = low_count / elapsed if elapsed > 0 else 0.0
-        p95 = stats.percentile(high, 95.0)
+    def _observe(self, mpl: int) -> ClusterSloObservation:
         return ClusterSloObservation(
             mpl=mpl,
-            completed=len(records),
-            high_count=len(high),
-            high_p95=p95,
-            low_throughput=low_throughput,
-            split=split,
-            feasible=bool(high) and p95 <= self.target_p95_s,
+            split=self._last_split,
+            **observe_high_class(self.system, self.window, self.target_p95_s),
         )
 
     def tune(self) -> ClusterSloReport:
@@ -833,69 +784,18 @@ class ClusterSloController:
         live health at every reaction, so the same global MPL can land
         differently as shards heat up or trip their breakers.
         """
-        mpl = self.initial_mpl
-        trajectory: List[ClusterSloObservation] = []
-        highest_feasible: Optional[int] = None
-        lowest_infeasible: Optional[int] = None
-        step = self.step
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
-            split = self._apply(mpl)
-            observation = self._observe(mpl, split)
-            trajectory.append(observation)
-            if observation.feasible:
-                if highest_feasible is None or mpl > highest_feasible:
-                    highest_feasible = mpl
-                if mpl >= self.max_mpl or (
-                    lowest_infeasible is not None and mpl + 1 >= lowest_infeasible
-                ):
-                    return ClusterSloReport(
-                        final_mpl=mpl, final_split=self._last_split,
-                        iterations=iteration, converged=True,
-                        trajectory=trajectory,
-                    )
-                if lowest_infeasible is None:
-                    next_mpl = min(self.max_mpl, mpl + step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + lowest_infeasible) // 2
-                    step = self.step
-                mpl = next_mpl
-            else:
-                if lowest_infeasible is None or mpl < lowest_infeasible:
-                    lowest_infeasible = mpl
-                if highest_feasible is not None and mpl - 1 <= highest_feasible:
-                    self._apply(highest_feasible)
-                    return ClusterSloReport(
-                        final_mpl=highest_feasible,
-                        final_split=self._last_split,
-                        iterations=iteration, converged=True,
-                        trajectory=trajectory,
-                    )
-                if mpl <= self.floor:
-                    # even one-slot-per-shard misses the SLO: the
-                    # target is unattainable on this cluster — hold
-                    # the floor
-                    self._apply(self.floor)
-                    return ClusterSloReport(
-                        final_mpl=self.floor, final_split=self._last_split,
-                        iterations=iteration, converged=False,
-                        trajectory=trajectory,
-                    )
-                if highest_feasible is None:
-                    next_mpl = max(self.floor, mpl - step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + highest_feasible) // 2
-                    step = self.step
-                mpl = next_mpl
-        final = highest_feasible if highest_feasible is not None else self.floor
-        self._apply(final)
+        final, iterations, converged, trajectory = highest_feasible_walk(
+            self._apply, self._observe, self.floor,
+            self.initial_mpl, self.step, self.max_mpl, self.max_iterations,
+        )
+        last = trajectory[-1]
+        if not converged and not last.feasible and last.mpl == self.floor:
+            # even one slot per shard misses the SLO: the target is
+            # unattainable on this cluster — hold the floor, split with
+            # fresh weights
+            self._apply(self.floor)
         return ClusterSloReport(
-            final_mpl=final,
-            final_split=self._last_split,
-            iterations=iteration,
-            converged=False,
+            final_mpl=final, final_split=self._last_split,
+            iterations=iterations, converged=converged,
             trajectory=trajectory,
         )

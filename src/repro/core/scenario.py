@@ -86,6 +86,7 @@ from repro.core.controller import (
     PerClassSloController,
     SloReport,
     Thresholds,
+    check_loop_ranges,
 )
 from repro.core.distributed import (
     DistributedSpec,
@@ -378,10 +379,7 @@ class FeedbackMpl(ControlSpec):
     def __post_init__(self) -> None:
         # delegate range validation to the shared Thresholds rules
         self.thresholds()
-        if self.initial_mpl is not None and self.initial_mpl < 1:
-            raise ValueError(
-                f"initial_mpl must be >= 1 or None, got {self.initial_mpl!r}"
-            )
+        check_loop_ranges(self.initial_mpl, self.window, self.step)
         if self.baseline_transactions < 2:
             raise ValueError(
                 "baseline_transactions must be >= 2, got "
@@ -472,12 +470,11 @@ class FeedbackMpl(ControlSpec):
 
 
 @dataclasses.dataclass(frozen=True)
-class PerClassSlo(ControlSpec):
-    """Hold HIGH's p95 under ``high_p95_target_s``, maximize LOW work.
+class _SloControl(ControlSpec):
+    """Fields and checks shared by the two highest-feasible SLO loops.
 
-    Runs :class:`~repro.core.controller.PerClassSloController` against
-    the live system; requires HIGH-priority traffic
-    (``high_priority_fraction > 0``) and a single-engine topology.
+    The defaults are :class:`PerClassSlo`'s; :class:`ClusterSlo`
+    overrides ``initial_mpl``, ``step`` and ``max_mpl``.
     """
 
     high_p95_target_s: float = 0.5
@@ -492,16 +489,22 @@ class PerClassSlo(ControlSpec):
             raise ValueError(
                 f"high_p95_target_s must be positive, got {self.high_p95_target_s!r}"
             )
-        if self.initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {self.initial_mpl!r}")
-        if self.max_mpl < self.initial_mpl:
-            raise ValueError(
-                f"max_mpl {self.max_mpl!r} must be >= initial_mpl "
-                f"{self.initial_mpl!r}"
-            )
+        check_loop_ranges(
+            self.initial_mpl, self.window, self.step, self.max_mpl, self.max_iterations
+        )
 
     def config_mpl(self) -> Optional[int]:
         return self.initial_mpl
+
+
+@dataclasses.dataclass(frozen=True)
+class PerClassSlo(_SloControl):
+    """Hold HIGH's p95 under ``high_p95_target_s``, maximize LOW work.
+
+    Runs :class:`~repro.core.controller.PerClassSloController` against
+    the live system; requires HIGH-priority traffic
+    (``high_priority_fraction > 0``) and a single-engine topology.
+    """
 
     def apply(self, system, scenario):
         controller = PerClassSloController(
@@ -580,7 +583,7 @@ class ElasticMpl(ControlSpec):
 
 
 @dataclasses.dataclass(frozen=True)
-class ClusterSlo(ControlSpec):
+class ClusterSlo(_SloControl):
     """Hold the *cluster-wide* HIGH p95 under a target, maximize LOW work.
 
     :class:`PerClassSlo` lifted to cluster scope: one
@@ -594,32 +597,9 @@ class ClusterSlo(ControlSpec):
     no replicas) and HIGH-priority traffic.
     """
 
-    high_p95_target_s: float = 0.5
     initial_mpl: int = 16
-    window: int = 150
     step: int = 2
     max_mpl: int = 256
-    max_iterations: int = 30
-
-    def __post_init__(self) -> None:
-        if self.high_p95_target_s <= 0:
-            raise ValueError(
-                f"high_p95_target_s must be positive, got {self.high_p95_target_s!r}"
-            )
-        if self.initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {self.initial_mpl!r}")
-        if self.max_mpl < self.initial_mpl:
-            raise ValueError(
-                f"max_mpl {self.max_mpl!r} must be >= initial_mpl "
-                f"{self.initial_mpl!r}"
-            )
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window!r}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step!r}")
-
-    def config_mpl(self) -> Optional[int]:
-        return self.initial_mpl
 
     def apply(self, system, scenario):
         if not isinstance(system, ClusteredSystem):

@@ -28,7 +28,6 @@ import json
 import os
 import tempfile
 import time
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.arrivals import ArrivalSpec
@@ -85,50 +84,16 @@ class RunSpec:
     #: keeps the legacy num_clients / arrival_rate behaviour — and the
     #: legacy fingerprints.
     arrival: Optional[ArrivalSpec] = None
-    #: DEPRECATED loose topology fields: prefer
-    #: ``RunSpec(topology=TopologySpec(...))``.  With ``shards > 1``
-    #: the run scales the setup out to N engines behind a router
-    #: (``mpl`` becomes the global MPL, split across shards).
-    #: ``shards=1`` is the plain engine — and, being the field
-    #: defaults, keeps every legacy fingerprint.  Non-default values
-    #: emit a :class:`DeprecationWarning`.
-    shards: int = 1
-    routing: str = "round_robin"
-    routing_weights: Optional[Tuple[float, ...]] = None
     #: Free-form label carried into bench artifacts (never hashed).
     tag: str = ""
-    #: The v2 topology axis: set this instead of the loose
-    #: shards/routing/routing_weights trio (mutually exclusive).
+    #: The topology axis; None is the plain single engine.  With
+    #: ``shards > 1`` the run scales the setup out to N engines behind
+    #: a router (``mpl`` becomes the global MPL, split across shards).
     topology: Optional[TopologySpec] = None
 
-    def __post_init__(self) -> None:
-        loose = (
-            self.shards != 1
-            or self.routing != "round_robin"
-            or self.routing_weights is not None
-        )
-        if self.topology is not None and loose:
-            raise ValueError(
-                "specify topology=TopologySpec(...) or the legacy "
-                "shards/routing/routing_weights fields, not both"
-            )
-        if loose:
-            warnings.warn(
-                "RunSpec.shards/routing/routing_weights are deprecated; "
-                "use RunSpec(topology=TopologySpec(...)) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
     def resolved_topology(self) -> TopologySpec:
-        """The topology axis, whichever way it was spelled."""
-        if self.topology is not None:
-            return self.topology
-        return TopologySpec(
-            shards=self.shards,
-            routing=self.routing,
-            routing_weights=self.routing_weights,
-        )
+        """The topology axis, defaulting to the plain single engine."""
+        return self.topology or TopologySpec()
 
     def to_scenario(self) -> ScenarioSpec:
         """The equivalent scenario — the single construction path."""
@@ -214,9 +179,6 @@ class ResultCache:
                 "high_priority_fraction": spec.high_priority_fraction,
                 "arrival_rate": spec.arrival_rate,
                 "arrival": canonical_jsonable(spec.arrival),
-                "shards": spec.shards,
-                "routing": spec.routing,
-                "routing_weights": canonical_jsonable(spec.routing_weights),
                 "tag": spec.tag,
             }
         payload = {

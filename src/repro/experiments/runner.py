@@ -86,10 +86,8 @@ def spec_for(
 ) -> RunSpec:
     """The :class:`RunSpec` equivalent of a :func:`run_setup` call.
 
-    Topology knobs land in a :class:`TopologySpec` (the ``shards`` /
-    ``routing`` / ``routing_weights`` fields on :class:`RunSpec` are
-    deprecated); single-shard defaults stay implicit so legacy
-    fingerprints are untouched.
+    Topology knobs land in a :class:`TopologySpec`; single-shard
+    defaults stay implicit so legacy fingerprints are untouched.
     """
     clustered = (
         shards != 1 or routing != "round_robin" or routing_weights is not None

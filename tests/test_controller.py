@@ -102,5 +102,7 @@ class TestController:
             MplController(system, baseline, Thresholds(), initial_mpl=1, window=1)
         with pytest.raises(ValueError):
             MplController(system, baseline, Thresholds(), initial_mpl=1, step=0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            MplController(system, baseline, Thresholds(), initial_mpl=1, max_iterations=0)
         with pytest.raises(ValueError):
             Baseline(throughput=0.0, mean_response_time=1.0)

@@ -40,6 +40,7 @@ from repro.core.faults import (
     RestoreShard,
 )
 from repro.core.scenario import (
+    ClusterSlo,
     ElasticMpl,
     FeedbackMpl,
     MeasurementSpec,
@@ -173,7 +174,10 @@ class TestLegacyAdapter:
         assert as_scenario(RunSpec(setup_id=2)).workload.setup_id == 2
 
     def test_sharded_runspec_config_via_scenario(self):
-        spec = RunSpec(setup_id=1, mpl=8, transactions=100, seed=3, shards=2)
+        spec = RunSpec(
+            setup_id=1, mpl=8, transactions=100, seed=3,
+            topology=TopologySpec(shards=2),
+        )
         config = spec.config()
         assert isinstance(config, ClusterConfig)
         assert config.num_shards == 2
@@ -297,6 +301,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             FeedbackMpl(baseline_transactions=1)
         with pytest.raises(ValueError):
+            FeedbackMpl(initial_mpl=4, window=1)
+        with pytest.raises(ValueError):
+            FeedbackMpl(initial_mpl=4, step=0)
+        with pytest.raises(ValueError):
             FeedbackMpl(baseline_throughput=50.0)  # missing its RT half
         with pytest.raises(ValueError):
             FeedbackMpl(baseline_throughput=0.0, baseline_response_time=0.1,
@@ -317,6 +325,12 @@ class TestValidation:
             PerClassSlo(initial_mpl=0)
         with pytest.raises(ValueError):
             PerClassSlo(initial_mpl=9, max_mpl=8)
+        # rejected by the spec itself, before any system is built
+        for spec in (PerClassSlo, ClusterSlo):
+            for bad in ({"window": 1}, {"step": 0},
+                        {"max_iterations": 0}, {"max_iterations": -1}):
+                with pytest.raises(ValueError):
+                    spec(**bad)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -730,6 +744,12 @@ class TestPerClassSlo:
             PerClassSloController(
                 system, target_p95_s=0.1, initial_mpl=2, step=0
             )
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations"):
+                PerClassSloController(
+                    system, target_p95_s=0.1, initial_mpl=2,
+                    max_iterations=budget,
+                )
 
 
 class TestScenarioCli:
@@ -1027,16 +1047,7 @@ class TestScenarioV2:
 
 
 class TestRunSpecDeprecation:
-    """The loose shards/routing/routing_weights fields are deprecated."""
-
-    def test_loose_topology_fields_warn(self):
-        with pytest.warns(DeprecationWarning, match="topology"):
-            RunSpec(setup_id=1, shards=2)
-        with pytest.warns(DeprecationWarning, match="topology"):
-            RunSpec(setup_id=1, routing="hash")
-        with pytest.warns(DeprecationWarning, match="topology"):
-            RunSpec(setup_id=1, shards=2, routing="weighted",
-                    routing_weights=(1.0, 2.0))
+    """A RunSpec spells its topology as ``topology=TopologySpec(...)``."""
 
     def test_defaults_and_topology_spelling_do_not_warn(self):
         import warnings as warnings_module
@@ -1046,15 +1057,11 @@ class TestRunSpecDeprecation:
             RunSpec(setup_id=1)
             RunSpec(setup_id=1, topology=TopologySpec(shards=2))
 
-    def test_both_spellings_rejected_together(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunSpec(setup_id=1, shards=2, topology=TopologySpec(shards=2))
-
     def test_loose_and_topology_spellings_fingerprint_identically(self):
-        with pytest.warns(DeprecationWarning):
-            loose = RunSpec(
-                setup_id=1, mpl=8, shards=2, routing="least_in_flight"
-            )
+        from repro.experiments.runner import spec_for
+
+        # spec_for keeps the loose keyword spelling of run_setup
+        loose = spec_for(get_setup(1), mpl=8, shards=2, routing="least_in_flight")
         explicit = RunSpec(
             setup_id=1, mpl=8,
             topology=TopologySpec(shards=2, routing="least_in_flight"),
