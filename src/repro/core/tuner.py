@@ -138,6 +138,21 @@ def model_initial_mpl_response_time(
     return max_mpl
 
 
+def scaled_baseline_transactions(config: SystemConfig, transactions: int) -> int:
+    """The no-MPL baseline's run length, scaled by the demand C².
+
+    Heavy-tailed workloads need proportionally longer measurements for
+    a stable mean (the window-sizing argument of §4.3 applied to the
+    baseline itself), so ``transactions`` is multiplied by the
+    workload's demand C², clamped to [1, 8].
+    """
+    _mean, demand_scv = config.workload.demand_moments(
+        config.hardware.disk_service_mean_ms / 1000.0,
+        miss_probability=miss_probability(config),
+    )
+    return int(transactions * min(8.0, max(1.0, demand_scv)))
+
+
 class MplTuner:
     """End-to-end MPL tuning for a system configuration.
 
@@ -167,17 +182,12 @@ class MplTuner:
     def measure_baseline(self) -> RunResult:
         """Run the system with no MPL limit and measure it.
 
-        Heavy-tailed workloads need proportionally longer measurements
-        for a stable mean (the window-sizing argument of §4.3 applied
-        to the baseline itself), so the run length scales with the
-        workload's demand C².
+        The run length scales with the workload's demand C² (see
+        :func:`scaled_baseline_transactions`).
         """
-        _mean, demand_scv = self.config.workload.demand_moments(
-            self.config.hardware.disk_service_mean_ms / 1000.0,
-            miss_probability=miss_probability(self.config),
+        transactions = scaled_baseline_transactions(
+            self.config, self.baseline_transactions
         )
-        multiplier = min(8.0, max(1.0, demand_scv))
-        transactions = int(self.baseline_transactions * multiplier)
         config = dataclasses.replace(self.config, mpl=None)
         system = SimulatedSystem(config)
         return system.run(transactions=transactions)

@@ -20,7 +20,7 @@ from repro.experiments.figures import (
     figure13,
     section32_response_time,
 )
-from repro.experiments.runner import mpl_sweep, run_setup, tune_setup
+from repro.experiments.runner import mpl_sweep, run_setup, tuning_scenario
 from repro.experiments.tables import table1, table2, variability_table
 
 __all__ = [
@@ -41,6 +41,6 @@ __all__ = [
     "section32_response_time",
     "table1",
     "table2",
-    "tune_setup",
+    "tuning_scenario",
     "variability_table",
 ]

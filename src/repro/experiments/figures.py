@@ -37,7 +37,7 @@ from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import report
 from repro.experiments.parallel import DEFAULT_SEED, run_grid
-from repro.experiments.runner import scenario_for, spec_for, tune_setup
+from repro.experiments.runner import scenario_for, tuning_scenario
 from repro.priority.evaluation import (
     HIGH_PRIORITY_FRACTION,
     PrioritizationOutcome,
@@ -253,14 +253,14 @@ def section32_response_time(
     subjects = ((1, "TPC-C (W_CPU-inventory)"), (3, "TPC-W (W_CPU-browsing)"))
     # phase 1: closed-system capacity probes, one grid
     capacity_runs = run_grid([
-        spec_for(get_setup(sid), mpl=None, transactions=max(400, transactions // 2))
+        scenario_for(get_setup(sid), mpl=None, transactions=max(400, transactions // 2))
         for sid, _name in subjects
     ])
     capacities = {sid: run.throughput
                   for (sid, _name), run in zip(subjects, capacity_runs)}
     # phase 2: the full (setup, load, mpl) open-system grid
     grid = [
-        spec_for(
+        scenario_for(
             get_setup(sid), mpl=mpl, transactions=transactions,
             arrival_rate=load * capacities[sid],
         )
@@ -390,18 +390,19 @@ def controller_convergence(
     starts: List[float] = []
     notes: List[str] = []
     for setup_id in setup_ids:
-        tuning = tune_setup(
+        report = execute_scenario(tuning_scenario(
             get_setup(setup_id),
             max_throughput_loss=max_throughput_loss,
             transactions=transactions,
-        )
-        iterations.append(float(tuning.report.iterations))
-        finals.append(float(tuning.final_mpl))
-        starts.append(float(tuning.initial_mpl))
+        )).control
+        start = report.trajectory[0].mpl
+        iterations.append(float(report.iterations))
+        finals.append(float(report.final_mpl))
+        starts.append(float(start))
         notes.append(
-            f"setup {setup_id}: model start {tuning.initial_mpl}, "
-            f"final {tuning.final_mpl}, {tuning.report.iterations} iterations, "
-            f"converged={tuning.report.converged}"
+            f"setup {setup_id}: model start {start}, "
+            f"final {report.final_mpl}, {report.iterations} iterations, "
+            f"converged={report.converged}"
         )
     return FigureResult(
         figure="S4.3",
@@ -426,25 +427,26 @@ def _figure11_threshold(
     setup_ids = tuple(s.setup_id for s in SETUPS)
     # phase 1: the "No Prio" references for all 17 setups, one grid
     references = run_grid([
-        spec_for(get_setup(sid), mpl=None, transactions=transactions, seed=seed)
+        scenario_for(get_setup(sid), mpl=None, transactions=transactions, seed=seed)
         for sid in setup_ids
     ])
-    # phase 2: tune each setup's MPL (inherently sequential feedback loops)
+    # phase 2: tune each setup's MPL, one grid of feedback scenarios
     # — the paper's budgets are symmetric: "sacrifice a maximum of
     # 5% (20%) throughput" and the same bound on mean RT
-    tuned_mpls = [
-        tune_setup(
+    tuned_mpls = [run.mpl for run in run_grid([
+        tuning_scenario(
             get_setup(sid),
             max_throughput_loss=max_throughput_loss,
             max_response_time_increase=max_throughput_loss,
             transactions=max(400, transactions // 2),
             window=100,
-        ).final_mpl
+            seed=seed,
+        )
         for sid in setup_ids
-    ]
+    ])]
     # phase 3: the prioritized runs at the tuned MPLs, one grid
     prio_runs = run_grid([
-        spec_for(
+        scenario_for(
             get_setup(sid), mpl=mpl, transactions=transactions, seed=seed,
             policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
         )
@@ -504,25 +506,26 @@ def _internal_vs_external(
     budgets = (("ext95", 0.05), ("ext80", 0.20), ("ext100", 0.005))
     # phase 1: the shared reference + the internal-prioritization run
     no_prio, internal_run = run_grid([
-        spec_for(setup, mpl=None, transactions=transactions, seed=seed),
-        spec_for(
+        scenario_for(setup, mpl=None, transactions=transactions, seed=seed),
+        scenario_for(
             setup, mpl=None, transactions=transactions, seed=seed,
             internal=internal, high_priority_fraction=HIGH_PRIORITY_FRACTION,
         ),
     ])
-    # phase 2: tune one MPL per throughput-loss budget (sequential)
-    tuned_mpls = [
-        tune_setup(
+    # phase 2: tune one MPL per throughput-loss budget, one grid
+    tuned_mpls = [run.mpl for run in run_grid([
+        tuning_scenario(
             setup,
             max_throughput_loss=loss,
             max_response_time_increase=max(loss, 0.02),
             transactions=max(400, transactions // 2),
-        ).final_mpl
+            seed=seed,
+        )
         for _label, loss in budgets
-    ]
+    ])]
     # phase 3: the external-prioritization runs, one grid
     ext_runs = run_grid([
-        spec_for(
+        scenario_for(
             setup, mpl=mpl, transactions=transactions, seed=seed,
             policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
         )
@@ -626,7 +629,7 @@ def partly_open(
     transactions = 400 if fast else 1500
     # phase 1: closed capacity probe fixes the offered load at 80%
     probe = run_grid(
-        [spec_for(get_setup(1), mpl=None, transactions=max(400, transactions // 2))]
+        [scenario_for(get_setup(1), mpl=None, transactions=max(400, transactions // 2))]
     )[0]
     rate = 0.8 * probe.throughput
     runs = iter(run_grid(partly_open_grid(fast, mpls, rate=rate)))
@@ -681,7 +684,7 @@ def time_varying_controller(
     transactions = 600 if fast else 1500
     # phase 1: closed capacity probe to scale the rate profile
     probe = run_grid(
-        [spec_for(setup, mpl=None, transactions=max(400, transactions // 2), seed=seed)]
+        [scenario_for(setup, mpl=None, transactions=max(400, transactions // 2), seed=seed)]
     )[0]
     rate_function = SinusoidRate(
         base=0.7 * probe.throughput, amplitude=0.25 * probe.throughput, period=20.0

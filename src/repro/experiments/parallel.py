@@ -2,14 +2,14 @@
 
 Every figure reproduction reduces to a *grid* of independent
 simulation runs — ``(setup, MPL, policy, seed)`` tuples — that the
-seed code executed strictly sequentially.  This module turns the grid
-into data (:class:`RunSpec`), fans it out over a process pool, and
-memoizes every completed run on disk keyed by the content hash of its
-full :class:`~repro.core.system.SystemConfig`, so re-running an
-unchanged figure is near-instant.
+seed code executed strictly sequentially.  This module takes the grid
+as data (:class:`~repro.core.scenario.ScenarioSpec` values), fans it
+out over a process pool, and memoizes every completed run on disk
+keyed by the scenario's content hash, so re-running an unchanged
+figure is near-instant.
 
 Determinism is structural, not incidental: each run owns a complete
-``SystemConfig`` (including its seed), every worker builds its system
+scenario (including its seed), every worker builds its system
 from scratch, and results are reassembled in submission order.  A
 ``--jobs N`` run is therefore bit-identical to the sequential one for
 any ``N``, and identical specs within one grid execute only once.
@@ -28,113 +28,21 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.arrivals import ArrivalSpec
-from repro.core.cluster import AnyConfig
-from repro.core.scenario import (
-    DEFAULT_SEED,
-    MeasurementSpec,
-    ScenarioSpec,
-    StaticMpl,
-    TopologySpec,
-    WorkloadRef,
-    execute_scenario,
-)
-from repro.core.system import (
-    RunResult,
-    canonical_jsonable,
-)
-from repro.dbms.config import InternalPolicy
+from repro.core.scenario import DEFAULT_SEED, ScenarioSpec, execute_scenario
+from repro.core.system import RunResult
 
 __all__ = [
-    "DEFAULT_SEED", "RunSpec", "execute_spec", "ResultCache",
+    "DEFAULT_SEED", "execute_spec", "ResultCache",
     "ParallelRunner", "RunnerStats", "run_grid", "get_runner",
     "set_runner", "configure", "using_runner",
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class RunSpec:
-    """One simulation run, declared as data — now a thin adapter.
-
-    A spec is everything a worker process needs to execute the run
-    from scratch: the Table 2 setup id plus the knobs
-    :func:`repro.experiments.runner.run_setup` exposes.  Specs are
-    hashable, picklable, and content-addressable via
-    :meth:`fingerprint`.
-
-    Since the Scenario API landed, :meth:`to_scenario` is the *only*
-    construction path: ``config()`` and ``fingerprint()`` delegate to
-    the equivalent :class:`~repro.core.scenario.ScenarioSpec`, which
-    produces byte-identical configs, digests, and results (pinned by
-    the golden-fingerprint corpus).
-    """
-
-    setup_id: int
-    mpl: Optional[int] = None
-    transactions: int = 1500
-    seed: int = DEFAULT_SEED
-    policy: str = "fifo"
-    internal: Optional[InternalPolicy] = None
-    high_priority_fraction: float = 0.0
-    arrival_rate: Optional[float] = None
-    warmup_fraction: float = 0.2
-    #: Arrival regime (closed / open / partly-open / modulated); None
-    #: keeps the legacy num_clients / arrival_rate behaviour — and the
-    #: legacy fingerprints.
-    arrival: Optional[ArrivalSpec] = None
-    #: Free-form label carried into bench artifacts (never hashed).
-    tag: str = ""
-    #: The topology axis; None is the plain single engine.  With
-    #: ``shards > 1`` the run scales the setup out to N engines behind
-    #: a router (``mpl`` becomes the global MPL, split across shards).
-    topology: Optional[TopologySpec] = None
-
-    def resolved_topology(self) -> TopologySpec:
-        """The topology axis, defaulting to the plain single engine."""
-        return self.topology or TopologySpec()
-
-    def to_scenario(self) -> ScenarioSpec:
-        """The equivalent scenario — the single construction path."""
-        return ScenarioSpec(
-            workload=WorkloadRef(setup_id=self.setup_id),
-            arrival=self.arrival,
-            topology=self.resolved_topology(),
-            control=StaticMpl(self.mpl),
-            measurement=MeasurementSpec(
-                transactions=self.transactions,
-                warmup_fraction=self.warmup_fraction,
-            ),
-            policy=self.policy,
-            internal=self.internal,
-            high_priority_fraction=self.high_priority_fraction,
-            arrival_rate=self.arrival_rate,
-            seed=self.seed,
-            tag=self.tag,
-        )
-
-    def config(self) -> AnyConfig:
-        """The full config this spec describes (system or cluster)."""
-        return self.to_scenario().build_config()
-
-    def fingerprint(self) -> str:
-        """Content hash of the run (config + measurement parameters)."""
-        return self.to_scenario().fingerprint()
-
-
-#: Anything the runner executes: a legacy RunSpec or a full scenario.
-AnySpec = Union[RunSpec, ScenarioSpec]
-
-
-def as_scenario(spec: AnySpec) -> ScenarioSpec:
-    """Normalize either spec flavor to the canonical scenario form."""
-    return spec if isinstance(spec, ScenarioSpec) else spec.to_scenario()
-
-
-def execute_spec(spec: AnySpec) -> RunResult:
+def execute_spec(spec: ScenarioSpec) -> RunResult:
     """Run one spec to completion (also the process-pool worker)."""
-    return execute_scenario(as_scenario(spec)).result
+    return execute_scenario(spec).result
 
 
 class ResultCache:
@@ -143,7 +51,7 @@ class ResultCache:
     Layout: ``<cache_dir>/<hh>/<fingerprint>.json`` where ``hh`` is the
     first two hex digits of the fingerprint (keeps directories small on
     full-paper sweeps).  Each entry stores the result plus the spec's
-    human-readable summary for debuggability.  Writes are atomic
+    JSON encoding for debuggability.  Writes are atomic
     (temp file + rename) so concurrent runners never observe torn
     entries.
     """
@@ -163,27 +71,13 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(self, key: str, spec: AnySpec, result: RunResult) -> None:
+    def store(self, key: str, spec: ScenarioSpec, result: RunResult) -> None:
         """Atomically persist one run's result under its fingerprint."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        if isinstance(spec, ScenarioSpec):
-            summary: Dict[str, Any] = spec.to_json_dict()
-        else:
-            summary = {
-                "setup_id": spec.setup_id,
-                "mpl": spec.mpl,
-                "transactions": spec.transactions,
-                "seed": spec.seed,
-                "policy": spec.policy,
-                "high_priority_fraction": spec.high_priority_fraction,
-                "arrival_rate": spec.arrival_rate,
-                "arrival": canonical_jsonable(spec.arrival),
-                "tag": spec.tag,
-            }
         payload = {
             "key": key,
-            "spec": summary,
+            "spec": spec.to_json_dict(),
             "result": result.to_json_dict(),
         }
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -230,7 +124,7 @@ class RunnerStats:
 
 
 class ParallelRunner:
-    """Executes :class:`RunSpec` grids over a worker pool, with caching.
+    """Executes :class:`ScenarioSpec` grids over a worker pool, with caching.
 
     ``jobs=1`` runs inline in this process (no pool overhead, still
     cached); ``jobs=N`` fans distinct uncached specs out over
@@ -248,13 +142,13 @@ class ParallelRunner:
         #: Running totals across every :meth:`run` call on this runner.
         self.totals = RunnerStats()
 
-    def run(self, specs: Sequence[AnySpec]) -> List[RunResult]:
+    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Run a grid; the i-th result belongs to the i-th spec."""
         start = time.perf_counter()
         stats = RunnerStats(submitted=len(specs))
         keys = [spec.fingerprint() for spec in specs]
         results: Dict[str, RunResult] = {}
-        pending: List[Tuple[str, AnySpec]] = []
+        pending: List[Tuple[str, ScenarioSpec]] = []
         seen: set = set()
         for key, spec in zip(keys, specs):
             if key in seen:
@@ -277,12 +171,12 @@ class ParallelRunner:
         self.totals.accumulate(stats)
         return [results[key] for key in keys]
 
-    def run_one(self, spec: AnySpec) -> RunResult:
+    def run_one(self, spec: ScenarioSpec) -> RunResult:
         """Run a single spec through the cache (no pool spin-up)."""
         return self.run([spec])[0]
 
     def _execute(
-        self, pending: List[Tuple[str, AnySpec]]
+        self, pending: List[Tuple[str, ScenarioSpec]]
     ) -> Iterator[Tuple[str, RunResult]]:
         if not pending:
             return
@@ -299,7 +193,7 @@ class ParallelRunner:
                 key, spec = futures[future]
                 yield key, self._finish(key, spec, future.result())
 
-    def _finish(self, key: str, spec: AnySpec, result: RunResult) -> RunResult:
+    def _finish(self, key: str, spec: ScenarioSpec, result: RunResult) -> RunResult:
         if self.cache:
             self.cache.store(key, spec, result)
         return result
@@ -340,6 +234,6 @@ def using_runner(runner: ParallelRunner) -> Iterator[ParallelRunner]:
         set_runner(previous)
 
 
-def run_grid(specs: Sequence[AnySpec]) -> List[RunResult]:
+def run_grid(specs: Sequence[ScenarioSpec]) -> List[RunResult]:
     """Submit a grid to the active runner (what every figure calls)."""
     return get_runner().run(list(specs))

@@ -1,11 +1,14 @@
 """Shared machinery for running Table 2 setups.
 
-Every figure reproduction boils down to: build a
-:class:`~repro.core.system.SimulatedSystem` for a setup, run it at one
-or more MPL values, and collect :class:`~repro.core.system.RunResult`
-rows.  The helpers here centralize that, including the tuner pipeline
-(baseline → model jump-start → feedback controller) used wherever the
-paper says "the MPL is adjusted using the methods from Section 4".
+Every figure reproduction boils down to: describe a run of a setup as
+a :class:`~repro.core.scenario.ScenarioSpec` (:func:`scenario_for`),
+submit a grid of them to the active runner, and collect
+:class:`~repro.core.system.RunResult` rows.  The paper's tuner
+pipeline (baseline → model jump-start → feedback controller), used
+wherever the paper says "the MPL is adjusted using the methods from
+Section 4", is one more scenario: :func:`tuning_scenario` describes it
+as a :class:`~repro.core.scenario.FeedbackMpl` run, so tuned MPLs are
+cached and fanned out like any other grid cell.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.arrivals import ArrivalSpec
-from repro.core.controller import Thresholds
 from repro.core.scenario import (
+    FeedbackMpl,
     MeasurementSpec,
     ScenarioSpec,
     StaticMpl,
@@ -23,9 +26,9 @@ from repro.core.scenario import (
     WorkloadRef,
 )
 from repro.core.system import RunResult, SimulatedSystem, SystemConfig
-from repro.core.tuner import MplTuner, TuningResult
+from repro.core.tuner import scaled_baseline_transactions
 from repro.dbms.config import InternalPolicy
-from repro.experiments.parallel import ParallelRunner, RunSpec, run_grid
+from repro.experiments.parallel import ParallelRunner, run_grid
 from repro.workloads.setups import Setup, get_setup
 
 
@@ -69,50 +72,6 @@ def setup_config(
     )
 
 
-def spec_for(
-    setup: Setup,
-    mpl: Optional[int] = None,
-    transactions: int = 1500,
-    seed: int = 11,
-    policy: str = "fifo",
-    internal: Optional[InternalPolicy] = None,
-    high_priority_fraction: float = 0.0,
-    arrival_rate: Optional[float] = None,
-    arrival: Optional[ArrivalSpec] = None,
-    shards: int = 1,
-    routing: str = "round_robin",
-    routing_weights: Optional[Tuple[float, ...]] = None,
-    tag: str = "",
-) -> RunSpec:
-    """The :class:`RunSpec` equivalent of a :func:`run_setup` call.
-
-    Topology knobs land in a :class:`TopologySpec`; single-shard
-    defaults stay implicit so legacy fingerprints are untouched.
-    """
-    clustered = (
-        shards != 1 or routing != "round_robin" or routing_weights is not None
-    )
-    topology = (
-        TopologySpec(shards=shards, routing=routing,
-                     routing_weights=routing_weights)
-        if clustered
-        else None
-    )
-    return RunSpec(
-        setup_id=setup.setup_id,
-        mpl=mpl,
-        transactions=transactions,
-        seed=seed,
-        policy=policy,
-        internal=internal,
-        high_priority_fraction=high_priority_fraction,
-        arrival_rate=arrival_rate,
-        arrival=arrival,
-        topology=topology,
-        tag=tag,
-    )
-
-
 def scenario_for(
     setup: Setup,
     mpl: Optional[int] = None,
@@ -131,9 +90,9 @@ def scenario_for(
 ) -> ScenarioSpec:
     """The :class:`ScenarioSpec` equivalent of a :func:`run_setup` call.
 
-    The scenario-native sibling of :func:`spec_for` — same knobs, same
-    fingerprints (a static-control scenario hashes exactly like the
-    legacy spec), used by the figure grids.
+    Topology knobs land in a :class:`TopologySpec`; a static-control,
+    single-shard scenario keeps the pre-scenario cache key (pinned by
+    the golden fingerprint corpus).
     """
     return ScenarioSpec(
         workload=WorkloadRef(setup_id=setup.setup_id),
@@ -170,10 +129,10 @@ def run_setup(
     Canonical Table 2 setups go through the active
     :class:`~repro.experiments.parallel.ParallelRunner` (and hence its
     result cache); ad-hoc :class:`Setup` objects that don't match their
-    setup id run directly, since a :class:`RunSpec` only names a
+    setup id run directly, since a :class:`WorkloadRef` only names a
     canonical setup.
     """
-    spec = spec_for(
+    spec = scenario_for(
         setup,
         mpl=mpl,
         transactions=transactions,
@@ -212,33 +171,44 @@ def mpl_sweep(
 ) -> List[Tuple[Optional[int], RunResult]]:
     """Run a setup across MPL values (common seed = paired comparison)."""
     grid = [
-        spec_for(setup, mpl=mpl, transactions=transactions, seed=seed,
-                 arrival_rate=arrival_rate)
+        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed,
+                     arrival_rate=arrival_rate)
         for mpl in mpls
     ]
     return list(zip(mpls, run_grid(grid)))
 
 
-def tune_setup(
+def tuning_scenario(
     setup: Setup,
     max_throughput_loss: float = 0.05,
     max_response_time_increase: float = 0.30,
     transactions: int = 1000,
     window: int = 100,
     seed: int = 11,
-) -> TuningResult:
-    """Tune a setup's MPL the paper's way (§4): models + controller."""
-    config = setup_config(setup, seed=seed)
-    tuner = MplTuner(
-        config,
-        thresholds=Thresholds(
+) -> ScenarioSpec:
+    """Tune a setup's MPL the paper's way (§4): models + controller.
+
+    A :class:`FeedbackMpl` scenario jump-started from the queueing
+    models, whose no-MPL baseline runs ``transactions`` scaled by the
+    demand C² exactly as :class:`~repro.core.tuner.MplTuner` sizes it.
+    Its measurement window is a single transaction: the outcome's
+    ``result.mpl`` is the tuned MPL and its ``control`` the
+    :class:`~repro.core.controller.ControllerReport`, so a grid of
+    tunings goes through :func:`run_grid` and its cache.
+    """
+    return ScenarioSpec(
+        workload=WorkloadRef(setup_id=setup.setup_id),
+        control=FeedbackMpl(
             max_throughput_loss=max_throughput_loss,
             max_response_time_increase=max_response_time_increase,
+            window=window,
+            baseline_transactions=scaled_baseline_transactions(
+                setup_config(setup), transactions
+            ),
         ),
-        baseline_transactions=transactions,
-        window=window,
+        measurement=MeasurementSpec(transactions=1),
+        seed=seed,
     )
-    return tuner.tune()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,8 +237,8 @@ def find_min_mpl_experimental(
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     ordered = sorted(candidate_mpls)
-    grid = [spec_for(setup, mpl=None, transactions=transactions, seed=seed)] + [
-        spec_for(setup, mpl=mpl, transactions=transactions, seed=seed)
+    grid = [scenario_for(setup, mpl=None, transactions=transactions, seed=seed)] + [
+        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed)
         for mpl in ordered
     ]
     baseline, *candidates = run_grid(grid)

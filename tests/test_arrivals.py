@@ -29,7 +29,8 @@ from repro.core.system import SimulatedSystem, SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.transaction import Priority
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.parallel import ParallelRunner
+from repro.experiments.runner import scenario_for
 from repro.metrics.collector import MetricsCollector
 from repro.sim.distributions import Deterministic, Exponential
 from repro.sim.engine import Simulator
@@ -68,8 +69,8 @@ class TestFingerprintStability:
 
     def test_legacy_runspec_fingerprints_unchanged(self):
         for (sid, mpl, txns, seed, policy, high, rate), digest in self.EXPECTED.items():
-            spec = RunSpec(
-                setup_id=sid, mpl=mpl, transactions=txns, seed=seed,
+            spec = scenario_for(
+                get_setup(sid), mpl=mpl, transactions=txns, seed=seed,
                 policy=policy, high_priority_fraction=high, arrival_rate=rate,
             )
             assert spec.fingerprint() == digest, spec
@@ -127,22 +128,22 @@ class TestJobsDeterminism:
 
     def _grid(self):
         return [
-            RunSpec(
-                setup_id=1, mpl=mpl, transactions=150, seed=9,
+            scenario_for(
+                get_setup(1), mpl=mpl, transactions=150, seed=9,
                 arrival=PartlyOpenArrivals.for_load(30.0, 4.0, think_time_s=0.05),
             )
             for mpl in (2, 6)
         ] + [
-            RunSpec(
-                setup_id=1, mpl=mpl, transactions=150, seed=9,
+            scenario_for(
+                get_setup(1), mpl=mpl, transactions=150, seed=9,
                 arrival=ModulatedArrivals(
                     SinusoidRate(base=25.0, amplitude=15.0, period=10.0)
                 ),
             )
             for mpl in (2, 6)
         ] + [
-            RunSpec(
-                setup_id=1, mpl=4, transactions=150, seed=9,
+            scenario_for(
+                get_setup(1), mpl=4, transactions=150, seed=9,
                 arrival=ModulatedArrivals(
                     PiecewiseRate(points=((0.0, 10.0), (3.0, 40.0)), period=6.0)
                 ),

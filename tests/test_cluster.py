@@ -25,10 +25,10 @@ from repro.core.cluster import (
 )
 from repro.core.arrivals import OpenArrivals, PartlyOpenArrivals
 from repro.core.controller import Baseline, Thresholds
-from repro.core.scenario import TopologySpec
 from repro.core.system import SimulatedSystem, SystemConfig
 from repro.experiments import figures
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.parallel import ParallelRunner
+from repro.experiments.runner import scenario_for
 from repro.sim.random import derive_seed
 from repro.sim.station import ROUTING_POLICIES
 from repro.workloads.setups import get_setup
@@ -181,21 +181,21 @@ class TestFingerprints:
         )
 
     def test_sharded_runspec_digests_pinned(self):
-        spec = RunSpec(setup_id=1, mpl=8, transactions=300, seed=11,
-                       topology=TopologySpec(shards=4, routing="least_in_flight"))
+        spec = scenario_for(get_setup(1), mpl=8, transactions=300, seed=11,
+                            shards=4, routing="least_in_flight")
         assert spec.fingerprint() == (
             "2843f18c5195fc7e0b37b6c4d10fa0ab910cecd0bcf715eee1bfcb2c6c2df74f"
         )
-        weighted = RunSpec(setup_id=1, mpl=8, transactions=300, seed=11,
-                           topology=TopologySpec(shards=2, routing="weighted",
-                                                 routing_weights=(1.0, 3.0)))
+        weighted = scenario_for(get_setup(1), mpl=8, transactions=300, seed=11,
+                                shards=2, routing="weighted",
+                                routing_weights=(1.0, 3.0))
         assert weighted.fingerprint() == (
             "65aa4cfc24e736aae0630e31a03f636f59b63966835b44cbc9bc15c98a28fb79"
         )
 
     def test_default_runspec_fingerprint_still_legacy(self):
-        """The new RunSpec fields must not perturb pre-cluster hashes."""
-        spec = RunSpec(setup_id=1, mpl=5, transactions=300, seed=11)
+        """The topology axis must not perturb pre-cluster hashes."""
+        spec = scenario_for(get_setup(1), mpl=5, transactions=300, seed=11)
         assert spec.fingerprint() == (
             "47affd2ecb66d0aa7dffcdf436ed6259a0de0e2c618fac76ec253345849028d6"
         )
@@ -271,9 +271,8 @@ class TestClusteredRuns:
 
     def test_jobs_invariance_and_cache_round_trip(self, tmp_path):
         specs = [
-            RunSpec(setup_id=1, mpl=8, transactions=120, seed=9,
-                    arrival_rate=40.0,
-                    topology=TopologySpec(shards=shards, routing=routing))
+            scenario_for(get_setup(1), mpl=8, transactions=120, seed=9,
+                         arrival_rate=40.0, shards=shards, routing=routing)
             for shards, routing in (
                 (2, "round_robin"), (4, "hash"), (2, "least_in_flight"),
             )
@@ -416,13 +415,11 @@ class TestShardedFigure:
         assert "Figure SH-a" in throughput.render()
 
     def test_weighted_runspec_rebuilds_a_weighted_cluster(self):
-        spec = RunSpec(
-            setup_id=1, mpl=8, transactions=100, seed=3,
-            topology=TopologySpec(
-                shards=2, routing="weighted", routing_weights=(1.0, 3.0)
-            ),
+        spec = scenario_for(
+            get_setup(1), mpl=8, transactions=100, seed=3,
+            shards=2, routing="weighted", routing_weights=(1.0, 3.0),
         )
-        config = spec.config()
+        config = spec.build_config()
         assert isinstance(config, ClusterConfig)
         assert config.routing_weights == (1.0, 3.0)
         # the MPL split follows the weights

@@ -11,19 +11,18 @@ from repro.experiments.__main__ import main as cli_main
 from repro.experiments.parallel import (
     ParallelRunner,
     ResultCache,
-    RunSpec,
     get_runner,
     run_grid,
     using_runner,
 )
-from repro.experiments.runner import run_setup
+from repro.experiments.runner import run_setup, scenario_for
 from repro.sim.random import derive_seed, replicate_seeds
 from repro.workloads.setups import get_setup
 
 
 def _grid(transactions=120, seed=7):
     return [
-        RunSpec(setup_id=1, mpl=mpl, transactions=transactions, seed=seed)
+        scenario_for(get_setup(1), mpl=mpl, transactions=transactions, seed=seed)
         for mpl in (1, 3, 5, 8)
     ]
 
@@ -39,13 +38,13 @@ class TestDeterminism:
         ]
 
     def test_matches_direct_simulation(self):
-        spec = RunSpec(setup_id=1, mpl=5, transactions=150, seed=3)
+        spec = scenario_for(get_setup(1), mpl=5, transactions=150, seed=3)
         direct = run_setup(get_setup(1), mpl=5, transactions=150, seed=3)
         pooled = ParallelRunner(jobs=2).run([spec, spec])
         assert pooled[0].to_json_dict() == direct.to_json_dict()
 
     def test_duplicate_specs_execute_once(self):
-        spec = RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)
+        spec = scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)
         runner = ParallelRunner(jobs=1)
         first, second = runner.run([spec, spec])
         assert runner.stats.executed == 1
@@ -70,13 +69,13 @@ class TestResultCache:
 
     def test_different_config_misses(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
-        runner.run([RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)])
-        runner.run([RunSpec(setup_id=1, mpl=2, transactions=100, seed=6)])
+        runner.run([scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)])
+        runner.run([scenario_for(get_setup(1), mpl=2, transactions=100, seed=6)])
         assert runner.stats.cache_hits == 0
         assert runner.stats.executed == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        spec = RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)
+        spec = scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)
         cache = ResultCache(str(tmp_path))
         key = spec.fingerprint()
         path = os.path.join(str(tmp_path), key[:2], f"{key}.json")
@@ -92,25 +91,24 @@ class TestResultCache:
 
 class TestFingerprints:
     def test_stable_and_distinct(self):
-        a = RunSpec(setup_id=1, mpl=5, transactions=300, seed=11)
-        assert a.fingerprint() == RunSpec(
-            setup_id=1, mpl=5, transactions=300, seed=11
-        ).fingerprint()
-        assert a.fingerprint() != RunSpec(
-            setup_id=1, mpl=6, transactions=300, seed=11
-        ).fingerprint()
-        assert a.fingerprint() != RunSpec(
-            setup_id=2, mpl=5, transactions=300, seed=11
-        ).fingerprint()
+        def spec(setup_id=1, mpl=5):
+            return scenario_for(
+                get_setup(setup_id), mpl=mpl, transactions=300, seed=11
+            )
+
+        a = spec()
+        assert a.fingerprint() == spec().fingerprint()
+        assert a.fingerprint() != spec(mpl=6).fingerprint()
+        assert a.fingerprint() != spec(setup_id=2).fingerprint()
 
     def test_tag_not_hashed(self):
-        base = RunSpec(setup_id=1, mpl=5, transactions=300, tag="")
-        tagged = RunSpec(setup_id=1, mpl=5, transactions=300, tag="panel-a")
+        base = scenario_for(get_setup(1), mpl=5, transactions=300, tag="")
+        tagged = scenario_for(get_setup(1), mpl=5, transactions=300, tag="panel-a")
         assert base.fingerprint() == tagged.fingerprint()
 
     def test_canonical_jsonable_roundtrips_to_json(self):
-        spec = RunSpec(setup_id=1, mpl=5, transactions=300)
-        blob = json.dumps(canonical_jsonable(spec.config()), sort_keys=True)
+        spec = scenario_for(get_setup(1), mpl=5, transactions=300)
+        blob = json.dumps(canonical_jsonable(spec.build_config()), sort_keys=True)
         assert "W_CPU-inventory" in blob
 
 

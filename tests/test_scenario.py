@@ -1,10 +1,10 @@
 """The Scenario API: composition, fingerprints, execution, CLI.
 
-The heart of the suite is compatibility: every legacy ``RunSpec``
-shape used by the figure grids must keep its exact content digest
-through ``to_scenario()`` (the golden corpus pinned in
+The heart of the suite is compatibility: every legacy run shape used
+by the figure grids must keep its exact content digest through
+``scenario_for`` (the golden corpus pinned in
 ``tests/data/scenario_golden_fingerprints.json``), and an all-default
-scenario must run bit-identically to the legacy path.  On top of that:
+scenario must run bit-identically to a directly built system.  On top of that:
 the JSON codec round-trips, the trace arrival seam replays
 deterministically, and the two controller-carrying control specs
 (``FeedbackMpl``, ``PerClassSlo``) drive their loops from pure data.
@@ -59,7 +59,8 @@ from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import figures
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.parallel import RunSpec, as_scenario, execute_spec
+from repro.experiments.parallel import execute_spec
+from repro.experiments.runner import scenario_for
 from repro.workloads.setups import get_setup
 from repro.workloads.traces import get_trace
 
@@ -90,13 +91,13 @@ class TestGoldenCorpus:
             assert all(isinstance(s, ScenarioSpec) for s in builder(fast=True)), key
 
     def test_legacy_runspec_shapes_round_trip(self, corpus):
-        """Corpus entries expressible as plain RunSpecs rebuild + match."""
+        """Corpus entries expressible via scenario_for rebuild + match."""
         checked = 0
         for entry in corpus:
             if entry["grid"] in ("po", "sh"):
                 continue  # carry arrival specs not captured in the row
-            spec = RunSpec(
-                setup_id=entry["setup_id"],
+            spec = scenario_for(
+                get_setup(entry["setup_id"]),
                 mpl=entry["mpl"],
                 transactions=entry["transactions"],
                 seed=entry["seed"],
@@ -106,7 +107,6 @@ class TestGoldenCorpus:
                 warmup_fraction=entry["warmup_fraction"],
             )
             assert spec.fingerprint() == entry["fingerprint"]
-            assert spec.to_scenario().fingerprint() == entry["fingerprint"]
             checked += 1
         assert checked > 100
 
@@ -121,7 +121,7 @@ class TestGoldenCorpus:
 
 
 class TestLegacyAdapter:
-    """RunSpec is a thin adapter over ScenarioSpec — bit-identical."""
+    """Static single-engine scenarios keep their pre-scenario behaviour."""
 
     LEGACY_PINS = {
         (1, 5, 300, 11, "fifo", 0.0, None):
@@ -148,7 +148,9 @@ class TestLegacyAdapter:
             assert scenario.fingerprint() == digest
 
     def test_all_default_scenario_equals_default_runspec(self):
-        assert ScenarioSpec().fingerprint() == RunSpec(setup_id=1).fingerprint()
+        assert ScenarioSpec().fingerprint() == scenario_for(
+            get_setup(1)
+        ).fingerprint()
 
     def test_default_scenario_result_is_bit_identical_to_direct_run(self):
         scenario = ScenarioSpec(
@@ -164,21 +166,13 @@ class TestLegacyAdapter:
         direct = SimulatedSystem(config).run(transactions=150)
         assert outcome.result == direct
         assert outcome.control is None
-        assert execute_spec(RunSpec(
-            setup_id=1, mpl=4, transactions=150, seed=3
-        )) == direct
-
-    def test_as_scenario_is_identity_on_scenarios(self):
-        scenario = ScenarioSpec()
-        assert as_scenario(scenario) is scenario
-        assert as_scenario(RunSpec(setup_id=2)).workload.setup_id == 2
+        assert execute_spec(scenario) == direct
 
     def test_sharded_runspec_config_via_scenario(self):
-        spec = RunSpec(
-            setup_id=1, mpl=8, transactions=100, seed=3,
-            topology=TopologySpec(shards=2),
+        spec = scenario_for(
+            get_setup(1), mpl=8, transactions=100, seed=3, shards=2
         )
-        config = spec.config()
+        config = spec.build_config()
         assert isinstance(config, ClusterConfig)
         assert config.num_shards == 2
         assert config.global_mpl == 8
@@ -1047,42 +1041,37 @@ class TestScenarioV2:
 
 
 class TestRunSpecDeprecation:
-    """A RunSpec spells its topology as ``topology=TopologySpec(...)``."""
+    """A run description spells its topology as ``topology=TopologySpec(...)``."""
 
     def test_defaults_and_topology_spelling_do_not_warn(self):
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            RunSpec(setup_id=1)
-            RunSpec(setup_id=1, topology=TopologySpec(shards=2))
+            ScenarioSpec()
+            ScenarioSpec(topology=TopologySpec(shards=2))
 
     def test_loose_and_topology_spellings_fingerprint_identically(self):
-        from repro.experiments.runner import spec_for
-
-        # spec_for keeps the loose keyword spelling of run_setup
-        loose = spec_for(get_setup(1), mpl=8, shards=2, routing="least_in_flight")
-        explicit = RunSpec(
-            setup_id=1, mpl=8,
+        loose = scenario_for(
+            get_setup(1), mpl=8, shards=2, routing="least_in_flight"
+        )
+        explicit = ScenarioSpec(
+            control=StaticMpl(8),
             topology=TopologySpec(shards=2, routing="least_in_flight"),
         )
         assert loose.fingerprint() == explicit.fingerprint()
-        assert (loose.to_scenario().fingerprint()
-                == explicit.to_scenario().fingerprint())
-        assert loose.resolved_topology() == explicit.resolved_topology()
+        assert loose.topology == explicit.topology
 
     def test_spec_for_uses_the_topology_spelling(self):
         import warnings as warnings_module
 
-        from repro.experiments.runner import spec_for
-
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            plain = spec_for(get_setup(1), mpl=4)
-            sharded = spec_for(
+            plain = scenario_for(get_setup(1), mpl=4)
+            sharded = scenario_for(
                 get_setup(1), mpl=4, shards=2, routing="least_in_flight"
             )
-        assert plain.topology is None
+        assert plain.topology == TopologySpec()
         assert sharded.topology == TopologySpec(
             shards=2, routing="least_in_flight"
         )

@@ -1,7 +1,9 @@
 """Tests for the model-jump-started MPL tuner."""
 
+import pytest
 
 from repro.core.controller import Thresholds
+from repro.core.scenario import execute_scenario
 from repro.core.system import SystemConfig
 from repro.core.tuner import (
     MplTuner,
@@ -9,6 +11,7 @@ from repro.core.tuner import (
     model_initial_mpl_throughput,
 )
 from repro.dbms.config import HardwareConfig
+from repro.experiments.runner import setup_config, tuning_scenario
 from repro.workloads.setups import get_setup
 from repro.workloads.synthetic import synthetic_workload
 
@@ -54,12 +57,12 @@ class TestTuner:
         )
 
     def test_tuning_a_paper_setup_converges_quickly(self):
-        from repro.experiments.runner import tune_setup
-
-        tuning = tune_setup(get_setup(1), transactions=800)
-        assert tuning.report.converged
-        assert tuning.report.iterations <= 12
-        assert 1 <= tuning.final_mpl <= 20
+        outcome = execute_scenario(
+            tuning_scenario(get_setup(1), transactions=800)
+        )
+        assert outcome.control.converged
+        assert outcome.control.iterations <= 12
+        assert 1 <= outcome.result.mpl <= 20
 
     def test_thresholds_respected_in_report(self):
         tuner = MplTuner(
@@ -72,3 +75,15 @@ class TestTuner:
         final_obs = [o for o in result.report.trajectory
                      if o.mpl == result.final_mpl]
         assert final_obs and final_obs[-1].feasible
+
+
+class TestTuningScenarioParity:
+    """MplTuner and the FeedbackMpl tuning scenario are one tuning path."""
+
+    @pytest.mark.parametrize("setup_id", [1, 11])
+    def test_same_trajectory_and_final_mpl(self, setup_id):
+        setup = get_setup(setup_id)
+        tuning = MplTuner(setup_config(setup), baseline_transactions=300).tune()
+        outcome = execute_scenario(tuning_scenario(setup, transactions=300))
+        assert outcome.control == tuning.report
+        assert outcome.result.mpl == tuning.final_mpl
