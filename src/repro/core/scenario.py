@@ -76,12 +76,16 @@ from repro.core.cluster import (
 from repro.core.controller import (
     Baseline,
     ClusterSloController,
+    ClusterSloObservation,
     ClusterSloReport,
     ControllerReport,
+    ElasticAction,
     ElasticCapacityController,
     ElasticReport,
     MplController,
+    Observation,
     PerClassSloController,
+    SloObservation,
     SloReport,
     Thresholds,
     check_loop_ranges,
@@ -1265,7 +1269,48 @@ def _report_jsonable(report: Optional[ControlReport]) -> Optional[Dict[str, Any]
     return payload
 
 
+#: report ``type`` tag -> (report class, its log field, the log's row class)
+_REPORT_CODECS: Dict[str, Tuple[type, str, type]] = {
+    "feedback": (ControllerReport, "trajectory", Observation),
+    "per_class_slo": (SloReport, "trajectory", SloObservation),
+    "cluster_slo": (ClusterSloReport, "trajectory", ClusterSloObservation),
+    "elastic": (ElasticReport, "actions", ElasticAction),
+}
+
+
+def _tupled(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """JSON lists back to tuples: every list-valued report field but the
+    log itself (``final_split``, ``final_mpls``, a row's ``split`` or
+    ``mpls``) is a tuple."""
+    return {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in fields.items()
+    }
+
+
+def _decode_report(payload: Optional[Dict[str, Any]]) -> Optional[ControlReport]:
+    """Rebuild a control report from :func:`_report_jsonable` output."""
+    if payload is None:
+        return None
+    fields = {name: value for name, value in payload.items() if name != "type"}
+    if payload["type"] == "shards":
+        return ShardReports(tuple(
+            _decode_report({**shard, "type": "feedback"})
+            for shard in fields["shards"]
+        ))
+    report_type, log, row_type = _REPORT_CODECS[payload["type"]]
+    rows = [row_type(**_tupled(row)) for row in fields.pop(log)]
+    return report_type(**_tupled(fields), **{log: rows})
+
+
 # -- execution -----------------------------------------------------------------
+
+
+#: The outcome's free-form JSON blocks, encoded and decoded as they are.
+_OUTCOME_BLOCKS = (
+    "percentiles", "timeline", "faults", "resilience", "shard_health",
+    "distributed",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1292,19 +1337,35 @@ class ScenarioOutcome:
     distributed: Optional[Dict[str, Any]] = None
 
     def to_json_dict(self) -> Dict[str, Any]:
+        """A JSON encoding (see :meth:`from_json_dict`)."""
         return {
             "fingerprint": self.fingerprint,
             "spec": self.spec.to_json_dict(),
             "components": self.spec.component_fingerprints(),
             "result": self.result.to_json_dict(),
             "control": _report_jsonable(self.control),
-            "percentiles": self.percentiles,
-            "timeline": self.timeline,
-            "faults": self.faults,
-            "resilience": self.resilience,
-            "shard_health": self.shard_health,
-            "distributed": self.distributed,
+            **{name: getattr(self, name) for name in _OUTCOME_BLOCKS},
         }
+
+    @classmethod
+    def from_json_dict(
+        cls, payload: Dict[str, Any], spec: ScenarioSpec
+    ) -> "ScenarioOutcome":
+        """Rebuild an outcome from :meth:`to_json_dict` output.
+
+        ``spec`` is the scenario the payload was run from; the caller
+        already holds it (a cache lookup is keyed by it), so the
+        payload's ``spec`` and ``components`` entries are not decoded
+        again.  The control report comes back as its dataclass with
+        its tuples restored; the free-form blocks are taken as they are.
+        """
+        return cls(
+            spec=spec,
+            fingerprint=payload["fingerprint"],
+            result=RunResult.from_json_dict(payload["result"]),
+            control=_decode_report(payload["control"]),
+            **{name: payload[name] for name in _OUTCOME_BLOCKS},
+        )
 
 
 def _percentile_snapshot(records) -> Dict[str, Dict[str, float]]:

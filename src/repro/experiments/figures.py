@@ -31,12 +31,11 @@ from repro.core.scenario import (
     StaticMpl,
     TopologySpec,
     WorkloadRef,
-    execute_scenario,
 )
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import report
-from repro.experiments.parallel import DEFAULT_SEED, run_grid
+from repro.experiments.parallel import DEFAULT_SEED, run_grid, run_grid_outcomes
 from repro.experiments.runner import scenario_for, tuning_scenario
 from repro.priority.evaluation import (
     HIGH_PRIORITY_FRACTION,
@@ -389,12 +388,16 @@ def controller_convergence(
     finals: List[float] = []
     starts: List[float] = []
     notes: List[str] = []
-    for setup_id in setup_ids:
-        report = execute_scenario(tuning_scenario(
+    tunings = run_grid_outcomes([
+        tuning_scenario(
             get_setup(setup_id),
             max_throughput_loss=max_throughput_loss,
             transactions=transactions,
-        )).control
+        )
+        for setup_id in setup_ids
+    ])
+    for setup_id, tuning in zip(setup_ids, tunings):
+        report = tuning.control
         start = report.trajectory[0].mpl
         iterations.append(float(report.iterations))
         finals.append(float(report.final_mpl))
@@ -713,7 +716,7 @@ def time_varying_controller(
         seed=seed,
         tag="tv",
     )
-    run = execute_scenario(scenario)
+    (run,) = run_grid_outcomes([scenario])
     outcome = run.control
     iterations = tuple(float(i + 1) for i in range(len(outcome.trajectory)))
     notes = (
@@ -1003,8 +1006,7 @@ def fault_tolerance(
     recovery, and (via the elastic controller) the MPL re-split toward
     the surviving capacity.
     """
-    specs = fault_tolerance_grid(fast, shard_counts=shard_counts)
-    runs = [execute_scenario(spec) for spec in specs]
+    runs = run_grid_outcomes(fault_tolerance_grid(fast, shard_counts=shard_counts))
     # one aligned x-axis: the union of every run's bucket times
     xs = tuple(sorted({row["t"] for run in runs for row in run.timeline}))
     throughput_series: List[Series] = []
@@ -1291,7 +1293,7 @@ def resilience(fast: bool = True) -> List[FigureResult]:
     degraded shard — goodput stays near the baseline.
     """
     specs = resilience_grid(fast)
-    runs = [execute_scenario(spec) for spec in specs]
+    runs = run_grid_outcomes(specs)
     xs = tuple(sorted({row["t"] for run in runs for row in run.timeline}))
     goodput_series: List[Series] = []
     storm_series: List[Series] = []
@@ -1497,15 +1499,13 @@ def cross_shard(fast: bool = True) -> List[FigureResult]:
     that still meets the HIGH p95 target, holding the SLO at every
     fraction while giving up little LOW throughput.
 
-    Runs serially through :func:`execute_scenario` — the slo cells
-    mutate controller state while tuning and every cell needs
-    percentile metrics, which the parallel runner's ``RunResult`` rows
-    do not carry.
+    The cells go through :func:`run_grid_outcomes`: the figure reads
+    their percentile, control and 2PC blocks, which whole-outcome cache
+    entries carry.
     """
     shard_counts = XS_SHARD_COUNTS_FAST if fast else XS_SHARD_COUNTS
     fractions = XS_FRACTIONS_FAST if fast else XS_FRACTIONS
-    specs = cross_shard_grid(fast)
-    runs = [execute_scenario(spec) for spec in specs]
+    runs = run_grid_outcomes(cross_shard_grid(fast))
     high_key = str(int(Priority.HIGH))
     p95_series: List[Series] = []
     throughput_series: List[Series] = []

@@ -4,9 +4,9 @@ Every figure reproduction reduces to a *grid* of independent
 simulation runs — ``(setup, MPL, policy, seed)`` tuples — that the
 seed code executed strictly sequentially.  This module takes the grid
 as data (:class:`~repro.core.scenario.ScenarioSpec` values), fans it
-out over a process pool, and memoizes every completed run on disk
-keyed by the scenario's content hash, so re-running an unchanged
-figure is near-instant.
+out over a process pool, and memoizes every completed run's whole
+outcome on disk keyed by the scenario's content hash, so re-running
+an unchanged figure simulates nothing.
 
 Determinism is structural, not incidental: each run owns a complete
 scenario (including its seed), every worker builds its system
@@ -15,7 +15,8 @@ from scratch, and results are reassembled in submission order.  A
 any ``N``, and identical specs within one grid execute only once.
 
 The module keeps one process-wide *active runner* that the figure
-functions submit their grids to (see :func:`run_grid`); the CLI
+functions submit their grids to (see :func:`run_grid` and
+:func:`run_grid_outcomes`); the CLI
 installs a configured runner from ``--jobs`` / ``--cache-dir``.
 """
 
@@ -28,32 +29,44 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.scenario import DEFAULT_SEED, ScenarioSpec, execute_scenario
+from repro.core.scenario import (
+    DEFAULT_SEED,
+    ScenarioOutcome,
+    ScenarioSpec,
+    execute_scenario,
+)
 from repro.core.system import RunResult
 
 __all__ = [
-    "DEFAULT_SEED", "execute_spec", "ResultCache",
-    "ParallelRunner", "RunnerStats", "run_grid", "get_runner",
-    "set_runner", "configure", "using_runner",
+    "DEFAULT_SEED", "OUTCOME_SCHEMA", "execute_spec", "ResultCache",
+    "ParallelRunner", "RunnerStats", "run_grid", "run_grid_outcomes",
+    "get_runner", "set_runner", "configure", "using_runner",
 ]
 
+#: Layout version of the whole-outcome cache entries.  Bump it when
+#: :meth:`ScenarioOutcome.to_json_dict` changes shape: entries of any
+#: other version are then misses for :meth:`ParallelRunner.run_outcomes`.
+OUTCOME_SCHEMA = 1
 
-def execute_spec(spec: ScenarioSpec) -> RunResult:
+
+def execute_spec(spec: ScenarioSpec) -> ScenarioOutcome:
     """Run one spec to completion (also the process-pool worker)."""
-    return execute_scenario(spec).result
+    return execute_scenario(spec)
 
 
 class ResultCache:
-    """Content-addressed on-disk cache of :class:`RunResult` JSON.
+    """Content-addressed on-disk cache of scenario outcome JSON.
 
     Layout: ``<cache_dir>/<hh>/<fingerprint>.json`` where ``hh`` is the
     first two hex digits of the fingerprint (keeps directories small on
-    full-paper sweeps).  Each entry stores the result plus the spec's
-    JSON encoding for debuggability.  Writes are atomic
-    (temp file + rename) so concurrent runners never observe torn
-    entries.
+    full-paper sweeps).  An entry is the run's
+    :meth:`ScenarioOutcome.to_json_dict` plus its :data:`OUTCOME_SCHEMA`
+    version, or, when stored from a bare :class:`RunResult`, just the
+    spec and the result.  Either way ``payload["result"]`` is the
+    :class:`RunResult`.  Writes are atomic (temp file + rename) so
+    concurrent runners never observe torn entries.
     """
 
     def __init__(self, cache_dir: str):
@@ -62,24 +75,39 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, key[:2], f"{key}.json")
 
-    def load(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None on miss/corruption."""
+    def load(
+        self, key: str, spec: Optional[ScenarioSpec] = None
+    ) -> Union[RunResult, ScenarioOutcome, None]:
+        """The cached run for ``key``, or None on miss/corruption.
+
+        Without ``spec`` this is the entry's :class:`RunResult`.  With
+        the spec it is the whole :class:`ScenarioOutcome`, which only
+        an entry stored from an outcome under the current
+        :data:`OUTCOME_SCHEMA` holds.
+        """
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            return RunResult.from_json_dict(payload["result"])
+            if spec is None:
+                return RunResult.from_json_dict(payload["result"])
+            if payload.get("schema") != OUTCOME_SCHEMA:
+                return None
+            return ScenarioOutcome.from_json_dict(payload, spec)
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(self, key: str, spec: ScenarioSpec, result: RunResult) -> None:
-        """Atomically persist one run's result under its fingerprint."""
+    def store(
+        self, key: str, spec: ScenarioSpec, run: Union[RunResult, ScenarioOutcome]
+    ) -> None:
+        """Atomically persist one run (a whole outcome or just its
+        result) under its fingerprint."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "key": key,
-            "spec": spec.to_json_dict(),
-            "result": result.to_json_dict(),
-        }
+        if isinstance(run, ScenarioOutcome):
+            payload = {**run.to_json_dict(), "schema": OUTCOME_SCHEMA}
+        else:
+            payload = {"spec": spec.to_json_dict(), "result": run.to_json_dict()}
+        payload["key"] = key
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -91,9 +119,21 @@ class ResultCache:
             raise
 
 
+def _as_served(outcome: ScenarioOutcome) -> ScenarioOutcome:
+    """``outcome`` exactly as a cache hit serves it.
+
+    A fresh run is decoded from the same sorted JSON a cache entry
+    holds, so cold, warm and ``--jobs N`` runs hand figures identical
+    values (tuples and lists, key order, numeric types).
+    """
+    text = json.dumps(outcome.to_json_dict(), sort_keys=True)
+    return ScenarioOutcome.from_json_dict(json.loads(text), outcome.spec)
+
+
 @dataclasses.dataclass
 class RunnerStats:
-    """Counters from one :meth:`ParallelRunner.run` call (or a running total)."""
+    """Counters from one grid submitted to a :class:`ParallelRunner` (or a
+    running total)."""
 
     submitted: int = 0
     cache_hits: int = 0
@@ -137,17 +177,35 @@ class ParallelRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        #: Counters from the most recent :meth:`run` call.
+        #: Counters from the most recent grid (:meth:`run` or
+        #: :meth:`run_outcomes`).
         self.stats = RunnerStats()
-        #: Running totals across every :meth:`run` call on this runner.
+        #: Running totals across every grid this runner ran.
         self.totals = RunnerStats()
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
-        """Run a grid; the i-th result belongs to the i-th spec."""
+        """Run a grid; the i-th result belongs to the i-th spec.
+
+        Served from any cache entry, including one stored from a bare
+        :class:`RunResult`; a fresh run is :meth:`run_outcomes`'
+        outcome projected onto its ``result``.
+        """
+        return self._run(specs, whole=False)
+
+    def run_outcomes(self, specs: Sequence[ScenarioSpec]) -> List[ScenarioOutcome]:
+        """Run a grid; the i-th whole :class:`ScenarioOutcome` belongs to
+        the i-th spec.
+
+        Only entries holding a whole outcome are hits; a miss simulates
+        and (re)writes the entry.
+        """
+        return self._run(specs, whole=True)
+
+    def _run(self, specs: Sequence[ScenarioSpec], whole: bool) -> list:
         start = time.perf_counter()
         stats = RunnerStats(submitted=len(specs))
         keys = [spec.fingerprint() for spec in specs]
-        results: Dict[str, RunResult] = {}
+        served: Dict[str, Any] = {}
         pending: List[Tuple[str, ScenarioSpec]] = []
         seen: set = set()
         for key, spec in zip(keys, specs):
@@ -155,29 +213,27 @@ class ParallelRunner:
                 stats.deduplicated += 1
                 continue
             seen.add(key)
-            cached = self.cache.load(key) if self.cache else None
+            cached = (
+                self.cache.load(key, spec if whole else None) if self.cache else None
+            )
             if cached is not None:
                 stats.cache_hits += 1
-                results[key] = cached
+                served[key] = cached
             else:
                 pending.append((key, spec))
 
         stats.executed = len(pending)
-        for key, result in self._execute(pending):
-            results[key] = result
+        for key, outcome in self._execute(pending):
+            served[key] = outcome if whole else outcome.result
 
         stats.elapsed_s = time.perf_counter() - start
         self.stats = stats
         self.totals.accumulate(stats)
-        return [results[key] for key in keys]
-
-    def run_one(self, spec: ScenarioSpec) -> RunResult:
-        """Run a single spec through the cache (no pool spin-up)."""
-        return self.run([spec])[0]
+        return [served[key] for key in keys]
 
     def _execute(
         self, pending: List[Tuple[str, ScenarioSpec]]
-    ) -> Iterator[Tuple[str, RunResult]]:
+    ) -> Iterator[Tuple[str, ScenarioOutcome]]:
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
@@ -193,10 +249,12 @@ class ParallelRunner:
                 key, spec = futures[future]
                 yield key, self._finish(key, spec, future.result())
 
-    def _finish(self, key: str, spec: ScenarioSpec, result: RunResult) -> RunResult:
+    def _finish(
+        self, key: str, spec: ScenarioSpec, outcome: ScenarioOutcome
+    ) -> ScenarioOutcome:
         if self.cache:
-            self.cache.store(key, spec, result)
-        return result
+            self.cache.store(key, spec, outcome)
+        return _as_served(outcome)
 
 
 # -- process-wide active runner ---------------------------------------------
@@ -237,3 +295,10 @@ def using_runner(runner: ParallelRunner) -> Iterator[ParallelRunner]:
 def run_grid(specs: Sequence[ScenarioSpec]) -> List[RunResult]:
     """Submit a grid to the active runner (what every figure calls)."""
     return get_runner().run(list(specs))
+
+
+def run_grid_outcomes(specs: Sequence[ScenarioSpec]) -> List[ScenarioOutcome]:
+    """Submit a grid to the active runner for whole outcomes (figures
+    that read control reports, timelines, percentiles, fault,
+    resilience, shard-health or 2PC blocks)."""
+    return get_runner().run_outcomes(list(specs))

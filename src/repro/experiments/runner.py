@@ -3,7 +3,9 @@
 Every figure reproduction boils down to: describe a run of a setup as
 a :class:`~repro.core.scenario.ScenarioSpec` (:func:`scenario_for`),
 submit a grid of them to the active runner, and collect
-:class:`~repro.core.system.RunResult` rows.  The paper's tuner
+:class:`~repro.core.system.RunResult` rows (or whole
+:class:`~repro.core.scenario.ScenarioOutcome` values, for figures that
+read a run's control report or optional blocks).  The paper's tuner
 pipeline (baseline → model jump-start → feedback controller), used
 wherever the paper says "the MPL is adjusted using the methods from
 Section 4", is one more scenario: :func:`tuning_scenario` describes it

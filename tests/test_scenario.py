@@ -166,7 +166,7 @@ class TestLegacyAdapter:
         direct = SimulatedSystem(config).run(transactions=150)
         assert outcome.result == direct
         assert outcome.control is None
-        assert execute_spec(scenario) == direct
+        assert execute_spec(scenario).result == direct
 
     def test_sharded_runspec_config_via_scenario(self):
         spec = scenario_for(

@@ -4,7 +4,8 @@
 unattainable-target branch (hold the one-slot-per-shard floor).  The
 outcome-digest pins hold every SLO cell's full outcome JSON fixed, so
 a refactor of the shared walk, observation window or load weights
-cannot move a single simulated number unnoticed.
+cannot move a single simulated number unnoticed; the same digests must
+hold for the outcome a warm cache serves.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from repro.core.scenario import (
     execute_scenario,
 )
 from repro.experiments.figures import cross_shard_grid
+from repro.experiments.parallel import ParallelRunner, ResultCache
 
 
 def _unattainable_xs_cell() -> ScenarioSpec:
@@ -130,7 +132,25 @@ PINNED_OUTCOME_DIGESTS = {
 )
 @pytest.mark.parametrize("name", sorted(PINNED_OUTCOME_DIGESTS))
 def test_outcome_digest_is_pinned(name):
+    assert _digest(_outcome(name)) == PINNED_OUTCOME_DIGESTS[name]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="same 3.11-recorded digests as test_outcome_digest_is_pinned",
+)
+@pytest.mark.parametrize("name", sorted(PINNED_OUTCOME_DIGESTS))
+def test_outcome_digest_holds_when_served_warm(name, tmp_path):
+    outcome = _outcome(name)
+    ResultCache(str(tmp_path)).store(outcome.fingerprint, outcome.spec, outcome)
+    runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
+    (served,) = runner.run_outcomes([outcome.spec])
+    assert runner.stats.executed == 0
+    assert _digest(served) == PINNED_OUTCOME_DIGESTS[name]
+
+
+def _digest(outcome) -> str:
     payload = json.dumps(
-        _outcome(name).to_json_dict(), sort_keys=True, separators=(",", ":")
+        outcome.to_json_dict(), sort_keys=True, separators=(",", ":")
     )
-    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_OUTCOME_DIGESTS[name]
+    return hashlib.sha256(payload.encode()).hexdigest()
