@@ -5,13 +5,25 @@ to 21.6x better than low (mean 12.1x); low suffers ~16% vs no
 prioritization.  At 20% loss: 7x-24x (mean 18x), low suffers ~37%.
 """
 
-import re
+import dataclasses
 
 from repro.experiments.figures import figure11
+from repro.experiments.parallel import get_runner
+from repro.workloads.setups import SETUPS
 
 
 def test_figure11(once):
+    runner = get_runner()
+    before = dataclasses.replace(runner.totals)
     panels = once(figure11, fast=True)
+    stats = runner.totals.since(before)
+    # three grids (references, tunings, prioritized runs), each holding
+    # both budgets' 17 cells; the references are the same for both
+    # budgets, so the runner's in-grid dedup runs each of them once
+    setups = len(SETUPS)
+    assert stats.submitted == 3 * 2 * setups
+    assert stats.deduplicated >= setups
+    assert stats.executed + stats.cache_hits <= 5 * setups
     for panel in panels:
         print()
         print(panel.render())

@@ -12,11 +12,14 @@ Examples::
 
 Figures and tables can be named positionally (``all`` expands to
 everything) or through the original ``--figure`` / ``--table`` flags.
-``--jobs N`` fans each figure's run grid out over N worker processes
-and ``--cache-dir`` memoizes completed runs on disk (see
-:mod:`repro.experiments.parallel`).  The ``bench`` subcommand runs one
-figure's grid twice — cold then warm — and writes a ``BENCH_*.json``
-trajectory artifact that CI uploads and diffs.
+Every id is checked before anything runs: one unknown id exits 2 with
+nothing on stdout.  ``--jobs N`` fans each figure's run grid out over
+N worker processes and ``--cache-dir`` memoizes completed runs on disk
+(see :mod:`repro.experiments.parallel`).  The ``bench`` subcommand runs
+one figure's grid twice — cold then warm — and writes a ``BENCH_*.json``
+trajectory artifact that CI uploads and diffs.  ``bench`` and
+``scenario --grid`` take the keys of the grid registry
+:data:`repro.experiments.figures.FIGURE_GRIDS` (``--list`` prints them).
 
 The ``scenario`` subcommand is the JSON face of the Scenario API
 (:mod:`repro.core.scenario`): ``show`` prints the canonical JSON of a
@@ -554,7 +557,7 @@ def main(argv: List[str] | None = None) -> int:
         print("figures:", ", ".join(sorted(_FIGURES)))
         print("tables :", ", ".join(sorted(_TABLES)))
         print("grids  :", ", ".join(sorted(figures.FIGURE_GRIDS)),
-              "(for bench + scenario)")
+              "(for bench + scenario --grid)")
         print("demos  :", ", ".join(sorted(scenario_module.demo_scenarios())),
               "(for scenario run --demo)")
         return 0
@@ -563,8 +566,15 @@ def main(argv: List[str] | None = None) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
 
-    figure_ids = list(args.figure)
-    table_ids = list(args.table)
+    # reject every unknown id before anything runs or prints
+    for figure_id in args.figure:
+        if figure_id.lower() not in _FIGURES:
+            return _unknown("figure", figure_id, _FIGURES)
+    for table_id in args.table:
+        if table_id.lower() not in _TABLES:
+            return _unknown("table", table_id, _TABLES)
+    figure_ids = [figure_id.lower() for figure_id in args.figure]
+    table_ids = [table_id.lower() for table_id in args.table]
     run_all = args.all
     for target in args.targets:
         key = target.lower()
@@ -593,16 +603,10 @@ def main(argv: List[str] | None = None) -> int:
 
     parallel.configure(jobs=args.jobs, cache_dir=args.cache_dir)
     try:
-        for table_id in table_ids:
-            key = table_id.lower()
-            if key not in _TABLES:
-                return _unknown("table", table_id, _TABLES)
+        for key in table_ids:
             print(_TABLES[key]())
             print()
-        for figure_id in figure_ids:
-            key = figure_id.lower()
-            if key not in _FIGURES:
-                return _unknown("figure", figure_id, _FIGURES)
+        for key in figure_ids:
             _run_figure(key, fast=not args.full)
     finally:
         parallel.configure(jobs=1, cache_dir=None)

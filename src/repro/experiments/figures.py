@@ -10,7 +10,8 @@ time; EXPERIMENTS.md records a full-size run.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.arrivals import (
     ModulatedArrivals,
@@ -32,6 +33,7 @@ from repro.core.scenario import (
     TopologySpec,
     WorkloadRef,
 )
+from repro.core.system import RunResult
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import report
@@ -107,134 +109,115 @@ def throughput_grid(
     ]
 
 
-def _throughput_series(
-    setup_ids: Sequence[int],
-    mpls: Sequence[int],
-    results: Sequence[object],
-    labels: Optional[Dict[int, str]] = None,
-) -> List[Series]:
-    """Regroup a grid's flat results into one Series per setup."""
-    series = []
-    for index, setup_id in enumerate(setup_ids):
-        chunk = results[index * len(mpls):(index + 1) * len(mpls)]
-        label = (labels or {}).get(setup_id) or get_setup(setup_id).describe()
-        series.append(Series(label=label, ys=tuple(r.throughput for r in chunk)))
-    return series
+class ThroughputPanel(NamedTuple):
+    """One §3.1 throughput-vs-MPL panel: a line per setup, one sample size."""
+
+    figure: str
+    title: str
+    #: (setup id, series label) per plotted line, in grid order.
+    series: Tuple[Tuple[int, str], ...]
+    fast_transactions: int
+    full_transactions: int
 
 
-_DEFAULT_MPLS = (1, 2, 3, 5, 7, 10, 15, 20, 30)
+#: The paper's §3.1 throughput figures 2–5 as data: figure key -> (MPL
+#: axis, panels).  A figure's grid is every panel's (setup, MPL)
+#: product in order, and its reducer reads the grid back the same way.
+THROUGHPUT_FIGURES: Dict[str, Tuple[Tuple[int, ...], Tuple[ThroughputPanel, ...]]] = {
+    "2": ((1, 2, 3, 5, 7, 10, 15, 20, 30), (
+        ThroughputPanel("2a", "W_CPU-inventory throughput vs MPL (1 vs 2 CPUs)",
+                        ((1, "One CPU"), (2, "Two CPUs")), 700, 2500),
+        ThroughputPanel("2b", "W_CPU-browsing throughput vs MPL (1 vs 2 CPUs)",
+                        ((3, "One CPU"), (4, "Two CPUs")), 400, 1500),
+    )),
+    "3": ((1, 2, 3, 5, 7, 10, 15, 20, 30), (
+        ThroughputPanel("3a", "W_IO-inventory throughput vs MPL (1-4 disks)",
+                        ((5, "1 disk"), (6, "2 disks"), (7, "3 disks"), (8, "4 disks")),
+                        350, 1200),
+        ThroughputPanel("3b", "W_IO-browsing throughput vs MPL (1 vs 4 disks)",
+                        ((9, "1 disk"), (10, "4 disks")), 250, 600),
+    )),
+    "4": ((1, 2, 3, 5, 7, 10, 15, 20, 30, 35), (
+        ThroughputPanel("4", "W_CPU+IO-inventory throughput vs MPL",
+                        ((11, "1 disk, 1 CPU"), (12, "4 disks, 2 CPUs")), 700, 2500),
+    )),
+    "5": ((1, 2, 3, 5, 7, 10, 15, 20, 30, 40), (
+        ThroughputPanel("5a", "W_CPU-inventory: isolation RR vs UR (setups 1, 17)",
+                        ((17, "Isolation UR"), (1, "Isolation RR")), 700, 2500),
+        ThroughputPanel("5b", "W_CPU-ordering: isolation RR vs UR (setups 15, 16)",
+                        ((16, "UR isolation"), (15, "RR isolation")), 700, 2500),
+    )),
+}
 
 
-def figure2(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[FigureResult]:
-    """Throughput vs MPL for the CPU-bound workloads (setups 1–4)."""
-    results = run_grid(figure2_grid(fast, mpls))
-    split = 2 * len(mpls)
-    panel_a = FigureResult(
-        figure="2a",
-        title="W_CPU-inventory throughput vs MPL (1 vs 2 CPUs)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [1, 2], mpls, results[:split],
-                labels={1: "One CPU", 2: "Two CPUs"},
-            )
-        ),
-    )
-    panel_b = FigureResult(
-        figure="2b",
-        title="W_CPU-browsing throughput vs MPL (1 vs 2 CPUs)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [3, 4], mpls, results[split:],
-                labels={3: "One CPU", 4: "Two CPUs"},
-            )
-        ),
-    )
-    return [panel_a, panel_b]
+def throughput_figure_grid(
+    key: str, fast: bool = True, mpls: Optional[Sequence[int]] = None
+) -> List[ScenarioSpec]:
+    """The scenario grid behind one of figures 2–5 (all its panels)."""
+    axis, panels = THROUGHPUT_FIGURES[key]
+    specs: List[ScenarioSpec] = []
+    for panel in panels:
+        specs.extend(throughput_grid(
+            [setup_id for setup_id, _label in panel.series],
+            axis if mpls is None else mpls,
+            panel.fast_transactions if fast else panel.full_transactions,
+        ))
+    return specs
 
 
-def figure3(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[FigureResult]:
-    """Throughput vs MPL for the I/O-bound workloads (setups 5–10)."""
-    results = run_grid(figure3_grid(fast, mpls))
-    split = 4 * len(mpls)
-    panel_a = FigureResult(
-        figure="3a",
-        title="W_IO-inventory throughput vs MPL (1-4 disks)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [5, 6, 7, 8], mpls, results[:split],
-                labels={5: "1 disk", 6: "2 disks", 7: "3 disks", 8: "4 disks"},
-            )
-        ),
-    )
-    panel_b = FigureResult(
-        figure="3b",
-        title="W_IO-browsing throughput vs MPL (1 vs 4 disks)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [9, 10], mpls, results[split:],
-                labels={9: "1 disk", 10: "4 disks"},
-            )
-        ),
-    )
-    return [panel_a, panel_b]
-
-
-def figure4(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS + (35,)) -> List[FigureResult]:
-    """Throughput vs MPL for the balanced CPU+I/O workload (setups 11, 12)."""
-    results = run_grid(figure4_grid(fast, mpls))
+def throughput_figure(
+    key: str, fast: bool, mpls: Sequence[int]
+) -> List[FigureResult]:
+    """Run one of figures 2–5 and reduce its grid to one result per panel."""
+    runs = iter(run_grid(throughput_figure_grid(key, fast, mpls)))
     return [
         FigureResult(
-            figure="4",
-            title="W_CPU+IO-inventory throughput vs MPL",
+            figure=panel.figure,
+            title=panel.title,
             xlabel="MPL",
             xs=tuple(float(m) for m in mpls),
             series=tuple(
-                _throughput_series(
-                    [11, 12], mpls, results,
-                    labels={11: "1 disk, 1 CPU", 12: "4 disks, 2 CPUs"},
-                )
+                Series(label=label, ys=tuple(next(runs).throughput for _ in mpls))
+                for _setup_id, label in panel.series
             ),
         )
+        for panel in THROUGHPUT_FIGURES[key][1]
     ]
 
 
-def figure5(fast: bool = True, mpls: Sequence[int] = (1, 2, 3, 5, 7, 10, 15, 20, 30, 40)) -> List[FigureResult]:
+def figure2(
+    fast: bool = True, mpls: Sequence[int] = THROUGHPUT_FIGURES["2"][0]
+) -> List[FigureResult]:
+    """Throughput vs MPL for the CPU-bound workloads (setups 1–4)."""
+    return throughput_figure("2", fast, mpls)
+
+
+def figure3(
+    fast: bool = True, mpls: Sequence[int] = THROUGHPUT_FIGURES["3"][0]
+) -> List[FigureResult]:
+    """Throughput vs MPL for the I/O-bound workloads (setups 5–10)."""
+    return throughput_figure("3", fast, mpls)
+
+
+def figure4(
+    fast: bool = True, mpls: Sequence[int] = THROUGHPUT_FIGURES["4"][0]
+) -> List[FigureResult]:
+    """Throughput vs MPL for the balanced CPU+I/O workload (setups 11, 12)."""
+    return throughput_figure("4", fast, mpls)
+
+
+def figure5(
+    fast: bool = True, mpls: Sequence[int] = THROUGHPUT_FIGURES["5"][0]
+) -> List[FigureResult]:
     """Throughput vs MPL under heavy locking: RR vs UR isolation."""
-    results = run_grid(figure5_grid(fast, mpls))
-    split = 2 * len(mpls)
-    panel_a = FigureResult(
-        figure="5a",
-        title="W_CPU-inventory: isolation RR vs UR (setups 1, 17)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [17, 1], mpls, results[:split],
-                labels={17: "Isolation UR", 1: "Isolation RR"},
-            )
-        ),
-    )
-    panel_b = FigureResult(
-        figure="5b",
-        title="W_CPU-ordering: isolation RR vs UR (setups 15, 16)",
-        xlabel="MPL",
-        xs=tuple(float(m) for m in mpls),
-        series=tuple(
-            _throughput_series(
-                [16, 15], mpls, results[split:],
-                labels={16: "UR isolation", 15: "RR isolation"},
-            )
-        ),
-    )
-    return [panel_a, panel_b]
+    return throughput_figure("5", fast, mpls)
+
+
+def smoke_grid(fast: bool = True) -> List[ScenarioSpec]:
+    """A deliberately cheap grid for CI smoke runs and cache benchmarks."""
+    if fast:
+        return throughput_grid((1,), (1, 2, 4, 8), 150)
+    return throughput_grid((1,), (1, 2, 4, 8, 16, 30), 600)
 
 
 def section32_response_time(
@@ -421,81 +404,88 @@ def controller_convergence(
     )
 
 
-def _figure11_threshold(
-    max_throughput_loss: float,
-    fast: bool,
-    seed: int,
-) -> Tuple[FigureResult, List[PrioritizationOutcome]]:
+def _tune_then_prioritize(
+    tunings: Sequence[ScenarioSpec], transactions: int
+) -> Tuple[List[int], List[RunResult]]:
+    """§5's tune-then-prioritize phases, one grid each.
+
+    Runs the caller's :func:`tuning_scenario` specs, then every tuned
+    setup under external prioritization at its tuned MPL (same seed,
+    ``transactions`` measured).  Returns the tuned MPLs and the
+    prioritized runs, both in ``tunings`` order.
+    """
+    tuned_mpls = [run.mpl for run in run_grid(tunings)]
+    prio_runs = run_grid([
+        scenario_for(
+            get_setup(spec.setup_id), mpl=mpl, transactions=transactions,
+            seed=spec.seed, policy="priority",
+            high_priority_fraction=HIGH_PRIORITY_FRACTION,
+        )
+        for spec, mpl in zip(tunings, tuned_mpls)
+    ])
+    return tuned_mpls, prio_runs
+
+
+def figure11(fast: bool = True, seed: int = 11) -> List[FigureResult]:
+    """External prioritization, all 17 setups, 5% and 20% loss budgets.
+
+    Each phase submits both budgets' cells as one grid, so the runner
+    simulates each setup's "No Prio" reference once.
+    """
     transactions = 700 if fast else 2000
+    budgets = (0.05, 0.20)
     setup_ids = tuple(s.setup_id for s in SETUPS)
-    # phase 1: the "No Prio" references for all 17 setups, one grid
+    cells = [(loss, sid) for loss in budgets for sid in setup_ids]
     references = run_grid([
         scenario_for(get_setup(sid), mpl=None, transactions=transactions, seed=seed)
-        for sid in setup_ids
+        for _loss, sid in cells
     ])
-    # phase 2: tune each setup's MPL, one grid of feedback scenarios
-    # — the paper's budgets are symmetric: "sacrifice a maximum of
-    # 5% (20%) throughput" and the same bound on mean RT
-    tuned_mpls = [run.mpl for run in run_grid([
+    # the paper's budgets are symmetric: "sacrifice a maximum of 5%
+    # (20%) throughput" and the same bound on mean RT
+    tuned_mpls, prio_runs = _tune_then_prioritize([
         tuning_scenario(
             get_setup(sid),
-            max_throughput_loss=max_throughput_loss,
-            max_response_time_increase=max_throughput_loss,
+            max_throughput_loss=loss,
+            max_response_time_increase=loss,
             transactions=max(400, transactions // 2),
             window=100,
             seed=seed,
         )
-        for sid in setup_ids
-    ])]
-    # phase 3: the prioritized runs at the tuned MPLs, one grid
-    prio_runs = run_grid([
-        scenario_for(
-            get_setup(sid), mpl=mpl, transactions=transactions, seed=seed,
-            policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
-        )
-        for sid, mpl in zip(setup_ids, tuned_mpls)
-    ])
-    outcomes: List[PrioritizationOutcome] = [
+        for loss, sid in cells
+    ], transactions)
+    outcomes = iter([
         outcome_from_runs(f"setup {sid} mpl={mpl}", mpl, run, reference)
-        for sid, mpl, run, reference in zip(
-            setup_ids, tuned_mpls, prio_runs, references
+        for (_loss, sid), mpl, run, reference in zip(
+            cells, tuned_mpls, prio_runs, references
         )
-    ]
-    highs = [o.high for o in outcomes]
-    lows = [o.low for o in outcomes]
-    noprios = [o.no_prio for o in outcomes]
-    diffs = [o.differentiation for o in outcomes if o.differentiation > 0]
-    pens = [o.low_penalty for o in outcomes if o.low_penalty > 0]
-    overall = [o.overall_penalty for o in outcomes if o.overall_penalty > 0]
-    notes = (
-        f"differentiation (low/high): min {min(diffs):.1f}x, "
-        f"max {max(diffs):.1f}x, mean {sum(diffs)/len(diffs):.1f}x",
-        f"low-priority penalty vs no-prio: mean {sum(pens)/len(pens):.2f}x",
-        f"overall mean RT vs no-prio: worst {max(overall):.2f}x",
-    )
-    figure = FigureResult(
-        figure=f"11 ({max_throughput_loss:.0%} loss)",
-        title=(
-            "External prioritization across all 17 setups, MPL tuned for "
-            f"<= {max_throughput_loss:.0%} throughput loss"
-        ),
-        xlabel="setup",
-        xs=tuple(float(s) for s in setup_ids),
-        series=(
-            Series(label="High Prio (s)", ys=tuple(highs)),
-            Series(label="Low Prio (s)", ys=tuple(lows)),
-            Series(label="No Prio (s)", ys=tuple(noprios)),
-        ),
-        notes=notes,
-    )
-    return figure, outcomes
-
-
-def figure11(fast: bool = True, seed: int = 11) -> List[FigureResult]:
-    """External prioritization, all 17 setups, 5% and 20% loss budgets."""
-    top, _ = _figure11_threshold(0.05, fast, seed)
-    bottom, _ = _figure11_threshold(0.20, fast, seed)
-    return [top, bottom]
+    ])
+    panels = []
+    for loss in budgets:
+        chunk = [next(outcomes) for _ in setup_ids]
+        diffs = [o.differentiation for o in chunk if o.differentiation > 0]
+        pens = [o.low_penalty for o in chunk if o.low_penalty > 0]
+        overall = [o.overall_penalty for o in chunk if o.overall_penalty > 0]
+        panels.append(FigureResult(
+            figure=f"11 ({loss:.0%} loss)",
+            title=(
+                "External prioritization across all 17 setups, MPL tuned for "
+                f"<= {loss:.0%} throughput loss"
+            ),
+            xlabel="setup",
+            xs=tuple(float(s) for s in setup_ids),
+            series=(
+                Series(label="High Prio (s)", ys=tuple(o.high for o in chunk)),
+                Series(label="Low Prio (s)", ys=tuple(o.low for o in chunk)),
+                Series(label="No Prio (s)", ys=tuple(o.no_prio for o in chunk)),
+            ),
+            notes=(
+                f"differentiation (low/high): min {min(diffs):.1f}x, "
+                f"max {max(diffs):.1f}x, mean {sum(diffs)/len(diffs):.1f}x",
+                f"low-priority penalty vs no-prio: mean {sum(pens)/len(pens):.2f}x",
+                f"overall mean RT vs no-prio: worst {max(overall):.2f}x",
+            ),
+        ))
+    return panels
 
 
 def _internal_vs_external(
@@ -507,7 +497,7 @@ def _internal_vs_external(
     transactions = 800 if fast else 2000
     setup = get_setup(setup_id)
     budgets = (("ext95", 0.05), ("ext80", 0.20), ("ext100", 0.005))
-    # phase 1: the shared reference + the internal-prioritization run
+    # the shared reference + the internal-prioritization run
     no_prio, internal_run = run_grid([
         scenario_for(setup, mpl=None, transactions=transactions, seed=seed),
         scenario_for(
@@ -515,8 +505,8 @@ def _internal_vs_external(
             internal=internal, high_priority_fraction=HIGH_PRIORITY_FRACTION,
         ),
     ])
-    # phase 2: tune one MPL per throughput-loss budget, one grid
-    tuned_mpls = [run.mpl for run in run_grid([
+    # one tuned MPL and external-prioritization run per budget
+    tuned_mpls, ext_runs = _tune_then_prioritize([
         tuning_scenario(
             setup,
             max_throughput_loss=loss,
@@ -525,15 +515,7 @@ def _internal_vs_external(
             seed=seed,
         )
         for _label, loss in budgets
-    ])]
-    # phase 3: the external-prioritization runs, one grid
-    ext_runs = run_grid([
-        scenario_for(
-            setup, mpl=mpl, transactions=transactions, seed=seed,
-            policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
-        )
-        for mpl in tuned_mpls
-    ])
+    ], transactions)
     columns: List[Tuple[str, PrioritizationOutcome]] = [
         ("internal", outcome_from_runs("internal", None, internal_run, no_prio))
     ]
@@ -978,15 +960,11 @@ def _ft_spec(shards: int, duration_s: float, seed: int = DEFAULT_SEED) -> Scenar
 
 
 def fault_tolerance_grid(
-    fast: bool = True,
-    mpls: Optional[Sequence[int]] = None,
-    shard_counts: Sequence[int] = FT_SHARD_COUNTS,
+    fast: bool = True, shard_counts: Sequence[int] = FT_SHARD_COUNTS
 ) -> List[ScenarioSpec]:
     """The scenario grid behind the fault-tolerance figure, as data.
 
-    One cell per shard count; the ``mpls`` argument is accepted for
-    grid-builder signature compatibility and ignored (the elastic
-    controller owns the MPL axis here).
+    One cell per shard count; the elastic controller owns the MPL axis.
     """
     duration = 12.0 if fast else 20.0
     return [_ft_spec(shards, duration) for shards in shard_counts]
@@ -1105,14 +1083,11 @@ def _rf_spec(
     )
 
 
-def replica_fanout_grid(
-    fast: bool = True, mpls: Optional[Sequence[int]] = None
-) -> List[ScenarioSpec]:
+def replica_fanout_grid(fast: bool = True) -> List[ScenarioSpec]:
     """The scenario grid behind the read-fanout figure, as data.
 
-    One cell per (replica count, fan-out policy); ``mpls`` is accepted
-    for grid-builder signature compatibility and ignored (the MPL is
-    held fixed — the replica axis is the experiment).
+    One cell per (replica count, fan-out policy); the MPL is held
+    fixed — the replica axis is the experiment.
     """
     transactions = 350 if fast else 1200
     return [
@@ -1265,14 +1240,11 @@ def _rs_spec(
     )
 
 
-def resilience_grid(
-    fast: bool = True, mpls: Optional[Sequence[int]] = None
-) -> List[ScenarioSpec]:
+def resilience_grid(fast: bool = True) -> List[ScenarioSpec]:
     """The scenario grid behind the resilience figure, as data.
 
-    One cell per resilience variant; ``mpls`` is accepted for
-    grid-builder signature compatibility and ignored (the MPL is held
-    fixed — the resilience axis is the experiment).
+    One cell per resilience variant; the MPL is held fixed — the
+    resilience axis is the experiment.
     """
     duration = 12.0 if fast else 20.0
     return [_rs_spec(variant, duration) for variant in RS_VARIANTS]
@@ -1466,14 +1438,11 @@ def _xs_spec(
     return dataclasses.replace(spec, **replacements)
 
 
-def cross_shard_grid(
-    fast: bool = True, mpls: Optional[Sequence[int]] = None
-) -> List[ScenarioSpec]:
+def cross_shard_grid(fast: bool = True) -> List[ScenarioSpec]:
     """The scenario grid behind the cross-shard figure, as data.
 
     Order: shard counts outermost, then control (static, slo), then
-    the fraction axis.  ``mpls`` is accepted for grid-builder signature
-    compatibility and ignored (the MPL policy *is* the experiment).
+    the fraction axis.  The MPL policy *is* the experiment.
     """
     shard_counts = XS_SHARD_COUNTS_FAST if fast else XS_SHARD_COUNTS
     fractions = XS_FRACTIONS_FAST if fast else XS_FRACTIONS
@@ -1683,138 +1652,19 @@ def elastic_capacity(
     ]
 
 
-# -- declarative grids (for `repro.experiments bench` and CI) ----------------
+# -- grid registry (for `repro.experiments bench`, `scenario --grid` and CI) --
 
-
-@dataclasses.dataclass(frozen=True)
-class GridPanel:
-    """One panel's worth of runs: a setup list and its sample sizes."""
-
-    setup_ids: Tuple[int, ...]
-    fast_transactions: int
-    full_transactions: int
-
-    def transactions(self, fast: bool) -> int:
-        return self.fast_transactions if fast else self.full_transactions
-
-
-@dataclasses.dataclass(frozen=True)
-class GridDef:
-    """A figure's whole simulation grid, declared as data.
-
-    The single source of truth consumed by the figure functions, the
-    CLI's ``bench`` subcommand, and the parallel runner — previously
-    five near-identical ``figure*_grid`` helpers.
-    """
-
-    mpls: Tuple[int, ...]
-    panels: Tuple[GridPanel, ...]
-    #: MPL override for fast runs (only the smoke grid shrinks its axis).
-    fast_mpls: Optional[Tuple[int, ...]] = None
-    #: Custom grid builder for figures whose sweep is not a plain
-    #: (setup, MPL) product — the sharded-cluster grid plugs in here.
-    builder: Optional[Callable[..., List[ScenarioSpec]]] = None
-
-    def build(
-        self, fast: bool = True, mpls: Optional[Sequence[int]] = None
-    ) -> List[ScenarioSpec]:
-        if self.builder is not None:
-            return self.builder(fast, mpls)
-        if mpls is None:
-            mpls = self.fast_mpls if (fast and self.fast_mpls) else self.mpls
-        specs: List[ScenarioSpec] = []
-        for panel in self.panels:
-            specs.extend(
-                throughput_grid(panel.setup_ids, mpls, panel.transactions(fast))
-            )
-        return specs
-
-
-GRID_DEFS: Dict[str, GridDef] = {
-    "2": GridDef(
-        mpls=_DEFAULT_MPLS,
-        panels=(GridPanel((1, 2), 700, 2500), GridPanel((3, 4), 400, 1500)),
-    ),
-    "3": GridDef(
-        mpls=_DEFAULT_MPLS,
-        panels=(GridPanel((5, 6, 7, 8), 350, 1200), GridPanel((9, 10), 250, 600)),
-    ),
-    "4": GridDef(
-        mpls=_DEFAULT_MPLS + (35,),
-        panels=(GridPanel((11, 12), 700, 2500),),
-    ),
-    "5": GridDef(
-        mpls=(1, 2, 3, 5, 7, 10, 15, 20, 30, 40),
-        panels=(GridPanel((17, 1), 700, 2500), GridPanel((16, 15), 700, 2500)),
-    ),
-    "smoke": GridDef(
-        mpls=(1, 2, 4, 8, 16, 30),
-        panels=(GridPanel((1,), 150, 600),),
-        fast_mpls=(1, 2, 4, 8),
-    ),
-    "sh": GridDef(
-        mpls=SHARD_MPLS,
-        panels=(),
-        fast_mpls=SHARD_MPLS_FAST,
-        builder=sharded_grid,
-    ),
-    "ft": GridDef(
-        mpls=(),
-        panels=(),
-        builder=fault_tolerance_grid,
-    ),
-    "rf": GridDef(
-        mpls=(),
-        panels=(),
-        builder=replica_fanout_grid,
-    ),
-    "rs": GridDef(
-        mpls=(),
-        panels=(),
-        builder=resilience_grid,
-    ),
-    "xs": GridDef(
-        mpls=(),
-        panels=(),
-        builder=cross_shard_grid,
-    ),
-    "es": GridDef(
-        mpls=ES_MPLS,
-        panels=(),
-        fast_mpls=ES_MPLS_FAST,
-        builder=elastic_grid,
-    ),
-}
-
-
-def figure2_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 2 (both panels)."""
-    return GRID_DEFS["2"].build(fast, mpls)
-
-
-def figure3_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 3 (both panels)."""
-    return GRID_DEFS["3"].build(fast, mpls)
-
-
-def figure4_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 4."""
-    return GRID_DEFS["4"].build(fast, mpls)
-
-
-def figure5_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 5 (both panels)."""
-    return GRID_DEFS["5"].build(fast, mpls)
-
-
-def smoke_grid(fast: bool = True) -> List[ScenarioSpec]:
-    """A deliberately cheap grid for CI smoke runs and cache benchmarks."""
-    return GRID_DEFS["smoke"].build(fast)
-
-
-#: Figure key → grid builder, the machine-readable face of the figures
-#: above.  ``bench`` runs any of these through the parallel runner.
+#: Figure key -> ``(fast) -> [ScenarioSpec]``: every figure grid that
+#: does not depend on an earlier grid's results, as data.  ``bench``
+#: runs any of these through the parallel runner.
 FIGURE_GRIDS: Dict[str, Callable[[bool], List[ScenarioSpec]]] = {
-    **{key: grid.build for key, grid in GRID_DEFS.items()},
+    **{key: functools.partial(throughput_figure_grid, key) for key in THROUGHPUT_FIGURES},
+    "smoke": smoke_grid,
+    "sh": sharded_grid,
+    "ft": fault_tolerance_grid,
+    "rf": replica_fanout_grid,
+    "rs": resilience_grid,
+    "xs": cross_shard_grid,
+    "es": elastic_grid,
     "po": partly_open_grid,
 }

@@ -386,8 +386,7 @@ class TestPerShardControllers:
 
 class TestShardedFigure:
     def test_grid_registered_for_cli_and_bench(self):
-        assert "sh" in figures.GRID_DEFS
-        assert "sh" in figures.FIGURE_GRIDS
+        assert figures.FIGURE_GRIDS["sh"](True) == figures.sharded_grid(fast=True)
         from repro.experiments.__main__ import _FIGURES
         assert "sh" in _FIGURES
 

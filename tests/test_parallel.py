@@ -2,6 +2,7 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +202,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown figure" in err and "available" in err
 
+    def test_unknown_ids_rejected_before_anything_runs(self, capsys):
+        """An unknown id anywhere in the list stops the CLI up front:
+        no table printed, no figure simulated, nothing on stdout."""
+        runner = get_runner()
+        before = runner.totals.submitted
+        for argv in (
+            ["--table", "1", "--figure", "bogus"],
+            ["--figure", "4", "--figure", "bogus"],
+            ["--figure", "7", "--table", "nope"],
+        ):
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "unknown" in captured.err, argv
+        assert get_runner().totals.submitted == before
+
     def test_jobs_validation(self, capsys):
         assert cli_main(["--figure", "7", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
@@ -296,7 +313,7 @@ class TestCli:
         with open(output, encoding="utf-8") as handle:
             artifact = json.load(handle)
         assert artifact["repeats"] == 2
-        assert artifact["grid_size"] == 2 * len(figures.smoke_grid())
+        assert artifact["grid_size"] == 2 * len(figures.FIGURE_GRIDS["smoke"](True))
         # replicates get distinct derived seeds, but within a replicate
         # every grid point shares one seed (common random numbers)
         seeds = {run["seed"] for run in artifact["runs"]}
@@ -316,17 +333,18 @@ class TestFigureGrids:
 
     def test_figure2_consumes_its_grid(self):
         mpls = (1, 5)
-        grid = figures.figure2_grid(fast=True, mpls=mpls)
+        grid = figures.throughput_figure_grid("2", fast=True, mpls=mpls)
         assert len(grid) == 4 * len(mpls)
         assert {spec.setup_id for spec in grid} == {1, 2, 3, 4}
+        assert figures.FIGURE_GRIDS["2"](True) == figures.throughput_figure_grid("2")
 
     def test_grid_defs_preserve_seed_grids(self):
         """The registry must re-express the seed's hand-written grids.
 
         Expectations are spelled out literally (setup order, MPL axis,
         per-panel sample sizes from the pre-refactor helpers) so a typo
-        in GRID_DEFS cannot hide behind the wrappers that now delegate
-        to it.
+        in the figure table cannot hide behind the registry that reads
+        it.
         """
         expected = {
             # key: (mpls, [(setup_ids, fast_txns, full_txns), ...])
@@ -341,7 +359,7 @@ class TestFigureGrids:
         }
         for key, (mpls, panels) in expected.items():
             for fast in (True, False):
-                grid = figures.GRID_DEFS[key].build(fast)
+                grid = figures.FIGURE_GRIDS[key](fast)
                 want = [
                     (setup_id, mpl, txns if fast else full_txns)
                     for setup_ids, txns, full_txns in panels
@@ -351,8 +369,73 @@ class TestFigureGrids:
                 got = [(s.setup_id, s.mpl, s.transactions) for s in grid]
                 assert got == want, (key, fast)
 
+    def test_throughput_figures_pin_panels_and_labels(self):
+        """Panel ids, titles and series labels of figures 2–5, literally,
+        and the reducer's regrouping of the flat grid into those series
+        (checked against a stub runner, so nothing is simulated)."""
+        expected = {
+            "2": [
+                ("2a", "W_CPU-inventory throughput vs MPL (1 vs 2 CPUs)",
+                 [(1, "One CPU"), (2, "Two CPUs")]),
+                ("2b", "W_CPU-browsing throughput vs MPL (1 vs 2 CPUs)",
+                 [(3, "One CPU"), (4, "Two CPUs")]),
+            ],
+            "3": [
+                ("3a", "W_IO-inventory throughput vs MPL (1-4 disks)",
+                 [(5, "1 disk"), (6, "2 disks"), (7, "3 disks"), (8, "4 disks")]),
+                ("3b", "W_IO-browsing throughput vs MPL (1 vs 4 disks)",
+                 [(9, "1 disk"), (10, "4 disks")]),
+            ],
+            "4": [
+                ("4", "W_CPU+IO-inventory throughput vs MPL",
+                 [(11, "1 disk, 1 CPU"), (12, "4 disks, 2 CPUs")]),
+            ],
+            "5": [
+                ("5a", "W_CPU-inventory: isolation RR vs UR (setups 1, 17)",
+                 [(17, "Isolation UR"), (1, "Isolation RR")]),
+                ("5b", "W_CPU-ordering: isolation RR vs UR (setups 15, 16)",
+                 [(16, "UR isolation"), (15, "RR isolation")]),
+            ],
+        }
+
+        class StubRunner:
+            """Throughput encodes the cell: 1000 * setup + MPL."""
+
+            def run(self, specs):
+                return [
+                    SimpleNamespace(throughput=1000.0 * spec.setup_id + spec.mpl)
+                    for spec in specs
+                ]
+
+        functions = {"2": figures.figure2, "3": figures.figure3,
+                     "4": figures.figure4, "5": figures.figure5}
+        mpls = (2, 9)
+        with using_runner(StubRunner()):
+            for key, panels in expected.items():
+                got = functions[key](fast=True, mpls=mpls)
+                assert [(p.figure, p.title) for p in got] == [
+                    (figure, title) for figure, title, _series in panels
+                ], key
+                for panel, (_figure, _title, series) in zip(got, panels):
+                    assert panel.xs == (2.0, 9.0)
+                    assert [(s.label, s.ys) for s in panel.series] == [
+                        (label, tuple(1000.0 * sid + m for m in mpls))
+                        for sid, label in series
+                    ], key
+
+    def test_makefile_round_trips_every_grid(self):
+        """`make scenarios` walks SCENARIO_GRIDS, so it must name every
+        registered grid (and nothing else)."""
+        makefile = os.path.join(os.path.dirname(__file__), os.pardir, "Makefile")
+        with open(makefile, encoding="utf-8") as handle:
+            (line,) = [entry for entry in handle if entry.startswith("SCENARIO_GRIDS ")]
+        keys = line.split("=", 1)[1].split()
+        assert sorted(keys) == sorted(figures.FIGURE_GRIDS)
+        assert len(keys) == len(set(keys))
+
     def test_smoke_grid_shrinks_when_fast(self):
-        assert len(figures.smoke_grid(fast=True)) < len(figures.smoke_grid(fast=False))
+        smoke = figures.FIGURE_GRIDS["smoke"]
+        assert len(smoke(True)) < len(smoke(False))
 
     def test_replica_fanout_grid_shape(self):
         """One primary-only baseline, then every fan-out per replica count."""
@@ -369,7 +452,7 @@ class TestFigureGrids:
         assert {s.arrival.rate for s in grid} == {
             figures.RF_RATE_PER_SHARD * figures.RF_SHARDS
         }
-        assert "rf" in figures.GRID_DEFS
+        assert figures.FIGURE_GRIDS["rf"](True) == grid
 
     def test_partly_open_grid_holds_offered_load(self):
         grid = figures.partly_open_grid(fast=True)

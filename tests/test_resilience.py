@@ -651,7 +651,7 @@ class TestResilienceFigure:
         assert specs[1].resilience.base_backoff_s == 0.0
         assert specs[1].resilience.queue_cap is None
         assert specs[2].resilience.breaker_enabled
-        assert figures.GRID_DEFS["rs"].build(fast=True) == specs
+        assert figures.FIGURE_GRIDS["rs"](True) == specs
 
     def test_timeline_carries_the_goodput_columns(self):
         spec = figures._rs_spec("hardened", duration_s=6.0)
