@@ -21,8 +21,9 @@ BENCH_CACHE ?= .repro-bench-cache
 # (what CI enforces); the rest of the tree is reported, not gated
 COV_MIN     ?= 90
 COV_MODULES  = --cov=repro.core.cluster --cov=repro.sim.station --cov=repro.core.scenario --cov=repro.core.faults --cov=repro.core.resilience --cov=repro.core.distributed
-# figure grids the scenario round-trip check walks
+# figure grids and demo scenarios the scenario round-trip check walks
 SCENARIO_GRIDS ?= 2 3 4 5 smoke sh po ft rf rs xs es
+SCENARIO_DEMOS ?= trace-retailer trace-auction slo-tv failover
 # fuzz campaign knobs (what CI's smoke job runs; ~45s total)
 FUZZ_SEED       ?= 0
 FUZZ_ITERATIONS ?= 75
@@ -79,20 +80,22 @@ profile:
 	$(PYTHON) -c "import pstats; pstats.Stats('profile.out').sort_stats('tottime').print_stats(25)"
 	rm -rf .profile-cache
 
-# Scenario API round-trip: for every figure grid, `scenario show`
-# piped back through `scenario fingerprint` must produce exactly the
-# digests computed directly — i.e. the JSON encoding is canonical and
-# loses nothing the cache key depends on (what CI runs).
+# Scenario API round-trip: for every figure grid and every demo,
+# `scenario show` piped back through `scenario fingerprint` must produce
+# exactly the digests computed directly — i.e. the JSON encoding is
+# canonical and loses nothing the cache key depends on (what CI runs).
+# The demos carry the axes no grid uses (trace arrivals, PerClassSlo).
 scenarios:
-	@for g in $(SCENARIO_GRIDS); do \
-		$(PYTHON) -m repro.experiments scenario show --grid $$g \
+	@for source in $(addprefix grid:,$(SCENARIO_GRIDS)) $(addprefix demo:,$(SCENARIO_DEMOS)); do \
+		kind=$${source%%:*}; name=$${source#*:}; \
+		$(PYTHON) -m repro.experiments scenario show --$$kind $$name \
 			| $(PYTHON) -m repro.experiments scenario fingerprint - \
 			> .scenario-rt-a.json; \
-		$(PYTHON) -m repro.experiments scenario fingerprint --grid $$g \
+		$(PYTHON) -m repro.experiments scenario fingerprint --$$kind $$name \
 			> .scenario-rt-b.json; \
 		diff -q .scenario-rt-a.json .scenario-rt-b.json > /dev/null \
-			|| { echo "scenario round-trip MISMATCH for grid $$g"; exit 1; }; \
-		echo "grid $$g: scenario round-trip fingerprints stable"; \
+			|| { echo "scenario round-trip MISMATCH for $$kind $$name"; exit 1; }; \
+		echo "$$kind $$name: scenario round-trip fingerprints stable"; \
 	done
 	@rm -f .scenario-rt-a.json .scenario-rt-b.json
 

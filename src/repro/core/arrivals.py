@@ -33,6 +33,7 @@ import random
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.frontend import ExternalScheduler
+from repro.core.spec_codec import UNIONS, check_fields, spec_field
 from repro.dbms.transaction import Priority, Transaction
 from repro.sim.distributions import Distribution, Exponential
 from repro.sim.engine import Simulator
@@ -347,6 +348,10 @@ OpenSource = OpenPoisson
 class RateFunction:
     """A deterministic arrival-rate profile λ(t) ≥ 0."""
 
+    #: Every profile checks its fields' types and rules on construction;
+    #: an override with rules of its own calls ``check_fields`` first.
+    __post_init__ = check_fields
+
     def rate(self, t: float) -> float:
         """The instantaneous arrival rate at simulation time ``t``."""
         raise NotImplementedError
@@ -371,6 +376,7 @@ class PiecewiseRate(RateFunction):
     period: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.points:
             raise ValueError("PiecewiseRate needs at least one (time, rate) point")
         if self.points[0][0] != 0.0:
@@ -407,18 +413,10 @@ class SinusoidRate(RateFunction):
     quiet periods with no arrivals at all.
     """
 
-    base: float
-    amplitude: float
-    period: float
+    base: float = spec_field(gt=0)
+    amplitude: float = spec_field(ge=0)
+    period: float = spec_field(gt=0)
     phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError(f"base rate must be positive, got {self.base!r}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude!r}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period!r}")
 
     def rate(self, t: float) -> float:
         value = self.base + self.amplitude * math.sin(
@@ -442,6 +440,10 @@ class ArrivalSpec:
     the matching runtime process against a live simulation.
     """
 
+    #: Every spec checks its fields' types and rules on construction;
+    #: an override with rules of its own calls ``check_fields`` first.
+    __post_init__ = check_fields
+
     def build(
         self,
         sim: Simulator,
@@ -457,16 +459,8 @@ class ArrivalSpec:
 class ClosedArrivals(ArrivalSpec):
     """The paper's closed system: a fixed client population (§2.2)."""
 
-    num_clients: int = 100
-    think_time_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients!r}")
-        if self.think_time_s < 0:
-            raise ValueError(
-                f"think_time_s must be non-negative, got {self.think_time_s!r}"
-            )
+    num_clients: int = spec_field(100, ge=1)
+    think_time_s: float = spec_field(0.0, ge=0)
 
     def build(self, sim, frontend, workload, streams, priority_assigner=None):
         think = Exponential(self.think_time_s) if self.think_time_s > 0 else None
@@ -485,11 +479,7 @@ class ClosedArrivals(ArrivalSpec):
 class OpenArrivals(ArrivalSpec):
     """The paper's open system: Poisson arrivals at ``rate`` tx/s (§3.2)."""
 
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate!r}")
+    rate: float = spec_field(gt=0)
 
     def build(self, sim, frontend, workload, streams, priority_assigner=None):
         return OpenPoisson(
@@ -512,24 +502,9 @@ class PartlyOpenArrivals(ArrivalSpec):
     hold load constant across session-length mixes.
     """
 
-    session_rate: float
-    mean_session_length: float = 5.0
-    think_time_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.session_rate <= 0:
-            raise ValueError(
-                f"session_rate must be positive, got {self.session_rate!r}"
-            )
-        if self.mean_session_length < 1.0:
-            raise ValueError(
-                "mean_session_length must be >= 1, got "
-                f"{self.mean_session_length!r}"
-            )
-        if self.think_time_s < 0:
-            raise ValueError(
-                f"think_time_s must be non-negative, got {self.think_time_s!r}"
-            )
+    session_rate: float = spec_field(gt=0)
+    mean_session_length: float = spec_field(5.0, ge=1)
+    think_time_s: float = spec_field(0.0, ge=0)
 
     @property
     def transaction_rate(self) -> float:
@@ -570,12 +545,6 @@ class ModulatedArrivals(ArrivalSpec):
 
     rate_function: RateFunction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rate_function, RateFunction):
-            raise ValueError(
-                f"rate_function must be a RateFunction, got {self.rate_function!r}"
-            )
-
     def build(self, sim, frontend, workload, streams, priority_assigner=None):
         return ModulatedOpenSource(
             sim,
@@ -602,22 +571,15 @@ class TraceArrivals(ArrivalSpec):
     """
 
     trace_name: str
-    transactions: Optional[int] = None
+    transactions: Optional[int] = spec_field(None, ge=1)
     seed: Optional[int] = None
-    time_scale: float = 1.0
+    time_scale: float = spec_field(1.0, gt=0)
     loop: bool = False
     #: Content hash of the replayed trace — derived, never passed.
-    digest: str = ""
+    digest: str = spec_field("", derived=True)
 
     def __post_init__(self) -> None:
-        if self.time_scale <= 0:
-            raise ValueError(
-                f"time_scale must be positive, got {self.time_scale!r}"
-            )
-        if self.transactions is not None and self.transactions < 1:
-            raise ValueError(
-                f"transactions must be >= 1, got {self.transactions!r}"
-            )
+        check_fields(self)
         trace = self._trace()
         if self.loop and trace.records[-1].arrival_time <= 0:
             # reject here (spec validation) rather than livelocking in
@@ -646,3 +608,13 @@ class TraceArrivals(ArrivalSpec):
             priority_assigner=priority_assigner,
             loop=self.loop,
         )
+
+
+UNIONS[RateFunction] = {"piecewise": PiecewiseRate, "sinusoid": SinusoidRate}
+UNIONS[ArrivalSpec] = {
+    "closed": ClosedArrivals,
+    "open": OpenArrivals,
+    "partly_open": PartlyOpenArrivals,
+    "modulated": ModulatedArrivals,
+    "trace": TraceArrivals,
+}

@@ -42,11 +42,11 @@ decision (or aborts under a commit decision) is recorded in
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.resilience import GOODPUT_STARVATION_LIMIT, GoodputStarved
+from repro.core.spec_codec import check_fields, spec_field
 from repro.dbms.transaction import Transaction, TxStatus
 from repro.sim.engine import Event, Simulator
 from repro.sim.random import derive_seed
@@ -69,15 +69,6 @@ RETRY_MAX_EXPONENT = 10
 RETRY_JITTER_FRACTION = 0.5
 
 
-def _is_number(value: Any) -> bool:
-    # bool is an int subclass; a fraction of True is a bug, not 1.0
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
 class DistributedSpec:
     """The distributed axis: cross-shard transactions over simulated 2PC.
@@ -91,108 +82,14 @@ class DistributedSpec:
     participant runs the home branch.
     """
 
-    cross_shard_fraction: float = 0.1
-    fanout_k: int = 2
-    prepare_timeout_s: float = 0.5
-    coordinator: str = "hash"
+    cross_shard_fraction: float = spec_field(0.1, ge=0, le=1)
+    fanout_k: int = spec_field(2, ge=2)
+    prepare_timeout_s: float = spec_field(0.5, gt=0)
+    coordinator: str = spec_field("hash", choices=COORDINATOR_POLICIES)
     abort_on_prepare_timeout: bool = True
 
     def __post_init__(self) -> None:
-        errors = distributed_field_errors(
-            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        )
-        if errors:
-            lines = "; ".join(
-                f"{path.lstrip('/') or 'distributed'}: {message}"
-                for path, message in errors
-            )
-            raise ValueError(f"bad distributed spec: {lines}")
-
-
-def distributed_field_errors(payload: Any) -> List[Tuple[str, str]]:
-    """Every problem in a distributed payload, as ``(path, message)`` pairs.
-
-    Paths are JSON-pointer fragments relative to the distributed object
-    (``/fanout_k``); :meth:`ScenarioSpec.validate` prefixes
-    ``/distributed``.  Fields absent from the payload are checked at
-    their defaults, so the same walk serves JSON payloads and
-    constructed specs alike.
-    """
-    if not isinstance(payload, dict):
-        return [("", f"must be an object, got {payload!r}")]
-    errors: List[Tuple[str, str]] = []
-    known = {f.name for f in dataclasses.fields(DistributedSpec)}
-    for key in sorted(set(payload) - known):
-        errors.append((f"/{key}", "unknown field"))
-    values = {
-        f.name: payload.get(f.name, f.default)
-        for f in dataclasses.fields(DistributedSpec)
-    }
-
-    fraction = values["cross_shard_fraction"]
-    if not _is_number(fraction) or not math.isfinite(fraction):
-        errors.append((
-            "/cross_shard_fraction",
-            f"must be a finite number, got {fraction!r}",
-        ))
-    elif not 0.0 <= fraction <= 1.0:
-        errors.append((
-            "/cross_shard_fraction",
-            f"must be in [0, 1], got {fraction!r}",
-        ))
-    fanout = values["fanout_k"]
-    if not _is_int(fanout):
-        errors.append(("/fanout_k", f"must be an integer, got {fanout!r}"))
-    elif fanout < 2:
-        errors.append(("/fanout_k", f"must be >= 2, got {fanout!r}"))
-    timeout = values["prepare_timeout_s"]
-    if not _is_number(timeout) or not math.isfinite(timeout):
-        errors.append((
-            "/prepare_timeout_s",
-            f"must be a finite number, got {timeout!r}",
-        ))
-    elif timeout <= 0:
-        errors.append((
-            "/prepare_timeout_s", f"must be > 0, got {timeout!r}"
-        ))
-    if values["coordinator"] not in COORDINATOR_POLICIES:
-        errors.append((
-            "/coordinator",
-            f"unknown coordinator policy {values['coordinator']!r}; "
-            f"available: {', '.join(COORDINATOR_POLICIES)}",
-        ))
-    if not isinstance(values["abort_on_prepare_timeout"], bool):
-        errors.append((
-            "/abort_on_prepare_timeout",
-            f"must be a boolean, got {values['abort_on_prepare_timeout']!r}",
-        ))
-    return errors
-
-
-def encode_distributed_spec(
-    spec: Optional[DistributedSpec],
-) -> Optional[Dict[str, Any]]:
-    """JSON encoding of a distributed spec (None stays None)."""
-    if spec is None:
-        return None
-    return {
-        field.name: getattr(spec, field.name)
-        for field in dataclasses.fields(spec)
-    }
-
-
-def decode_distributed_spec(payload: Any) -> Optional[DistributedSpec]:
-    """Strict decode: unknown keys and bad values raise ``ValueError``."""
-    if payload is None:
-        return None
-    errors = distributed_field_errors(payload)
-    if errors:
-        lines = "; ".join(
-            f"{path.lstrip('/') or 'distributed'}: {message}"
-            for path, message in errors
-        )
-        raise ValueError(f"bad distributed payload: {lines}")
-    return DistributedSpec(**payload)
+        check_fields(self)
 
 
 class _DistributedTx:

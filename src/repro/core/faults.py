@@ -3,8 +3,9 @@
 A :class:`FaultSpec` is the fourth scenario axis — *what goes wrong and
 when*.  It is a frozen, fingerprintable value like the other spec axes:
 a tuple of events (:class:`KillShard`, :class:`RestoreShard`,
-:class:`DegradeShard`), each pinned to a simulated-clock instant, with
-a strict JSON codec that rejects unknown keys.
+:class:`DegradeShard`), each pinned to a simulated-clock instant.  Its
+JSON face is the shared spec codec (:mod:`repro.core.spec_codec`),
+with the events a tagged union keyed by ``type``.
 
 The :class:`FaultInjector` turns the spec into behaviour: it arms one
 simulator timeout per event, and each callback drives the matching
@@ -24,9 +25,9 @@ through any kill/restore sequence.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.core.spec_codec import UNIONS, check_fields, spec_field
 from repro.core.system import canonical_jsonable, content_digest
 
 
@@ -34,25 +35,15 @@ from repro.core.system import canonical_jsonable, content_digest
 class FaultEvent:
     """One scheduled fault: something happens to ``shard`` at ``at``."""
 
-    at: float
-    shard: int
+    #: Fire time; must be finite, or the timeout it arms never fires.
+    at: float = spec_field(ge=0)
+    shard: int = spec_field(ge=0)
 
     #: Codec tag; subclasses override.
     kind = "fault"
 
     def __post_init__(self):
-        if not isinstance(self.at, (int, float)) or isinstance(self.at, bool):
-            raise ValueError(f"fault time must be a number, got {self.at!r}")
-        # `nan < 0` is False, so a plain lower-bound check accepts NaN
-        # and arms a timeout the sim clock can never reach.
-        if not math.isfinite(self.at):
-            raise ValueError(f"fault time must be finite, got {self.at!r}")
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at!r}")
-        if not isinstance(self.shard, int) or isinstance(self.shard, bool):
-            raise ValueError(f"fault shard must be an int, got {self.shard!r}")
-        if self.shard < 0:
-            raise ValueError(f"fault shard must be >= 0, got {self.shard!r}")
+        check_fields(self)
 
     def fingerprint(self) -> str:
         """Content digest of this single event (class name included)."""
@@ -95,28 +86,19 @@ class DegradeShard(FaultEvent):
     """
 
     kind = "degrade"
-    factor: float = 0.5
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.factor, (int, float)) or isinstance(self.factor, bool):
-            raise ValueError(f"degrade factor must be a number, got {self.factor!r}")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError(
-                f"degrade factor must be in (0, 1], got {self.factor!r}"
-            )
+    factor: float = spec_field(0.5, gt=0, le=1)
 
     def describe(self) -> str:
         return f"t={self.at:g}s degrade shard {self.shard} to {self.factor:g}x"
 
 
-#: Event-type registry for the JSON codec (mirrors the control/arrival
-#: registries in :mod:`repro.core.scenario`).
+#: Event-type registry for the JSON codec (keyed by each class's ``kind``).
 FAULT_EVENT_TYPES: Dict[str, type] = {
     "kill": KillShard,
     "restore": RestoreShard,
     "degrade": DegradeShard,
 }
+UNIONS[FaultEvent] = FAULT_EVENT_TYPES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,14 +108,9 @@ class FaultSpec:
     events: Tuple[FaultEvent, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        check_fields(self)
         if not self.events:
             raise ValueError("a FaultSpec needs at least one event")
-        for event in self.events:
-            if not isinstance(event, FaultEvent):
-                raise ValueError(
-                    f"fault events must be FaultEvent instances, got {event!r}"
-                )
 
     def max_shard(self) -> int:
         """Highest shard index any event touches."""
@@ -146,59 +123,6 @@ class FaultSpec:
     def event_fingerprints(self) -> Tuple[str, ...]:
         """Per-event digests (each event is individually addressable)."""
         return tuple(event.fingerprint() for event in self.events)
-
-
-# -- JSON codec ---------------------------------------------------------------
-
-
-def encode_fault_event(event: FaultEvent) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"type": event.kind}
-    for field in dataclasses.fields(event):
-        payload[field.name] = getattr(event, field.name)
-    return payload
-
-
-def decode_fault_event(payload: Any) -> FaultEvent:
-    if not isinstance(payload, dict):
-        raise ValueError(f"fault event must be an object, got {payload!r}")
-    data = dict(payload)
-    kind = data.pop("type", None)
-    cls = FAULT_EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown fault event type {kind!r}; "
-            f"available: {', '.join(sorted(FAULT_EVENT_TYPES))}"
-        )
-    known = {field.name for field in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"unknown keys for fault event {kind!r}: {sorted(unknown)!r}"
-        )
-    return cls(**data)
-
-
-def encode_fault_spec(spec: Optional[FaultSpec]) -> Optional[Dict[str, Any]]:
-    if spec is None:
-        return None
-    return {"events": [encode_fault_event(event) for event in spec.events]}
-
-
-def decode_fault_spec(payload: Any) -> Optional[FaultSpec]:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ValueError(f"faults must be an object, got {payload!r}")
-    unknown = set(payload) - {"events"}
-    if unknown:
-        raise ValueError(f"unknown keys for faults: {sorted(unknown)!r}")
-    events = payload.get("events")
-    if not isinstance(events, list):
-        raise ValueError(f"faults.events must be a list, got {events!r}")
-    return FaultSpec(events=tuple(decode_fault_event(event) for event in events))
-
-
-# -- execution ----------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)

@@ -43,10 +43,10 @@ aborted ones included) and goodput.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.spec_codec import check_fields, spec_field
 from repro.dbms.transaction import Priority, Transaction, TxStatus
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.random import derive_seed
@@ -79,15 +79,6 @@ BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
 
-def _is_number(value: Any) -> bool:
-    # bool is an int subclass; a fault time of True is a bug, not 1.0
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
 class ResilienceSpec:
     """The resilience axis: what the front end does when work goes bad.
@@ -108,155 +99,38 @@ class ResilienceSpec:
     health machine (see :class:`ShardBreaker`).
     """
 
-    deadline_s: Optional[float] = None
-    high_deadline_s: Optional[float] = None
-    max_attempts: int = 0
-    base_backoff_s: Optional[float] = None
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.0
-    queue_cap: Optional[int] = None
-    shed_policy: str = "reject_newest"
+    deadline_s: Optional[float] = spec_field(None, gt=0)
+    high_deadline_s: Optional[float] = spec_field(None, gt=0)
+    max_attempts: int = spec_field(0, ge=0)
+    base_backoff_s: Optional[float] = spec_field(None, ge=0)
+    backoff_multiplier: float = spec_field(2.0, ge=1)
+    jitter_fraction: float = spec_field(0.0, ge=0, le=1)
+    queue_cap: Optional[int] = spec_field(None, ge=1)
+    shed_policy: str = spec_field("reject_newest", choices=SHED_POLICIES)
     breaker_enabled: bool = False
-    breaker_window: int = 20
-    breaker_ewma_alpha: float = 0.2
-    breaker_timeout_threshold: float = 0.5
-    breaker_response_time_s: Optional[float] = None
-    breaker_open_s: float = 1.0
-    breaker_probes: int = 3
+    breaker_window: int = spec_field(20, ge=1)
+    breaker_ewma_alpha: float = spec_field(0.2, gt=0, le=1)
+    breaker_timeout_threshold: float = spec_field(0.5, gt=0, le=1)
+    breaker_response_time_s: Optional[float] = spec_field(None, gt=0)
+    breaker_open_s: float = spec_field(1.0, gt=0)
+    breaker_probes: int = spec_field(3, ge=1)
 
     def __post_init__(self) -> None:
-        errors = resilience_field_errors(
-            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        )
-        if errors:
-            lines = "; ".join(
-                f"{path.lstrip('/') or 'resilience'}: {message}"
-                for path, message in errors
+        check_fields(self)
+        # retries without an explicit backoff are almost always a
+        # mistake (an accidental synchronized retry storm); naming 0.0
+        # explicitly is how a scenario *asks* for the storm
+        if self.max_attempts > 0 and self.base_backoff_s is None:
+            raise ValueError(
+                "max_attempts > 0 needs an explicit finite base_backoff_s "
+                "(say 0.0 to retry immediately)"
             )
-            raise ValueError(f"bad resilience spec: {lines}")
 
     def deadline_for(self, priority: int) -> Optional[float]:
         """The admission-to-completion budget for one priority class."""
         if priority == Priority.HIGH and self.high_deadline_s is not None:
             return self.high_deadline_s
         return self.deadline_s
-
-
-def resilience_field_errors(payload: Any) -> List[Tuple[str, str]]:
-    """Every problem in a resilience payload, as ``(path, message)`` pairs.
-
-    Paths are JSON-pointer fragments relative to the resilience object
-    (``/max_attempts``); cross-field problems report at the root
-    (``""``).  :meth:`ScenarioSpec.validate` prefixes ``/resilience``.
-    Fields absent from the payload are checked at their defaults, so
-    the same walk serves JSON payloads and constructed specs alike.
-    """
-    if not isinstance(payload, dict):
-        return [("", f"must be an object, got {payload!r}")]
-    errors: List[Tuple[str, str]] = []
-    known = {f.name for f in dataclasses.fields(ResilienceSpec)}
-    for key in sorted(set(payload) - known):
-        errors.append((f"/{key}", "unknown field"))
-    values = {
-        f.name: payload.get(f.name, f.default)
-        for f in dataclasses.fields(ResilienceSpec)
-    }
-
-    def number(name: str, *, optional: bool = False, minimum: float = 0.0,
-               exclusive: bool = False, maximum: Optional[float] = None) -> None:
-        value = values[name]
-        if value is None:
-            if not optional:
-                errors.append((f"/{name}", "must be a number, got None"))
-            return
-        if not _is_number(value) or not math.isfinite(value):
-            errors.append(
-                (f"/{name}", f"must be a finite number, got {value!r}")
-            )
-            return
-        if exclusive and value <= minimum:
-            errors.append((f"/{name}", f"must be > {minimum:g}, got {value!r}"))
-        elif not exclusive and value < minimum:
-            errors.append((f"/{name}", f"must be >= {minimum:g}, got {value!r}"))
-        elif maximum is not None and value > maximum:
-            errors.append((f"/{name}", f"must be <= {maximum:g}, got {value!r}"))
-
-    def integer(name: str, *, optional: bool = False, minimum: int = 0) -> None:
-        value = values[name]
-        if value is None:
-            if not optional:
-                errors.append((f"/{name}", "must be an integer, got None"))
-            return
-        if not _is_int(value):
-            errors.append((f"/{name}", f"must be an integer, got {value!r}"))
-        elif value < minimum:
-            errors.append((f"/{name}", f"must be >= {minimum}, got {value!r}"))
-
-    number("deadline_s", optional=True, exclusive=True)
-    number("high_deadline_s", optional=True, exclusive=True)
-    integer("max_attempts")
-    number("base_backoff_s", optional=True)
-    number("backoff_multiplier", minimum=1.0)
-    number("jitter_fraction", maximum=1.0)
-    integer("queue_cap", optional=True, minimum=1)
-    if values["shed_policy"] not in SHED_POLICIES:
-        errors.append((
-            "/shed_policy",
-            f"unknown shed policy {values['shed_policy']!r}; "
-            f"available: {', '.join(SHED_POLICIES)}",
-        ))
-    if not isinstance(values["breaker_enabled"], bool):
-        errors.append((
-            "/breaker_enabled",
-            f"must be a boolean, got {values['breaker_enabled']!r}",
-        ))
-    integer("breaker_window", minimum=1)
-    number("breaker_ewma_alpha", exclusive=True, maximum=1.0)
-    number("breaker_timeout_threshold", exclusive=True, maximum=1.0)
-    number("breaker_response_time_s", optional=True, exclusive=True)
-    number("breaker_open_s", exclusive=True)
-    integer("breaker_probes", minimum=1)
-
-    # cross-field: retries without an explicit backoff are almost always
-    # a mistake (an accidental synchronized retry storm); naming 0.0
-    # explicitly is how a scenario *asks* for the storm
-    if (
-        _is_int(values["max_attempts"])
-        and values["max_attempts"] > 0
-        and values["base_backoff_s"] is None
-    ):
-        errors.append((
-            "",
-            "max_attempts > 0 needs an explicit finite base_backoff_s "
-            "(say 0.0 to retry immediately)",
-        ))
-    return errors
-
-
-def encode_resilience_spec(
-    spec: Optional[ResilienceSpec],
-) -> Optional[Dict[str, Any]]:
-    """JSON encoding of a resilience spec (None stays None)."""
-    if spec is None:
-        return None
-    return {
-        field.name: getattr(spec, field.name)
-        for field in dataclasses.fields(spec)
-    }
-
-
-def decode_resilience_spec(payload: Any) -> Optional[ResilienceSpec]:
-    """Strict decode: unknown keys and bad values raise ``ValueError``."""
-    if payload is None:
-        return None
-    errors = resilience_field_errors(payload)
-    if errors:
-        lines = "; ".join(
-            f"{path.lstrip('/') or 'resilience'}: {message}"
-            for path, message in errors
-        )
-        raise ValueError(f"bad resilience payload: {lines}")
-    return ResilienceSpec(**payload)
 
 
 class ShardBreaker:
@@ -445,17 +319,12 @@ class ResilienceRuntime:
         self.admitted += 1
         self._bump("admitted", tx.priority)
         self._admit(st)
-        return st.outer if st.outer is not None else self._spent_event(tx)
-
-    def _spent_event(self, tx: Transaction) -> Event:
+        if st.outer is not None:
+            return st.outer
         # the tx was disposed synchronously during admission (e.g. shed
         # with no retries left); hand back an already-fired event so a
         # closed-loop client proceeds without blocking
-        done = self.sim.event()
-        done._triggered = True
-        done._value = tx
-        self._fire(done)
-        return done
+        return self.sim.fired(tx)
 
     # -- admission / retry ---------------------------------------------------
 

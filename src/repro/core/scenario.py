@@ -35,7 +35,9 @@ plus a :class:`MeasurementSpec` (transactions, warmup, metric set —
 including the v2 ``timeline`` family that buckets throughput/p95 over
 simulated time for failover plots).
 Scenarios are pure data: frozen dataclasses that JSON round-trip
-(:meth:`ScenarioSpec.to_json_dict` / :meth:`ScenarioSpec.from_json_dict`),
+(:meth:`ScenarioSpec.to_json_dict` / :meth:`ScenarioSpec.from_json_dict`,
+both the annotation-driven walk of :mod:`repro.core.spec_codec`, which
+also checks every field's type and declared rules at construction),
 pickle into worker processes, and content-hash into the parallel
 runner's cache key.
 
@@ -52,17 +54,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core import spec_codec
 from repro.core.arrivals import (
     ArrivalSpec,
     ClosedArrivals,
     ModulatedArrivals,
     OpenArrivals,
-    PartlyOpenArrivals,
-    PiecewiseRate,
-    RateFunction,
     SinusoidRate,
     TraceArrivals,
 )
@@ -90,29 +89,11 @@ from repro.core.controller import (
     Thresholds,
     check_loop_ranges,
 )
-from repro.core.distributed import (
-    DistributedSpec,
-    TwoPhaseCoordinator,
-    decode_distributed_spec,
-    distributed_field_errors,
-    encode_distributed_spec,
-)
-from repro.core.faults import (
-    FaultInjector,
-    FaultSpec,
-    KillShard,
-    RestoreShard,
-    decode_fault_event,
-    decode_fault_spec,
-    encode_fault_spec,
-)
-from repro.core.resilience import (
-    ResilienceRuntime,
-    ResilienceSpec,
-    decode_resilience_spec,
-    encode_resilience_spec,
-    resilience_field_errors,
-)
+from repro.core.distributed import DistributedSpec, TwoPhaseCoordinator
+from repro.core.faults import FaultInjector, FaultSpec, KillShard, RestoreShard
+from repro.core.policies import make_policy
+from repro.core.resilience import ResilienceRuntime, ResilienceSpec
+from repro.core.spec_codec import ScenarioValidationError, check_fields, spec_field
 from repro.core.system import (
     MeasuredSystem,
     RunResult,
@@ -129,6 +110,7 @@ from repro.dbms.config import (
 )
 from repro.metrics import stats
 from repro.sim.station import ROUTING_POLICIES
+from repro.workloads.setups import SETUPS
 
 #: Seed shared by every figure unless the paper's text says otherwise
 #: (the historical home of this constant is
@@ -152,28 +134,6 @@ def component_fingerprint(spec: Any) -> str:
     return content_digest(canonical_jsonable(spec), {})
 
 
-class ScenarioValidationError(ValueError):
-    """Every problem found in a scenario payload, reported at once.
-
-    ``errors`` is a list of ``(path, message)`` pairs with
-    JSON-pointer-style paths (``/topology``, ``/faults/events/2``) so
-    callers — the CLI in particular — can print one line per problem
-    instead of failing on the first bad key.  Produced by
-    :meth:`ScenarioSpec.validate`.
-    """
-
-    def __init__(self, errors: Sequence[Tuple[str, str]]):
-        self.errors: List[Tuple[str, str]] = [
-            (str(path), str(message)) for path, message in errors
-        ]
-        lines = "\n".join(
-            f"  {path or '/'}: {message}" for path, message in self.errors
-        )
-        super().__init__(
-            f"{len(self.errors)} scenario problem(s):\n{lines}"
-        )
-
-
 # -- the axes ------------------------------------------------------------------
 
 
@@ -188,12 +148,15 @@ class WorkloadRef:
     one-CPU machine.
     """
 
-    setup_id: Optional[int] = 1
+    setup_id: Optional[int] = spec_field(
+        1, choices=tuple(setup.setup_id for setup in SETUPS)
+    )
     trace: Optional[str] = None
     trace_transactions: Optional[int] = None
     trace_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if (self.setup_id is None) == (self.trace is None):
             raise ValueError(
                 "specify exactly one of setup_id / trace, got "
@@ -225,12 +188,13 @@ class TopologySpec:
     ``election_timeout_s`` of simulated time after a primary dies.
     """
 
-    shards: int = 1
-    routing: str = "round_robin"
-    routing_weights: Optional[Tuple[float, ...]] = None
-    replicas_per_shard: int = 0
-    read_fanout: str = "round_robin"
-    election_timeout_s: float = 0.5
+    shards: int = spec_field(1, ge=1)
+    routing: str = spec_field("round_robin", choices=ROUTING_POLICIES)
+    #: One positive weight per shard (``weighted`` routing).
+    routing_weights: Optional[Tuple[float, ...]] = spec_field(None, gt=0)
+    replicas_per_shard: int = spec_field(0, ge=0)
+    read_fanout: str = spec_field("round_robin", choices=READ_FANOUT_POLICIES)
+    election_timeout_s: float = spec_field(0.5, ge=0)
 
     #: v2 fields omitted from the canonical encoding at their defaults,
     #: so every v1 topology keeps its exact component digest.
@@ -239,39 +203,14 @@ class TopologySpec:
     )
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards!r}")
-        if self.routing not in ROUTING_POLICIES:
+        check_fields(self)
+        if (
+            self.routing_weights is not None
+            and len(self.routing_weights) != self.shards
+        ):
             raise ValueError(
-                f"unknown routing policy {self.routing!r}; "
-                f"available: {', '.join(ROUTING_POLICIES)}"
-            )
-        if self.routing_weights is not None:
-            if len(self.routing_weights) != self.shards:
-                raise ValueError(
-                    f"need {self.shards} routing weights, "
-                    f"got {len(self.routing_weights)}"
-                )
-            if any(not math.isfinite(w) for w in self.routing_weights):
-                raise ValueError(
-                    f"routing weights must be finite, got {self.routing_weights!r}"
-                )
-            if any(w <= 0 for w in self.routing_weights):
-                raise ValueError(
-                    f"routing weights must be positive, got {self.routing_weights!r}"
-                )
-        if self.replicas_per_shard < 0:
-            raise ValueError(
-                f"replicas_per_shard must be >= 0, got {self.replicas_per_shard!r}"
-            )
-        if self.read_fanout not in READ_FANOUT_POLICIES:
-            raise ValueError(
-                f"unknown read fan-out {self.read_fanout!r}; "
-                f"available: {', '.join(READ_FANOUT_POLICIES)}"
-            )
-        if self.election_timeout_s < 0:
-            raise ValueError(
-                f"election_timeout_s must be >= 0, got {self.election_timeout_s!r}"
+                f"need {self.shards} routing weights, "
+                f"got {len(self.routing_weights)}"
             )
 
 
@@ -279,36 +218,19 @@ class TopologySpec:
 class MeasurementSpec:
     """How the run is measured: sample size, warmup, metric families."""
 
-    transactions: int = 1500
-    warmup_fraction: float = 0.2
-    metrics: Tuple[str, ...] = ("standard",)
+    transactions: int = spec_field(1500, ge=1)
+    warmup_fraction: float = spec_field(0.2, ge=0, lt=1)
+    metrics: Tuple[str, ...] = spec_field(("standard",), choices=METRIC_SETS)
     #: Bucket width (simulated seconds) for the ``timeline`` metric set.
-    timeline_bucket_s: float = 1.0
+    timeline_bucket_s: float = spec_field(1.0, gt=0)
 
     #: v2 field omitted from the canonical encoding at its default.
     FINGERPRINT_OMIT_DEFAULTS = frozenset({"timeline_bucket_s"})
 
     def __post_init__(self) -> None:
-        if self.transactions < 1:
-            raise ValueError(
-                f"transactions must be >= 1, got {self.transactions!r}"
-            )
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}"
-            )
-        if not self.metrics or "standard" not in self.metrics:
+        check_fields(self)
+        if "standard" not in self.metrics:
             raise ValueError("the metric set must include 'standard'")
-        unknown = set(self.metrics) - set(METRIC_SETS)
-        if unknown:
-            raise ValueError(
-                f"unknown metric sets {sorted(unknown)!r}; "
-                f"available: {', '.join(METRIC_SETS)}"
-            )
-        if self.timeline_bucket_s <= 0:
-            raise ValueError(
-                f"timeline_bucket_s must be positive, got {self.timeline_bucket_s!r}"
-            )
 
 
 class ControlSpec:
@@ -318,6 +240,10 @@ class ControlSpec:
     controller (``apply``) — figure code never constructs controllers
     directly anymore.
     """
+
+    #: Every spec checks its fields' types and rules on construction;
+    #: an override with rules of its own calls ``check_fields`` first.
+    __post_init__ = check_fields
 
     def config_mpl(self) -> Optional[int]:
         """The MPL the system is built with (before any control loop)."""
@@ -334,11 +260,7 @@ class ControlSpec:
 class StaticMpl(ControlSpec):
     """A fixed MPL (None = unlimited, the paper's baseline system)."""
 
-    mpl: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mpl is not None and self.mpl < 1:
-            raise ValueError(f"mpl must be >= 1 or None, got {self.mpl!r}")
+    mpl: Optional[int] = spec_field(None, ge=1)
 
     def config_mpl(self) -> Optional[int]:
         return self.mpl
@@ -373,20 +295,16 @@ class FeedbackMpl(ControlSpec):
     window: int = 100
     step: int = 1
     adaptive: bool = True
-    baseline_transactions: int = 1000
+    baseline_transactions: int = spec_field(1000, ge=2)
     #: Pre-measured no-MPL reference (both set, or both None).
     baseline_throughput: Optional[float] = None
     baseline_response_time: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         # delegate range validation to the shared Thresholds rules
         self.thresholds()
         check_loop_ranges(self.initial_mpl, self.window, self.step)
-        if self.baseline_transactions < 2:
-            raise ValueError(
-                "baseline_transactions must be >= 2, got "
-                f"{self.baseline_transactions!r}"
-            )
         if (self.baseline_throughput is None) != (
             self.baseline_response_time is None
         ):
@@ -479,7 +397,7 @@ class _SloControl(ControlSpec):
     overrides ``initial_mpl``, ``step`` and ``max_mpl``.
     """
 
-    high_p95_target_s: float = 0.5
+    high_p95_target_s: float = spec_field(0.5, gt=0)
     initial_mpl: int = 8
     window: int = 150
     step: int = 1
@@ -487,10 +405,7 @@ class _SloControl(ControlSpec):
     max_iterations: int = 30
 
     def __post_init__(self) -> None:
-        if self.high_p95_target_s <= 0:
-            raise ValueError(
-                f"high_p95_target_s must be positive, got {self.high_p95_target_s!r}"
-            )
+        check_fields(self)
         check_loop_ranges(
             self.initial_mpl, self.window, self.step, self.max_mpl, self.max_iterations
         )
@@ -537,31 +452,20 @@ class ElasticMpl(ControlSpec):
     swings, or a fault timeline — clustered topologies only.
     """
 
-    mpl: int = 16
-    interval_s: float = 2.0
+    mpl: int = spec_field(16, ge=1)
+    interval_s: float = spec_field(2.0, gt=0)
     high_watermark: float = 0.85
     low_watermark: float = 0.25
-    min_shards: int = 1
-    max_ticks: int = 1000
+    min_shards: int = spec_field(1, ge=1)
+    max_ticks: int = spec_field(1000, ge=1)
 
     def __post_init__(self) -> None:
-        if self.mpl < 1:
-            raise ValueError(f"mpl must be >= 1, got {self.mpl!r}")
-        if self.interval_s <= 0:
-            raise ValueError(
-                f"interval_s must be positive, got {self.interval_s!r}"
-            )
+        check_fields(self)
         if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
             raise ValueError(
                 "need 0 <= low_watermark < high_watermark <= 1, got "
                 f"{self.low_watermark!r} / {self.high_watermark!r}"
             )
-        if self.min_shards < 1:
-            raise ValueError(
-                f"min_shards must be >= 1, got {self.min_shards!r}"
-            )
-        if self.max_ticks < 1:
-            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks!r}")
 
     def config_mpl(self) -> Optional[int]:
         return self.mpl
@@ -654,10 +558,11 @@ class ScenarioSpec:
     topology: TopologySpec = TopologySpec()
     control: ControlSpec = StaticMpl()
     measurement: MeasurementSpec = MeasurementSpec()
-    policy: str = "fifo"
+    #: External queue policy, by any name :func:`make_policy` accepts.
+    policy: str = spec_field("fifo", valid=make_policy)
     internal: Optional[InternalPolicy] = None
-    high_priority_fraction: float = 0.0
-    arrival_rate: Optional[float] = None
+    high_priority_fraction: float = spec_field(0.0, ge=0, le=1)
+    arrival_rate: Optional[float] = spec_field(None, gt=0)
     seed: int = DEFAULT_SEED
     #: Free-form label carried into artifacts (never hashed).
     tag: str = ""
@@ -671,32 +576,10 @@ class ScenarioSpec:
     distributed: Optional[DistributedSpec] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workload, WorkloadRef):
-            raise ValueError(f"workload must be a WorkloadRef, got {self.workload!r}")
-        if not isinstance(self.topology, TopologySpec):
-            raise ValueError(f"topology must be a TopologySpec, got {self.topology!r}")
-        if not isinstance(self.control, ControlSpec):
-            raise ValueError(f"control must be a ControlSpec, got {self.control!r}")
-        if not isinstance(self.measurement, MeasurementSpec):
-            raise ValueError(
-                f"measurement must be a MeasurementSpec, got {self.measurement!r}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise ValueError(f"faults must be a FaultSpec, got {self.faults!r}")
-        if self.resilience is not None and not isinstance(
-            self.resilience, ResilienceSpec
-        ):
-            raise ValueError(
-                f"resilience must be a ResilienceSpec, got {self.resilience!r}"
-            )
+        check_fields(self)
         if self.arrival is not None and self.arrival_rate is not None:
             raise ValueError(
                 "specify either an arrival spec or the legacy arrival_rate, not both"
-            )
-        if not 0.0 <= self.high_priority_fraction <= 1.0:
-            raise ValueError(
-                "high_priority_fraction must be in [0, 1], got "
-                f"{self.high_priority_fraction!r}"
             )
         if (
             isinstance(self.control, FeedbackMpl)
@@ -708,10 +591,6 @@ class ScenarioSpec:
                 "initial_mpl (the queueing-model jump-start is single-engine)"
             )
         if self.distributed is not None:
-            if not isinstance(self.distributed, DistributedSpec):
-                raise ValueError(
-                    f"distributed must be a DistributedSpec, got {self.distributed!r}"
-                )
             if self.topology.shards < 2:
                 raise ValueError(
                     "distributed transactions need a sharded topology "
@@ -920,158 +799,28 @@ class ScenarioSpec:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """A JSON round-trip encoding (see :meth:`from_json_dict`)."""
-        return {
-            "workload": _encode_flat(self.workload),
-            "arrival": _encode_arrival(self.arrival),
-            "topology": _encode_flat(self.topology),
-            "control": _encode_control(self.control),
-            "measurement": _encode_flat(self.measurement),
-            "policy": self.policy,
-            "internal": _encode_internal(self.internal),
-            "high_priority_fraction": self.high_priority_fraction,
-            "arrival_rate": self.arrival_rate,
-            "seed": self.seed,
-            "tag": self.tag,
-            "faults": encode_fault_spec(self.faults),
-            "resilience": encode_resilience_spec(self.resilience),
-            "distributed": encode_distributed_spec(self.distributed),
-        }
+        return spec_codec.encode(self, ScenarioSpec)
 
     @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a scenario from :meth:`to_json_dict` output.
+    def from_json_dict(cls, payload: Any) -> "ScenarioSpec":
+        """Rebuild a scenario from JSON data, collecting *every* problem.
 
-        Strict: unknown keys raise, so a typo'd field fails loudly
-        instead of silently running the default scenario.
+        Strict: unknown keys, values of the wrong type, non-finite
+        numbers and broken field rules all raise, so a typo'd field
+        fails loudly instead of silently running the default scenario.
+        One :class:`ScenarioValidationError` carries a
+        ``(json-pointer-path, message)`` pair per problem; rules that
+        span several fields report at their object's path (``""`` for
+        the scenario itself).
         """
-        if not isinstance(payload, dict):
-            raise ValueError(f"scenario payload must be an object, got {payload!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        data: Dict[str, Any] = {}
-        if "workload" in payload:
-            data["workload"] = _decode_flat(payload["workload"], WorkloadRef)
-        if "arrival" in payload:
-            data["arrival"] = _decode_arrival(payload["arrival"])
-        if "topology" in payload:
-            data["topology"] = _decode_flat(
-                payload["topology"], TopologySpec, tuples={"routing_weights"}
-            )
-        if "control" in payload:
-            data["control"] = _decode_control(payload["control"])
-        if "measurement" in payload:
-            data["measurement"] = _decode_flat(
-                payload["measurement"], MeasurementSpec, tuples={"metrics"}
-            )
-        if "internal" in payload:
-            data["internal"] = _decode_internal(payload["internal"])
-        if "faults" in payload:
-            data["faults"] = decode_fault_spec(payload["faults"])
-        if "resilience" in payload:
-            data["resilience"] = decode_resilience_spec(payload["resilience"])
-        if "distributed" in payload:
-            data["distributed"] = decode_distributed_spec(payload["distributed"])
-        for name in ("policy", "high_priority_fraction", "arrival_rate", "seed", "tag"):
-            if name in payload:
-                data[name] = payload[name]
-        return cls(**data)
+        problems: List[Tuple[str, str]] = []
+        spec = spec_codec.decode(payload, cls, "", problems)
+        if problems:
+            raise ScenarioValidationError(problems)
+        return spec
 
-    @classmethod
-    def validate(cls, payload: Any) -> "ScenarioSpec":
-        """Decode ``payload``, collecting *every* problem before raising.
-
-        :meth:`from_json_dict` is strict but fails on the first bad
-        key; this walks the whole payload, decoding each axis
-        independently, and raises one :class:`ScenarioValidationError`
-        carrying ``(json-pointer-path, message)`` pairs for all of
-        them.  Returns the decoded spec when the payload is clean.
-        """
-        if not isinstance(payload, dict):
-            raise ScenarioValidationError(
-                [("", f"scenario payload must be an object, got {payload!r}")]
-            )
-        errors: List[Tuple[str, str]] = []
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in sorted(set(payload) - known):
-            errors.append((f"/{key}", "unknown scenario field"))
-        data: Dict[str, Any] = {}
-        decoders = (
-            ("workload", lambda v: _decode_flat(v, WorkloadRef)),
-            ("arrival", _decode_arrival),
-            ("topology", lambda v: _decode_flat(
-                v, TopologySpec, tuples={"routing_weights"}
-            )),
-            ("control", _decode_control),
-            ("measurement", lambda v: _decode_flat(
-                v, MeasurementSpec, tuples={"metrics"}
-            )),
-            ("internal", _decode_internal),
-        )
-        for name, decode in decoders:
-            if name in payload:
-                try:
-                    data[name] = decode(payload[name])
-                except (ValueError, TypeError) as exc:
-                    errors.append((f"/{name}", str(exc)))
-        if payload.get("faults") is not None:
-            errors_before = len(errors)
-            faults_payload = payload["faults"]
-            if not isinstance(faults_payload, dict):
-                errors.append(
-                    ("/faults", f"must be an object, got {faults_payload!r}")
-                )
-            else:
-                for key in sorted(set(faults_payload) - {"events"}):
-                    errors.append((f"/faults/{key}", "unknown field"))
-                events = faults_payload.get("events")
-                if not isinstance(events, list):
-                    errors.append(
-                        ("/faults/events", f"must be a list, got {events!r}")
-                    )
-                else:
-                    decoded = []
-                    for index, event in enumerate(events):
-                        try:
-                            decoded.append(decode_fault_event(event))
-                        except (ValueError, TypeError) as exc:
-                            errors.append((f"/faults/events/{index}", str(exc)))
-                    if len(errors) == errors_before:
-                        try:
-                            data["faults"] = FaultSpec(events=tuple(decoded))
-                        except ValueError as exc:
-                            errors.append(("/faults", str(exc)))
-        if payload.get("resilience") is not None:
-            resilience_payload = payload["resilience"]
-            field_errors = resilience_field_errors(resilience_payload)
-            if field_errors:
-                errors.extend(
-                    (f"/resilience{path}", message)
-                    for path, message in field_errors
-                )
-            else:
-                data["resilience"] = ResilienceSpec(**resilience_payload)
-        if payload.get("distributed") is not None:
-            distributed_payload = payload["distributed"]
-            field_errors = distributed_field_errors(distributed_payload)
-            if field_errors:
-                errors.extend(
-                    (f"/distributed{path}", message)
-                    for path, message in field_errors
-                )
-            else:
-                data["distributed"] = DistributedSpec(**distributed_payload)
-        for name in ("policy", "high_priority_fraction", "arrival_rate", "seed", "tag"):
-            if name in payload:
-                data[name] = payload[name]
-        if not errors:
-            try:
-                return cls(**data)
-            except (ValueError, TypeError) as exc:
-                # cross-field rules (axis combinations) surface at the root
-                errors.append(("", str(exc)))
-        raise ScenarioValidationError(errors)
+    #: The same decoder under its former name (``perfbench`` calls it).
+    validate = from_json_dict
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -1083,20 +832,7 @@ class ScenarioSpec:
 
 # -- JSON codec ----------------------------------------------------------------
 
-_ARRIVAL_TYPES: Dict[str, type] = {
-    "closed": ClosedArrivals,
-    "open": OpenArrivals,
-    "partly_open": PartlyOpenArrivals,
-    "modulated": ModulatedArrivals,
-    "trace": TraceArrivals,
-}
-
-_RATE_TYPES: Dict[str, type] = {
-    "piecewise": PiecewiseRate,
-    "sinusoid": SinusoidRate,
-}
-
-_CONTROL_TYPES: Dict[str, type] = {
+spec_codec.UNIONS[ControlSpec] = {
     "static": StaticMpl,
     "feedback": FeedbackMpl,
     "per_class_slo": PerClassSlo,
@@ -1105,113 +841,7 @@ _CONTROL_TYPES: Dict[str, type] = {
 }
 
 
-def _type_name(registry: Dict[str, type], obj: Any) -> str:
-    for name, cls in registry.items():
-        if type(obj) is cls:
-            return name
-    raise ValueError(f"cannot encode {type(obj).__name__}: not a registered spec")
-
-
-def _encode_flat(obj: Any) -> Dict[str, Any]:
-    """Flat dataclass → plain dict (tuples become lists via json later)."""
-    out = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        out[field.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _decode_flat(
-    payload: Any, cls: type, tuples: Sequence[str] = ()
-) -> Any:
-    if not isinstance(payload, dict):
-        raise ValueError(f"{cls.__name__} payload must be an object, got {payload!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    data = dict(payload)
-    for name in tuples:
-        if data.get(name) is not None:
-            data[name] = tuple(data[name])
-    return cls(**data)
-
-
-def _encode_arrival(spec: Optional[ArrivalSpec]) -> Optional[Dict[str, Any]]:
-    if spec is None:
-        return None
-    name = _type_name(_ARRIVAL_TYPES, spec)
-    if isinstance(spec, ModulatedArrivals):
-        return {"type": name, "rate_function": _encode_rate(spec.rate_function)}
-    payload = {"type": name, **_encode_flat(spec)}
-    # the trace digest is derived from the named trace, not an input
-    payload.pop("digest", None)
-    return payload
-
-
-def _decode_arrival(payload: Optional[Dict[str, Any]]) -> Optional[ArrivalSpec]:
-    if payload is None:
-        return None
-    data = dict(payload) if isinstance(payload, dict) else None
-    if not data or "type" not in data:
-        raise ValueError(f"arrival payload needs a 'type', got {payload!r}")
-    name = data.pop("type")
-    cls = _ARRIVAL_TYPES.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown arrival type {name!r}; "
-            f"available: {', '.join(sorted(_ARRIVAL_TYPES))}"
-        )
-    if cls is ModulatedArrivals:
-        return ModulatedArrivals(_decode_rate(data.pop("rate_function", None)))
-    return _decode_flat(data, cls)
-
-
-def _encode_rate(rate: RateFunction) -> Dict[str, Any]:
-    name = _type_name(_RATE_TYPES, rate)
-    payload = {"type": name, **_encode_flat(rate)}
-    if isinstance(rate, PiecewiseRate):
-        payload["points"] = [list(point) for point in rate.points]
-    return payload
-
-
-def _decode_rate(payload: Optional[Dict[str, Any]]) -> RateFunction:
-    data = dict(payload) if isinstance(payload, dict) else None
-    if not data or "type" not in data:
-        raise ValueError(f"rate_function payload needs a 'type', got {payload!r}")
-    name = data.pop("type")
-    cls = _RATE_TYPES.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown rate function {name!r}; "
-            f"available: {', '.join(sorted(_RATE_TYPES))}"
-        )
-    if cls is PiecewiseRate and data.get("points") is not None:
-        data["points"] = tuple(tuple(point) for point in data["points"])
-    return _decode_flat(data, cls)
-
-
-def _encode_control(spec: ControlSpec) -> Dict[str, Any]:
-    return {"type": _type_name(_CONTROL_TYPES, spec), **_encode_flat(spec)}
-
-
-def _decode_control(payload: Any) -> ControlSpec:
-    data = dict(payload) if isinstance(payload, dict) else None
-    if not data or "type" not in data:
-        raise ValueError(f"control payload needs a 'type', got {payload!r}")
-    name = data.pop("type")
-    cls = _CONTROL_TYPES.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown control type {name!r}; "
-            f"available: {', '.join(sorted(_CONTROL_TYPES))}"
-        )
-    return _decode_flat(data, cls)
-
-
-def _encode_internal(policy: Optional[InternalPolicy]) -> Optional[Dict[str, Any]]:
-    if policy is None:
-        return None
+def _encode_internal(policy: InternalPolicy) -> Dict[str, Any]:
     weights = policy.cpu_weights
     return {
         "lock_scheduling": policy.lock_scheduling.value,
@@ -1221,21 +851,25 @@ def _encode_internal(policy: Optional[InternalPolicy]) -> Optional[Dict[str, Any
     }
 
 
-def _decode_internal(payload: Optional[Dict[str, Any]]) -> Optional[InternalPolicy]:
-    if payload is None:
-        return None
+def _decode_internal(payload: Any) -> InternalPolicy:
     if not isinstance(payload, dict):
         raise ValueError(f"internal payload must be an object, got {payload!r}")
     unknown = set(payload) - {"lock_scheduling", "cpu_weights"}
     if unknown:
         raise ValueError(f"unknown internal-policy fields: {sorted(unknown)}")
     weights = payload.get("cpu_weights")
+    if weights is not None and not isinstance(weights, dict):
+        raise ValueError(f"cpu_weights must be an object, got {weights!r}")
     return InternalPolicy(
         lock_scheduling=LockSchedulingPolicy(payload.get("lock_scheduling", "fifo")),
         cpu_weights=(
             {int(k): float(v) for k, v in weights.items()} if weights else None
         ),
     )
+
+
+#: An enum plus an int-keyed weight map: the one hand-written codec.
+spec_codec.HOOKS[InternalPolicy] = (_encode_internal, _decode_internal)
 
 
 def _report_jsonable(report: Optional[ControlReport]) -> Optional[Dict[str, Any]]:

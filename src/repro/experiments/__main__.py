@@ -25,9 +25,11 @@ The ``scenario`` subcommand is the JSON face of the Scenario API
 (:mod:`repro.core.scenario`): ``show`` prints the canonical JSON of a
 spec file, a figure grid, or a named demo; ``fingerprint`` prints
 content digests (the runner's cache keys); ``run`` executes scenarios
-end to end — controller included — and emits outcome JSON.  ``show``
-output feeds back into ``fingerprint``/``run`` unchanged, which is the
-round-trip CI pins.
+end to end — controller included — and emits outcome JSON.  A spec
+file goes through :meth:`~repro.core.scenario.ScenarioSpec.from_json_dict`,
+which checks every field and lists every problem before anything runs
+(exit 2).  ``show`` output feeds back into ``fingerprint``/``run``
+unchanged, which is the round-trip CI pins for every grid and demo.
 """
 
 from __future__ import annotations
@@ -309,11 +311,11 @@ def _load_scenarios(args: argparse.Namespace) -> "tuple[List[ScenarioSpec], bool
     else:
         with open(args.file, encoding="utf-8") as handle:
             payload = json.load(handle)
-    # file payloads are untrusted: validate() collects *every* problem
-    # (with JSON-pointer paths) instead of failing on the first bad key
+    # file payloads are untrusted: the decoder checks every field's type
+    # and rules and reports *every* problem (with JSON-pointer paths)
     if isinstance(payload, list):
-        return [ScenarioSpec.validate(entry) for entry in payload], False
-    return [ScenarioSpec.validate(payload)], True
+        return [ScenarioSpec.from_json_dict(entry) for entry in payload], False
+    return [ScenarioSpec.from_json_dict(payload)], True
 
 
 def scenario_main(argv: List[str]) -> int:

@@ -18,8 +18,9 @@ hand-writing grids.  The pieces:
   is deterministic: same seed ⇒ same scenario sequence, fingerprint
   for fingerprint (the determinism test pins this).
 * An **oracle library** (:data:`ORACLES`) run against every sampled
-  scenario at small transaction counts: codec round-trip,
-  ``validate()`` acceptance, transaction conservation (per-shard
+  scenario at small transaction counts: codec round-trip (the one
+  collecting decoder must accept the spec and rebuild it, fingerprint
+  included), transaction conservation (per-shard
   re-route transfer accounting included), exactly-once disposition
   under the resilience gate (every admission is completed, timed out,
   shed, or in flight — never two, never none), bit-identical replay,
@@ -611,10 +612,14 @@ class OracleContext:
 
 
 def oracle_codec_roundtrip(ctx: OracleContext) -> None:
-    """to_json_dict → from_json_dict must reproduce spec and fingerprint."""
+    """to_json_dict → from_json_dict must accept the spec and reproduce
+    it, fingerprint included."""
     spec = ctx.spec
     payload = json.loads(json.dumps(spec.to_json_dict()))
-    decoded = ScenarioSpec.from_json_dict(payload)
+    try:
+        decoded = ScenarioSpec.from_json_dict(payload)
+    except ScenarioValidationError as exc:
+        raise OracleFailure(f"the decoder rejected a generated spec: {exc}")
     if decoded != spec:
         raise OracleFailure("decoded spec differs from the original")
     if decoded.fingerprint() != spec.fingerprint():
@@ -622,16 +627,6 @@ def oracle_codec_roundtrip(ctx: OracleContext) -> None:
             f"fingerprint changed across the codec round-trip: "
             f"{spec.fingerprint()} -> {decoded.fingerprint()}"
         )
-
-
-def oracle_validate_accepts(ctx: OracleContext) -> None:
-    """validate() must accept everything the generator emits."""
-    try:
-        decoded = ScenarioSpec.validate(ctx.spec.to_json_dict())
-    except ScenarioValidationError as exc:
-        raise OracleFailure(f"validate() rejected a generated spec: {exc}")
-    if decoded.fingerprint() != ctx.spec.fingerprint():
-        raise OracleFailure("validate() decoded to a different fingerprint")
 
 
 def oracle_conservation(ctx: OracleContext) -> None:
@@ -840,7 +835,6 @@ def oracle_jobs_invariance(ctx: OracleContext) -> None:
 #: execution-dependent ones after (they see ``ctx.system``/``ctx.outcome``).
 ORACLES: Dict[str, Callable[[OracleContext], None]] = {
     "codec-roundtrip": oracle_codec_roundtrip,
-    "validate-accepts": oracle_validate_accepts,
     "conservation": oracle_conservation,
     "mpl-sanity": oracle_mpl_sanity,
     "disposition": oracle_disposition,
@@ -850,7 +844,7 @@ ORACLES: Dict[str, Callable[[OracleContext], None]] = {
 }
 
 #: Oracles that can run without executing the scenario.
-_STRUCTURAL = ("codec-roundtrip", "validate-accepts")
+_STRUCTURAL = ("codec-roundtrip",)
 
 
 def check_scenario(
@@ -1055,8 +1049,9 @@ def write_reproducer(
     The entry's ``expect`` is ``"ok"``: once the underlying bug is
     fixed, replaying the spec must pass every oracle (that is the
     regression contract CI enforces).  Hand-written entries may instead
-    say ``"validation_error"`` for payloads a fixed ``validate()``
-    must reject.
+    say ``"validation_error"`` for payloads the fixed decoder
+    (:meth:`~repro.core.scenario.ScenarioSpec.from_json_dict`) must
+    reject; an entry's ``oracle`` label is informational only.
     """
     os.makedirs(directory, exist_ok=True)
     name = f"repro-{oracle}-{spec.fingerprint()[:12]}.json"
@@ -1117,20 +1112,20 @@ def replay_corpus(
         expect = payload.get("expect", "ok")
         if expect == "validation_error":
             try:
-                ScenarioSpec.validate(payload["spec"])
+                ScenarioSpec.from_json_dict(payload["spec"])
             except ScenarioValidationError:
                 if log:
                     log(f"[corpus] {name}: rejected as expected")
                 continue
             failures.append(
-                f"{name}: validate() accepted a payload the corpus "
+                f"{name}: the decoder accepted a payload the corpus "
                 "expects to be rejected"
             )
             continue
         try:
-            spec = ScenarioSpec.validate(payload["spec"])
+            spec = ScenarioSpec.from_json_dict(payload["spec"])
         except ScenarioValidationError as exc:
-            failures.append(f"{name}: spec no longer validates: {exc}")
+            failures.append(f"{name}: spec no longer decodes: {exc}")
             continue
         if expect == "goodput_starved":
             try:

@@ -18,19 +18,14 @@ half-commits an atom:
   without the axis, and the axis fingerprints orthogonally.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distributed import (
-    DistributedSpec,
-    TwoPhaseCoordinator,
-    decode_distributed_spec,
-    distributed_field_errors,
-    encode_distributed_spec,
-)
+from repro.core.distributed import DistributedSpec, TwoPhaseCoordinator
 from repro.core.faults import FaultSpec, KillShard, RestoreShard
 from repro.core.resilience import GoodputStarved, ResilienceSpec
 from repro.core.scenario import (
@@ -360,9 +355,13 @@ class TestCodecAndValidation:
             prepare_timeout_s=2.0, coordinator="lowest",
             abort_on_prepare_timeout=False,
         )
-        assert decode_distributed_spec(encode_distributed_spec(spec)) == spec
-        assert encode_distributed_spec(None) is None
-        assert decode_distributed_spec(None) is None
+        scenario = dataclasses.replace(_dspec(shards=4), distributed=spec)
+        payload = json.loads(scenario.to_json())
+        assert payload["distributed"] == dataclasses.asdict(spec)
+        assert ScenarioSpec.from_json_dict(payload).distributed == spec
+        payload = ScenarioSpec().to_json_dict()
+        assert payload["distributed"] is None
+        assert ScenarioSpec.from_json_dict(payload).distributed is None
 
     def test_validate_reports_json_pointer_paths(self):
         payload = ScenarioSpec(
@@ -374,7 +373,7 @@ class TestCodecAndValidation:
         payload["distributed"]["coordinator"] = "quorum"
         payload["distributed"]["bogus"] = True
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         paths = {path for path, _ in excinfo.value.errors}
         assert "/distributed/fanout_k" in paths
         assert "/distributed/coordinator" in paths
@@ -384,41 +383,52 @@ class TestCodecAndValidation:
         payload = _dspec().to_json_dict()
         payload["topology"]["shards"] = 1
         with pytest.raises(ScenarioValidationError, match="sharded topology"):
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         payload = _dspec(shards=2).to_json_dict()
         payload["distributed"]["fanout_k"] = 5
         with pytest.raises(ScenarioValidationError, match="cannot exceed"):
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
 
     def test_field_errors_check_defaults_for_missing_keys(self):
-        errors = distributed_field_errors({"cross_shard_fraction": 2.0})
-        assert errors == [
-            ("/cross_shard_fraction", "must be in [0, 1], got 2.0"),
+        # keys the payload leaves out take their (valid) defaults
+        payload = _dspec(shards=2).to_json_dict()
+        payload["distributed"] = {"cross_shard_fraction": 2.0}
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ScenarioSpec.from_json_dict(payload)
+        assert excinfo.value.errors == [
+            ("/distributed/cross_shard_fraction", "must be <= 1, got 2.0"),
         ]
-        assert distributed_field_errors("nope")
+        payload["distributed"] = "nope"
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ScenarioSpec.from_json_dict(payload)
+        assert [path for path, _ in excinfo.value.errors] == ["/distributed"]
 
     def test_field_errors_cover_every_field(self):
-        errors = dict(distributed_field_errors({
-            "cross_shard_fraction": float("nan"),
-            "fanout_k": "two",
-            "prepare_timeout_s": 0.0,
-            "coordinator": "hash",
-            "abort_on_prepare_timeout": 1,
-        }))
-        assert "/cross_shard_fraction" in errors
-        assert "/fanout_k" in errors
-        assert "/prepare_timeout_s" in errors
-        assert "/abort_on_prepare_timeout" in errors
-        errors = dict(distributed_field_errors({
-            "prepare_timeout_s": "soon",
-        }))
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            DistributedSpec(
+                cross_shard_fraction=float("nan"),
+                fanout_k="two",
+                prepare_timeout_s=0.0,
+                coordinator="hash",
+                abort_on_prepare_timeout=1,
+            )
+        errors = dict(excinfo.value.errors)
+        assert set(errors) == {
+            "/cross_shard_fraction", "/fanout_k", "/prepare_timeout_s",
+            "/abort_on_prepare_timeout",
+        }
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            DistributedSpec(prepare_timeout_s="soon")
+        errors = dict(excinfo.value.errors)
         assert "must be a finite number" in errors["/prepare_timeout_s"]
 
     def test_constructor_and_decoder_reject_bad_values(self):
-        with pytest.raises(ValueError, match="bad distributed spec"):
+        with pytest.raises(ScenarioValidationError, match="/cross_shard_fraction"):
             DistributedSpec(cross_shard_fraction=1.5)
-        with pytest.raises(ValueError, match="bad distributed payload"):
-            decode_distributed_spec({"fanout_k": 0})
+        payload = _dspec(shards=2).to_json_dict()
+        payload["distributed"] = {"fanout_k": 0}
+        with pytest.raises(ScenarioValidationError, match="/distributed/fanout_k"):
+            ScenarioSpec.from_json_dict(payload)
 
     def test_install_requires_a_sharded_topology(self):
         coordinator = TwoPhaseCoordinator(DistributedSpec(), seed=1)

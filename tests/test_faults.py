@@ -1,12 +1,14 @@
 """Fault injection, replica groups, and router liveness.
 
 The fail-stop model in one suite: ``FaultSpec`` is pure fingerprinted
-data with a strict codec; the ``FaultInjector`` fires the spec's
+data with a strict codec (the shared spec codec's tagged union); the ``FaultInjector`` fires the spec's
 events at their simulated instants; ``ReplicaGroup`` buffers + elects
 deterministically when a primary dies; and the router's liveness masks
 (``alive`` for faults, ``in_rotation`` for elastic parking) re-route
 around dead shards without losing a single transaction.
 """
+
+from typing import Optional
 
 import pytest
 
@@ -18,15 +20,13 @@ from repro.core.cluster import (
 from repro.core.faults import (
     FAULT_EVENT_TYPES,
     DegradeShard,
+    FaultEvent,
     FaultInjector,
     FaultSpec,
     KillShard,
     RestoreShard,
-    decode_fault_event,
-    decode_fault_spec,
-    encode_fault_event,
-    encode_fault_spec,
 )
+from repro.core.spec_codec import ScenarioValidationError, decode, encode
 from repro.core.system import SystemConfig
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.station import RouterStation, RoundRobinRouting
@@ -85,9 +85,9 @@ class TestFaultSpecValidation:
             FaultSpec(events=("kill",))
 
     def test_event_field_validation(self):
-        with pytest.raises(ValueError, match="time"):
+        with pytest.raises(ValueError, match="/at"):
             KillShard(at=-1.0, shard=0)
-        with pytest.raises(ValueError, match="time"):
+        with pytest.raises(ValueError, match="/at"):
             KillShard(at=True, shard=0)
         with pytest.raises(ValueError, match="shard"):
             KillShard(at=1.0, shard=-1)
@@ -139,6 +139,15 @@ class TestFaultFingerprints:
         )
 
 
+def _decode(payload, hint):
+    """Decode through the shared spec codec; raise on any problem."""
+    problems = []
+    value = decode(payload, hint, "", problems)
+    if problems:
+        raise ScenarioValidationError(problems)
+    return value
+
+
 class TestFaultCodec:
     def test_round_trip_every_event_type(self):
         spec = FaultSpec(events=(
@@ -146,38 +155,43 @@ class TestFaultCodec:
             DegradeShard(at=2.0, shard=1, factor=0.25),
             RestoreShard(at=3.0, shard=0),
         ))
-        clone = decode_fault_spec(encode_fault_spec(spec))
+        payload = encode(spec, FaultSpec)
+        assert [event["type"] for event in payload["events"]] == [
+            "kill", "degrade", "restore",
+        ]
+        clone = _decode(payload, FaultSpec)
         assert clone == spec
         assert clone.fingerprint() == spec.fingerprint()
 
     def test_none_passes_through(self):
-        assert encode_fault_spec(None) is None
-        assert decode_fault_spec(None) is None
+        assert encode(None, Optional[FaultSpec]) is None
+        assert _decode(None, Optional[FaultSpec]) is None
 
     def test_unknown_event_type_errors(self):
-        with pytest.raises(ValueError, match="unknown fault event type"):
-            decode_fault_event({"type": "zap", "at": 1.0, "shard": 0})
+        with pytest.raises(ValueError, match="naming a FaultEvent"):
+            _decode({"type": "zap", "at": 1.0, "shard": 0}, FaultEvent)
 
     def test_unknown_event_keys_error(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            decode_fault_event(
-                {"type": "kill", "at": 1.0, "shard": 0, "oops": 1}
+        with pytest.raises(ValueError, match="/oops: unknown field"):
+            _decode(
+                {"type": "kill", "at": 1.0, "shard": 0, "oops": 1}, FaultEvent
             )
         # factor belongs to degrade only
-        with pytest.raises(ValueError, match="unknown keys"):
-            decode_fault_event(
-                {"type": "kill", "at": 1.0, "shard": 0, "factor": 0.5}
+        with pytest.raises(ValueError, match="/factor: unknown field"):
+            _decode(
+                {"type": "kill", "at": 1.0, "shard": 0, "factor": 0.5},
+                FaultEvent,
             )
 
     def test_unknown_spec_keys_error(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            decode_fault_spec({"events": [], "oops": 1})
+        with pytest.raises(ValueError, match="/oops: unknown field"):
+            _decode({"events": [], "oops": 1}, FaultSpec)
         with pytest.raises(ValueError, match="must be a list"):
-            decode_fault_spec({"events": "kill"})
+            _decode({"events": "kill"}, FaultSpec)
         with pytest.raises(ValueError, match="must be an object"):
-            decode_fault_spec([1])
-        with pytest.raises(ValueError, match="must be an object"):
-            decode_fault_event("kill")
+            _decode([1], FaultSpec)
+        with pytest.raises(ValueError, match="naming a FaultEvent"):
+            _decode("kill", FaultEvent)
 
     def test_registry_matches_kind_tags(self):
         for kind, cls in FAULT_EVENT_TYPES.items():

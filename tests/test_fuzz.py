@@ -2,8 +2,8 @@
 
 The fuzzer is itself part of the reproduction's safety net, so it gets
 the same treatment as the simulator: the walk must be a pure function
-of its seed, every spec it emits must survive ``validate()`` and the
-codec, the shrinker must converge on strictly-smaller reproducers, and
+of its seed, every spec it emits must survive the codec round trip
+(the one decoder accepts it), the shrinker must converge on strictly-smaller reproducers, and
 the checked-in corpus must replay green from any working directory.
 """
 
@@ -61,7 +61,7 @@ class TestWalkerDeterminism:
 class TestWalkerValidity:
     def test_every_emitted_spec_validates_and_round_trips(self):
         for spec in ScenarioWalker(seed=3).specs(60):
-            decoded = ScenarioSpec.validate(spec.to_json_dict())
+            decoded = ScenarioSpec.from_json_dict(spec.to_json_dict())
             assert decoded.fingerprint() == spec.fingerprint()
 
     def test_fault_timelines_are_always_safe(self):
@@ -159,7 +159,6 @@ class TestOracles:
     def test_oracle_names_are_the_report_vocabulary(self):
         assert set(ORACLES) == {
             "codec-roundtrip",
-            "validate-accepts",
             "conservation",
             "mpl-sanity",
             "disposition",
@@ -320,8 +319,8 @@ class TestCorpus:
         assert replay_corpus(str(tmp_path)) == []
 
     def test_replay_flags_entries_the_validator_now_accepts(self, tmp_path):
-        # an expect=validation_error entry that validate() accepts is a
-        # regression: the guard it pinned has been lost
+        # an expect=validation_error entry that the decoder accepts is
+        # a regression: the guard it pinned has been lost
         payload = {
             "format": fuzz.CORPUS_FORMAT,
             "expect": "validation_error",
@@ -372,7 +371,7 @@ class TestCampaign:
             open(failure.reproducer_path, encoding="utf-8").read()
         )
         assert written["oracle"] == "toy"
-        decoded = ScenarioSpec.validate(written["spec"])
+        decoded = ScenarioSpec.from_json_dict(written["spec"])
         assert decoded.fingerprint() == failure.minimized.fingerprint()
 
 
@@ -419,7 +418,7 @@ class TestValidationRejectsFuzzedEdgeCases:
         payload["topology"]["routing"] = "weighted"
         payload["topology"]["routing_weights"] = [float("nan"), 1.0]
         with pytest.raises(ScenarioValidationError):
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
 
     def test_non_finite_fault_time_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -424,14 +424,22 @@ class TestFigureGrids:
                     ], key
 
     def test_makefile_round_trips_every_grid(self):
-        """`make scenarios` walks SCENARIO_GRIDS, so it must name every
-        registered grid (and nothing else)."""
+        """`make scenarios` walks SCENARIO_GRIDS and SCENARIO_DEMOS, so
+        they must name every registered grid and every demo (and
+        nothing else)."""
+        from repro.core.scenario import demo_scenarios
+
         makefile = os.path.join(os.path.dirname(__file__), os.pardir, "Makefile")
         with open(makefile, encoding="utf-8") as handle:
-            (line,) = [entry for entry in handle if entry.startswith("SCENARIO_GRIDS ")]
-        keys = line.split("=", 1)[1].split()
-        assert sorted(keys) == sorted(figures.FIGURE_GRIDS)
-        assert len(keys) == len(set(keys))
+            lines = handle.readlines()
+        for variable, registry in (
+            ("SCENARIO_GRIDS", figures.FIGURE_GRIDS),
+            ("SCENARIO_DEMOS", demo_scenarios()),
+        ):
+            (line,) = [entry for entry in lines if entry.startswith(variable + " ")]
+            keys = line.split("=", 1)[1].split()
+            assert sorted(keys) == sorted(registry), variable
+            assert len(keys) == len(set(keys)), variable
 
     def test_smoke_grid_shrinks_when_fast(self):
         smoke = figures.FIGURE_GRIDS["smoke"]

@@ -28,9 +28,6 @@ from repro.core.resilience import (
     GoodputStarved,
     ResilienceSpec,
     ShardBreaker,
-    decode_resilience_spec,
-    encode_resilience_spec,
-    resilience_field_errors,
 )
 from repro.core.scenario import (
     MeasurementSpec,
@@ -130,20 +127,27 @@ class TestResilienceSpecValidation:
         ResilienceSpec(deadline_s=1.0, max_attempts=2, base_backoff_s=0.0)
 
     def test_field_errors_carry_json_pointer_paths(self):
-        errors = dict(resilience_field_errors({
-            "max_attempts": -1,
-            "queue_cap": 0,
-            "mystery": 1,
-        }))
-        assert "/max_attempts" in errors
-        assert "/queue_cap" in errors
-        assert errors["/mystery"] == "unknown field"
+        # the constructor reports every bad field, at paths relative to
+        # the spec; the decoder adds unknown keys and the axis prefix
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ResilienceSpec(max_attempts=-1, queue_cap=0)
+        assert [path for path, _ in excinfo.value.errors] == [
+            "/max_attempts", "/queue_cap",
+        ]
+        payload = ScenarioSpec().to_json_dict()
+        payload["resilience"] = {"max_attempts": -1, "queue_cap": 0, "mystery": 1}
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ScenarioSpec.from_json_dict(payload)
+        errors = dict(excinfo.value.errors)
+        assert "/resilience/max_attempts" in errors
+        assert "/resilience/queue_cap" in errors
+        assert errors["/resilience/mystery"] == "unknown field"
 
     def test_validate_prefixes_resilience_paths(self):
         payload = ScenarioSpec().to_json_dict()
         payload["resilience"] = {"max_attempts": -1, "deadline_s": 0.0}
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         paths = [path for path, _ in excinfo.value.errors]
         assert "/resilience/max_attempts" in paths
         assert "/resilience/deadline_s" in paths
@@ -152,7 +156,7 @@ class TestResilienceSpecValidation:
         payload = ScenarioSpec().to_json_dict()
         payload["resilience"] = {"deadline_s": 1.0, "max_attempts": 2}
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         assert ("/resilience", (
             "max_attempts > 0 needs an explicit finite base_backoff_s "
             "(say 0.0 to retry immediately)"
@@ -162,7 +166,7 @@ class TestResilienceSpecValidation:
         payload = ScenarioSpec().to_json_dict()
         payload["resilience"] = 7
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         assert any(path == "/resilience" for path, _ in excinfo.value.errors)
 
     def test_resilience_needs_unreplicated_topology(self):
@@ -222,19 +226,18 @@ class TestResilienceCodec:
         decoded = ScenarioSpec.from_json_dict(payload)
         assert decoded == spec
         assert decoded.fingerprint() == spec.fingerprint()
-        validated = ScenarioSpec.validate(payload)
-        assert validated.fingerprint() == spec.fingerprint()
+        assert decoded.to_json() == spec.to_json()
 
     def test_none_stays_none(self):
-        assert encode_resilience_spec(None) is None
-        assert decode_resilience_spec(None) is None
-        assert ScenarioSpec().to_json_dict()["resilience"] is None
+        payload = ScenarioSpec().to_json_dict()
+        assert payload["resilience"] is None
+        assert ScenarioSpec.from_json_dict(payload).resilience is None
 
     def test_decode_rejects_unknown_and_bad_fields(self):
-        with pytest.raises(ValueError, match="unknown field"):
-            decode_resilience_spec({"not_a_knob": 1})
-        with pytest.raises(ValueError, match="max_attempts"):
-            decode_resilience_spec({"max_attempts": -2})
+        with pytest.raises(ScenarioValidationError, match="unknown field"):
+            ScenarioSpec.from_json_dict({"resilience": {"not_a_knob": 1}})
+        with pytest.raises(ScenarioValidationError, match="/resilience/max_attempts"):
+            ScenarioSpec.from_json_dict({"resilience": {"max_attempts": -2}})
 
 
 class TestResilienceFingerprints:

@@ -11,6 +11,7 @@ deterministically, and the two controller-carrying control specs
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -951,30 +952,32 @@ class TestScenarioV2:
             "measurement": {"transactions": -5},
         }
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate(payload)
+            ScenarioSpec.from_json_dict(payload)
         paths = [path for path, _message in excinfo.value.errors]
         assert "/nope" in paths
-        assert "/topology" in paths
+        assert "/topology/shards" in paths
         assert "/control" in paths
         assert "/faults/oops" in paths
         assert "/faults/events/0" in paths
-        assert "/measurement" in paths
+        assert "/measurement/transactions" in paths
         assert len(paths) >= 6
         # the message is one line per problem
         assert str(excinfo.value).count("\n") >= len(paths)
 
     def test_validate_reports_cross_field_problems_at_the_root(self):
         with pytest.raises(ScenarioValidationError) as excinfo:
-            ScenarioSpec.validate({
+            ScenarioSpec.from_json_dict({
                 "faults": {"events": [
                     {"type": "kill", "at": 1.0, "shard": 0}
                 ]},
             })
         assert any(path == "" for path, _message in excinfo.value.errors)
         with pytest.raises(ScenarioValidationError):
-            ScenarioSpec.validate([1, 2])
+            ScenarioSpec.from_json_dict([1, 2])
 
     def test_validate_accepts_what_from_json_dict_accepts(self):
+        # one decoder: the old name is the same classmethod
+        assert ScenarioSpec.validate.__func__ is ScenarioSpec.from_json_dict.__func__
         for spec in (ScenarioSpec(), demo_scenarios()["failover"]):
             payload = spec.to_json_dict()
             assert ScenarioSpec.validate(payload) == spec
@@ -1040,7 +1043,7 @@ class TestScenarioV2:
         assert "/faults/events/0" in err
 
 
-class TestRunSpecDeprecation:
+class TestTopologySpelling:
     """A run description spells its topology as ``topology=TopologySpec(...)``."""
 
     def test_defaults_and_topology_spelling_do_not_warn(self):
@@ -1075,3 +1078,151 @@ class TestRunSpecDeprecation:
         assert sharded.topology == TopologySpec(
             shards=2, routing="least_in_flight"
         )
+
+
+NAN = float("nan")
+
+#: One malformed payload per row: (dotted field, bad value, the path the
+#: decoder must report).  Every one of these used to decode.
+MALFORMED = [
+    ("seed", "abc", "/seed"),
+    ("seed", 1.5, "/seed"),
+    ("seed", True, "/seed"),
+    ("policy", "nope", "/policy"),
+    ("tag", 5, "/tag"),
+    ("arrival_rate", -1, "/arrival_rate"),
+    ("arrival_rate", "x", "/arrival_rate"),
+    ("measurement.transactions", 10.5, "/measurement/transactions"),
+    ("measurement.transactions", True, "/measurement/transactions"),
+    ("measurement.timeline_bucket_s", NAN, "/measurement/timeline_bucket_s"),
+    ("topology.shards", 2.5, "/topology/shards"),
+    ("topology.shards", True, "/topology/shards"),
+    ("topology.election_timeout_s", NAN, "/topology/election_timeout_s"),
+    ("control.mpl", 2.5, "/control/mpl"),
+    ("workload.setup_id", "1", "/workload/setup_id"),
+    ("workload.setup_id", 99, "/workload/setup_id"),
+    ("arrival", {"type": "open", "rate": NAN}, "/arrival/rate"),
+    ("arrival", {"type": "open", "rate": float("inf")}, "/arrival/rate"),
+    ("arrival", {"type": "closed", "num_clients": 2.5}, "/arrival/num_clients"),
+    ("control", {"type": "feedback", "window": 10.5}, "/control/window"),
+    ("control", {"type": "elastic", "interval_s": NAN}, "/control/interval_s"),
+    (
+        "control",
+        {"type": "per_class_slo", "high_p95_target_s": NAN},
+        "/control/high_p95_target_s",
+    ),
+    (
+        "arrival",
+        {"type": "modulated", "rate_function": {
+            "type": "sinusoid", "base": NAN, "amplitude": 1.0, "period": 5.0,
+        }},
+        "/arrival/rate_function/base",
+    ),
+]
+
+
+class TestMalformedPayloads:
+    """The decoder checks every field's type and rules, at its path."""
+
+    @pytest.mark.parametrize(
+        "field,value,path", MALFORMED,
+        ids=[f"{field}={value!r}" for field, value, _path in MALFORMED],
+    )
+    def test_rejected_at_the_field_path(self, field, value, path):
+        payload = ScenarioSpec().to_json_dict()
+        *parents, name = field.split(".")
+        holder = payload
+        for parent in parents:
+            holder = holder[parent]
+        holder[name] = value
+        # through JSON text, as a spec file arrives
+        text = json.dumps(payload)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ScenarioSpec.from_json(text)
+        assert [where for where, _message in excinfo.value.errors] == [path]
+
+    def test_policy_names_follow_make_policy(self):
+        assert ScenarioSpec.from_json_dict({"policy": "FIFO"}).policy == "FIFO"
+        with pytest.raises(ValueError, match="/policy"):
+            ScenarioSpec(policy="nope")
+
+    def test_python_constructors_meet_the_same_rules(self):
+        with pytest.raises(ScenarioValidationError, match="/rate"):
+            OpenArrivals(rate=float("nan"))
+        with pytest.raises(ScenarioValidationError, match="/shards"):
+            TopologySpec(shards=2.5)
+        # an int where a float is annotated is kept as it is: the two
+        # spellings are distinct specs with distinct fingerprints
+        assert OpenArrivals(rate=5).rate == 5
+        assert isinstance(OpenArrivals(rate=5).rate, int)
+        assert (
+            ScenarioSpec(arrival=OpenArrivals(rate=5)).fingerprint()
+            != ScenarioSpec(arrival=OpenArrivals(rate=5.0)).fingerprint()
+        )
+
+    def test_cli_refuses_a_nan_rate_without_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core import scenario as scenario_module
+
+        def no_runs(spec):
+            raise AssertionError("a rejected spec must not be simulated")
+
+        monkeypatch.setattr(scenario_module, "execute_scenario", no_runs)
+        path = tmp_path / "nan.json"
+        path.write_text('{"arrival": {"type": "open", "rate": NaN}}')
+        assert cli_main(["scenario", "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "/arrival/rate" in captured.err
+
+
+#: sha256 of the newline-joined ``spec.to_json()`` of every registered
+#: grid (fast and full) and every demo.  Result-cache entries and the
+#: fuzz corpus are written in this encoding; the golden corpus pins
+#: fingerprints only, so this is what pins the wire format itself.
+WIRE_DIGESTS = {
+    ("grid", "2", True): "2034c98e9f6088c0f4aef07f4666e1a442e038d68edd70a869f6e8fbd0ecfed4",
+    ("grid", "2", False): "bcedd500fd10663aa7bffebd13dc75ede4b9d991aa7400c940337991f1cf51e0",
+    ("grid", "3", True): "31d146fd80adb24e25502ba1d2a4b7927d8d28c93d73196262bdfc1743d4cd34",
+    ("grid", "3", False): "adb65f6fa909789f0814a5666078cdb37d35176e340b006ceafc72956ee4b936",
+    ("grid", "4", True): "3b8cef8ffc6bb200d4570b35e16151d388b2638db304fe5be5c296e7570316f3",
+    ("grid", "4", False): "8c821ff414258f35c19e8e017168374006dd00879ef67f18df1baffdfc483b34",
+    ("grid", "5", True): "887e9cebe8603001abf4f746e71f7ec1b572b36e927ab187aea89cc80a597025",
+    ("grid", "5", False): "9defdcf2d8e4d34b810c484397597328f65fe66111fc401b3a3168c7353e45ff",
+    ("grid", "smoke", True): "726e7eb76bd69bcba6f9d975a9456f8972188d89aea05169b08e7a9082a497f1",
+    ("grid", "smoke", False): "2379b6774786523a9065b78daa4c4930ab37b6cdd36ac7fe6b53f0dcc148eefd",
+    ("grid", "sh", True): "738623d6c1090a2cea65c142739dc42ebe333c3af5afb58076c20926a318b169",
+    ("grid", "sh", False): "e90d5276734d26b61265ce4f70036fe218e54729291243e17937e274a572c552",
+    ("grid", "ft", True): "a516e965a75ed9d9a35a99689207d953656ff1cfed75e4aa5d202587fc9d4ddf",
+    ("grid", "ft", False): "60ed271f679cff3c785035c179d64ed777051d11d314df75786f7b6aede6ccda",
+    ("grid", "rf", True): "a03da04fdce0124706077f56e4832c7b1892d86888160ac829df9d26af6bbb6f",
+    ("grid", "rf", False): "5c5d7416bb9e72b4e3c9d8a7f63759d80fff5d0cf3c2e84c64c856e4d2cc07a9",
+    ("grid", "rs", True): "9506e87f1f1f2affafeda12382ff535f18ffc9b617e9dae0f29b7caa52eff786",
+    ("grid", "rs", False): "a3a1d3e549a9a4908afda85e184851cd5ddeac4741035cac25c4806ebaa10ea6",
+    ("grid", "xs", True): "b0c006c41743cf032219f16b837700281bc439e995600e51416afff722d9445d",
+    ("grid", "xs", False): "d12534a51a2d55783d9117d4e44e30042c6db06e9e6fd85542861520e541a760",
+    ("grid", "es", True): "44af5fc9c13b1d840dfd7f467ec68ef79f7a45b0f35fd5e99ab6165aeaab5389",
+    ("grid", "es", False): "05e07b5fecb484afa2fd57606eb4378b29002077dfb7c13541af22d0950307ae",
+    ("grid", "po", True): "691b2edc129fdcfbf7190234aa607af5c593005de216bdc2e2029af774304096",
+    ("grid", "po", False): "8b322bdfdafe5ed249bd3d2a0e18156c957dc28c853484cc75b62624e44bc53f",
+    ("demo", "trace-retailer", None): "11e494b94cf70bd706ab383b8dedbb4479cfd093d5b45ef62665da7eaea2d996",
+    ("demo", "trace-auction", None): "01e8a577957fce222975aabbc15a6e293d61fff6c20464f7b97fb50b0f53dc1d",
+    ("demo", "slo-tv", None): "2e63245cd9c6746d184bc0686c1640c79480ac1a58e075681712858b68977917",
+    ("demo", "failover", None): "7c10b17e06ee276b90f977f6d4a7d3de8a12bd86b30ec27704cc2dc282984864",
+}
+
+
+class TestWireFormat:
+    def test_every_grid_and_demo_encodes_as_pinned(self):
+        def digest(specs):
+            text = "\n".join(spec.to_json() for spec in specs)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        got = {}
+        for key, builder in figures.FIGURE_GRIDS.items():
+            for fast in (True, False):
+                got[("grid", key, fast)] = digest(builder(fast=fast))
+        for name, spec in demo_scenarios().items():
+            got[("demo", name, None)] = digest([spec])
+        assert got == WIRE_DIGESTS
