@@ -496,19 +496,6 @@ class ReplicaGroup:
 
     # -- membership ---------------------------------------------------------
 
-    @property
-    def num_members(self) -> int:
-        return len(self.members)
-
-    @property
-    def pending_count(self) -> int:
-        """Transactions buffered while the group has no acting primary."""
-        return len(self._pending)
-
-    @property
-    def electing(self) -> bool:
-        return self._electing
-
     def live_members(self) -> List[int]:
         """Indices of members currently accepting work."""
         return [i for i, alive in enumerate(self.alive) if alive]

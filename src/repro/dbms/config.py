@@ -69,10 +69,6 @@ class HardwareConfig:
         Sequential log force time.
     page_kb:
         Page size used to convert megabytes to page counts.
-    network_delay_ms:
-        Mean of an exponential per-transaction network/front-end delay
-        served by a drop-in :class:`~repro.sim.station.DelayStation`;
-        0 (the default) omits the station entirely.
     """
 
     num_cpus: int = 1
@@ -85,13 +81,6 @@ class HardwareConfig:
     log_write_mean_ms: float = 8.0
     group_commit: bool = True
     page_kb: int = 4
-    network_delay_ms: float = 0.0
-
-    #: Fields left out of the canonical fingerprint encoding while they
-    #: hold their default — fields added after the first release go
-    #: here so historical configs keep byte-identical content hashes
-    #: (see :func:`repro.core.system.canonical_jsonable`).
-    FINGERPRINT_OMIT_DEFAULTS = frozenset({"network_delay_ms"})
 
     def __post_init__(self) -> None:
         if self.num_cpus < 1:
@@ -104,10 +93,6 @@ class HardwareConfig:
             raise ValueError(f"cpu_speed must be positive, got {self.cpu_speed!r}")
         if self.disk_service_mean_ms <= 0 or self.log_write_mean_ms <= 0:
             raise ValueError("disk service times must be positive")
-        if self.network_delay_ms < 0:
-            raise ValueError(
-                f"network_delay_ms must be non-negative, got {self.network_delay_ms!r}"
-            )
 
     #: Main memory the OS and DBMS binaries consume before any page caching.
     OS_OVERHEAD_MB = 256

@@ -155,10 +155,6 @@ class ProcessorSharingPool(Station):
             self._arm_timer()
         return event
 
-    def serve(self, demand: float, priority: int = 0, weight: float = 1.0) -> Event:
-        """The :class:`~repro.sim.station.Station` face of :meth:`execute`."""
-        return self.execute(demand, weight=weight, priority=priority)
-
     def set_weight(self, handle: int, weight: float) -> None:
         """Change a running job's weight (rarely needed; for tooling)."""
         if weight <= 0:
@@ -185,7 +181,7 @@ class ProcessorSharingPool(Station):
 
     @property
     def busy_time(self) -> float:
-        """Station-protocol alias for :attr:`busy_core_time`."""
+        """The :class:`Station` metrics name for :attr:`busy_core_time`."""
         return self.busy_core_time
 
     @property

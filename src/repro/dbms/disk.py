@@ -6,9 +6,9 @@ distribution).  :class:`DiskArray` stripes a transaction's page reads
 round-robin across the data disks, matching the paper's evenly striped
 data layout (§4.1: "the data is evenly striped over the disks").
 
-Both speak the :class:`~repro.sim.station.Station` protocol, so the
-engine (and any new scenario) can treat them interchangeably with the
-CPU pool and the WAL disk.
+Both subclass :class:`~repro.sim.station.Station`, so their per-class
+counters and utilization sit in the engine's snapshots next to the CPU
+pool's and the WAL disk's.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from repro.sim.station import ClassStats, Station
 class Disk(Station):
     """A single FCFS disk.
 
-    Requests are served one at a time in arrival order; an optional
-    priority mode serves pending high-priority requests first (used
-    only by internal-scheduling ablations, never by the stock DBMS).
+    Requests are served one at a time in arrival order.
 
     Service times come through a :class:`BlockSampler` (pre-drawn in
     blocks, served in draw order).  Disks that share one rng — the
@@ -42,12 +40,10 @@ class Disk(Station):
         service_time: Distribution,
         rng: random.Random,
         name: str = "disk",
-        priority_order: bool = False,
         sampler: Optional[BlockSampler] = None,
     ):
         super().__init__(sim, name)
         self.service_time = service_time
-        self.priority_order = priority_order
         # NB: the rng is deliberately NOT stashed on the disk — every
         # draw must go through the (possibly shared) block sampler, or
         # the pre-drawn stream interleaving would silently diverge
@@ -75,14 +71,6 @@ class Disk(Station):
         else:
             self._start(done, priority, self.sim.now)
         return done
-
-    def serve(self, demand: float = 0.0, priority: int = 0, weight: float = 1.0) -> Event:
-        """Station face of :meth:`submit` (service time is sampled)."""
-        if demand != 0.0:
-            raise ValueError(
-                f"disk {self.name!r} samples its own service time; demand must be 0"
-            )
-        return self.submit(priority)
 
     @property
     def queue_length(self) -> int:
@@ -130,23 +118,10 @@ class Disk(Station):
         done._triggered = True
         self._fire(done)
         if self._queue:
-            priority, next_done, enqueued = self._pop_next()
+            priority, next_done, enqueued = self._queue.popleft()
             self._start(next_done, priority, enqueued)
         else:
             self._busy = False
-
-    def _pop_next(self) -> Tuple[int, Event, float]:
-        if not self.priority_order:
-            return self._queue.popleft()
-        best_index = 0
-        best_priority = self._queue[0][0]
-        for index, (priority, _event, _enqueued) in enumerate(self._queue):
-            if priority > best_priority:
-                best_priority = priority
-                best_index = index
-        entry = self._queue[best_index]
-        del self._queue[best_index]
-        return entry
 
 
 class DiskArray(Station):
@@ -164,7 +139,6 @@ class DiskArray(Station):
         num_disks: int,
         service_time: Distribution,
         rng: random.Random,
-        priority_order: bool = False,
     ):
         if num_disks < 1:
             raise ValueError(f"num_disks must be >= 1, got {num_disks!r}")
@@ -174,14 +148,10 @@ class DiskArray(Station):
         # the cross-disk interleaving identical to per-request sampling
         sampler = BlockSampler(service_time, rng)
         self.disks: List[Disk] = [
-            Disk(
-                sim, service_time, rng,
-                name=f"disk{i}", priority_order=priority_order, sampler=sampler,
-            )
+            Disk(sim, service_time, rng, name=f"disk{i}", sampler=sampler)
             for i in range(num_disks)
         ]
         self._next_home = 0
-        self._round_robin = 0
 
     def __len__(self) -> int:
         return len(self.disks)
@@ -195,21 +165,6 @@ class DiskArray(Station):
     def submit(self, home: int, sequence: int, priority: int = 0) -> Event:
         """Submit a transaction's ``sequence``-th page read."""
         disk = self.disks[(home + sequence) % len(self.disks)]
-        return disk.submit(priority)
-
-    def serve(self, demand: float = 0.0, priority: int = 0, weight: float = 1.0) -> Event:
-        """Station face: one page read, striped round-robin.
-
-        Uses its own rotor so protocol users don't perturb the
-        per-transaction ``assign_home`` sequence.
-        """
-        if demand != 0.0:
-            raise ValueError(
-                f"disk array {self.name!r} samples its own service time; "
-                "demand must be 0"
-            )
-        disk = self.disks[self._round_robin % len(self.disks)]
-        self._round_robin += 1
         return disk.submit(priority)
 
     def class_stats(self):

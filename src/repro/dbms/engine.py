@@ -33,7 +33,11 @@ from repro.dbms.wal import LogManager
 from repro.sim.distributions import Exponential, LogNormal
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.station import DelayStation, Station
+from repro.sim.station import Station
+
+#: Mean of the exponential backoff (seconds) before a deadlock or
+#: preemption victim restarts.
+RESTART_BACKOFF = 0.010
 
 
 class DeadlineExceeded(Exception):
@@ -64,9 +68,6 @@ class DatabaseEngine:
         Repeatable Read (readers lock) or Uncommitted Read.
     internal:
         Internal-scheduling policy (lock queues, CPU weights).
-    restart_backoff:
-        Mean of the exponential backoff before a deadlock/preemption
-        victim restarts.
     """
 
     def __init__(
@@ -79,13 +80,11 @@ class DatabaseEngine:
         internal: Optional[InternalPolicy] = None,
         hot_access_fraction: float = 0.8,
         hot_page_fraction: float = 0.2,
-        restart_backoff: float = 0.010,
     ):
         self.sim = sim
         self.hardware = hardware
         self.isolation = isolation
         self.internal = internal or InternalPolicy.stock()
-        self.restart_backoff = restart_backoff
 
         second = 1.0 / 1000.0  # configs speak milliseconds; the clock runs seconds
         disk_service = LogNormal(
@@ -110,22 +109,12 @@ class DatabaseEngine:
         self.lockmgr = LockManager(
             sim, self.internal.lock_scheduling, preempt=self._preempt
         )
-        #: Every resource the engine composes, by station name.  New
-        #: stations (a network hop, a replication log, ...) drop in via
-        #: :meth:`add_station` without touching the engine internals.
-        self.stations: Dict[str, Station] = {}
-        for station in (self.cpu, self.disks, self.log, self.lockmgr):
-            self.add_station(station)
-        self.network: Optional[DelayStation] = None
-        network_ms = getattr(hardware, "network_delay_ms", 0.0)
-        if network_ms > 0:
-            self.network = DelayStation(
-                sim,
-                "network",
-                delay=Exponential(network_ms / 1000.0),
-                rng=streams.stream("network"),
-            )
-            self.add_station(self.network)
+        #: Every resource the engine composes, by station name (the
+        #: utilization and per-class snapshots walk this).
+        self.stations: Dict[str, Station] = {
+            station.name: station
+            for station in (self.cpu, self.disks, self.log, self.lockmgr)
+        }
         self._rng: random.Random = streams.stream("engine")
         self._active: Dict[int, Process] = {}
         self.committed = 0
@@ -135,13 +124,6 @@ class DatabaseEngine:
         self.two_phase = None
 
     # -- public API --------------------------------------------------------
-
-    def add_station(self, station: Station) -> Station:
-        """Register a station under its name (it joins the snapshots)."""
-        if station.name in self.stations:
-            raise ValueError(f"duplicate station name {station.name!r}")
-        self.stations[station.name] = station
-        return station
 
     def execute(self, tx: Transaction) -> Process:
         """Run ``tx`` to commit; the returned process fires with ``tx``.
@@ -214,7 +196,7 @@ class DatabaseEngine:
         }
 
     def class_stats_snapshot(self) -> Dict[str, Dict[int, Dict[str, float]]]:
-        """Per-station, per-priority-class counters (station protocol)."""
+        """Per-station, per-priority-class counters."""
         return {
             name: {
                 priority: stats.as_dict()
@@ -244,7 +226,7 @@ class DatabaseEngine:
                 self.lockmgr.abort(tx)
                 tx.restarts += 1
                 self.restarts += 1
-                backoff = self._rng.expovariate(1.0 / self.restart_backoff)
+                backoff = self._rng.expovariate(1.0 / RESTART_BACKOFF)
                 try:
                     yield self.sim.timeout(backoff)
                 except Interrupt as late:
@@ -276,8 +258,6 @@ class DatabaseEngine:
         cpu_slice = tx.cpu_demand / segments
         lock_schedule = self._lock_schedule(len(locks), segments)
 
-        if self.network is not None:
-            yield self.network.serve(priority=tx.priority)
         # hot-loop locals: one lookup per attempt instead of per yield
         acquire = self.lockmgr.acquire
         execute = self.cpu.execute

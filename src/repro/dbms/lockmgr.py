@@ -79,7 +79,7 @@ class LockManager(Station):
     """Item-granularity lock table with pluggable queue scheduling.
 
     As a :class:`~repro.sim.station.Station` the lock table is a pure
-    *admission* station: :meth:`acquire` and :meth:`release` do the
+    *admission* station: :meth:`acquire` and :meth:`release_all` do the
     work, there is no timed service, and ``is_server`` is False so the
     lock table never appears in utilization snapshots.  Per-class wait
     times flow through the shared station metrics hooks.
@@ -173,10 +173,6 @@ class LockManager(Station):
         if not event.triggered:
             self._on_block(item, lock, request)
         return event
-
-    def release(self, tx: Transaction) -> None:
-        """Station face of :meth:`release_all`."""
-        self.release_all(tx)
 
     def release_all(self, tx: Transaction) -> None:
         """Release every lock ``tx`` holds (commit or abort)."""

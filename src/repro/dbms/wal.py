@@ -68,14 +68,6 @@ class LogManager(Station):
             self._start_write()
         return done
 
-    def serve(self, demand: float = 0.0, priority: int = 0, weight: float = 1.0) -> Event:
-        """Station face of :meth:`commit` (write time is sampled)."""
-        if demand != 0.0:
-            raise ValueError(
-                f"log {self.name!r} samples its own write time; demand must be 0"
-            )
-        return self.commit(priority)
-
     @property
     def busy_time(self) -> float:
         """Cumulative time the log disk was writing."""

@@ -101,12 +101,6 @@ class MetricsCollector:
         """Records of transactions completing strictly after ``time``."""
         return [r for r in self.records if r.completion_time > time]
 
-    def by_priority(
-        self, priority: int, warmup: int = 0
-    ) -> List[TransactionRecord]:
-        """Post-warmup records of one priority class."""
-        return [r for r in self.completed(warmup) if r.priority == priority]
-
     # -- aggregate statistics ---------------------------------------------------
 
     def throughput(self, warmup: int = 0) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.dbms.config import HardwareConfig
 from repro.queueing.mva import Station, mva
 
 
@@ -68,22 +67,6 @@ class ThroughputModel:
         if num_resources < 1:
             raise ValueError(f"num_resources must be >= 1, got {num_resources!r}")
         return cls([1.0] * num_resources)
-
-    @classmethod
-    def from_hardware(cls, hardware: HardwareConfig, io_bound: bool = False,
-                      cpu_bound: bool = False) -> "ThroughputModel":
-        """Balanced model over the resources a workload utilizes.
-
-        ``io_bound`` counts only the data disks (+ log), ``cpu_bound``
-        only the CPUs; neither flag counts everything (the balanced
-        CPU+I/O case).
-        """
-        resources = 0
-        if not io_bound:
-            resources += hardware.num_cpus
-        if not cpu_bound:
-            resources += hardware.num_disks
-        return cls.balanced(max(1, resources))
 
     @classmethod
     def from_utilizations(

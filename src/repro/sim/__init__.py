@@ -2,17 +2,17 @@
 
 This subpackage provides the substrate on which the simulated DBMS
 (:mod:`repro.dbms`) runs: a deterministic event loop with generator
-based processes (:mod:`repro.sim.engine`), seeded random-number streams
-(:mod:`repro.sim.random`), and the family of service-time distributions
-used throughout the paper, including two-phase hyperexponential fitting
-from a mean and a squared coefficient of variation
-(:mod:`repro.sim.distributions`).
+based processes, drained only by :meth:`Simulator.run`
+(:mod:`repro.sim.engine`); the per-class metrics base every resource
+shares and the cluster front-end router (:mod:`repro.sim.station`);
+seeded random-number streams (:mod:`repro.sim.random`); and the family
+of service-time distributions used throughout the paper, including
+two-phase hyperexponential fitting from a mean and a squared
+coefficient of variation (:mod:`repro.sim.distributions`).
 """
 
 from repro.sim.engine import (
     Agenda,
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     KernelHooks,
@@ -40,8 +40,6 @@ from repro.sim.random import RandomStreams
 
 __all__ = [
     "Agenda",
-    "AllOf",
-    "AnyOf",
     "BlockSampler",
     "Deterministic",
     "Distribution",

@@ -12,7 +12,7 @@ All distributions draw from a caller-supplied
 the simulator can own an independent, reproducible stream (see
 :mod:`repro.sim.random`).
 
-Hot consumers (the disk array, the WAL, delay stations) do not call
+Hot consumers (the disk array and the WAL) do not call
 :meth:`Distribution.sample` per request; they pull variates through a
 :class:`BlockSampler`, which pre-draws whole blocks via
 :meth:`Distribution.sample_block` and serves them one at a time.  A

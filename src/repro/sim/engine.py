@@ -15,17 +15,15 @@ events scheduled for the same instant fire in scheduling order.
 The hot path is tuned for the workload the DBMS model generates —
 millions of events, almost all of which have exactly one waiter:
 
-* **Batched agenda** — the :class:`Agenda` owns the (time, sequence)
-  total order behind one ``schedule`` entry point and pops whole
-  same-timestamp runs in a single call (:meth:`Agenda.pop_batch`), so
-  the zero-delay cascades the DBMS model generates (lock grants,
-  completion notifications, bootstrap events) drain without re-checking
-  the run loop's stop conditions per event.
-* **In-kernel run loop** — :meth:`Simulator.run` is a single stack
-  frame with every per-event lookup bound to a local; there is no
-  ``step()`` call per event.  Measurement loops hand the kernel a
-  :class:`KernelHooks` so "run until N completions" is an inlined
-  length check instead of an outer Python loop.
+* **Two-lane agenda** — the :class:`Agenda` owns the (time, sequence)
+  total order behind one ``schedule`` entry point; events landing on
+  the current instant (lock grants, completion notifications, process
+  bootstraps) skip the heap for a plain FIFO.
+* **One drain loop** — :meth:`Simulator.run` is the only way events
+  fire: a single stack frame with every per-event lookup bound to a
+  local.  Measurement loops hand the kernel a :class:`KernelHooks` so
+  "run until N completions" is an inlined length check instead of an
+  outer Python loop.
 * **Single-waiter fast path** — an event stores its first callback in a
   dedicated slot and only allocates a callback list when a second
   waiter appears, so the common yield/resume cycle never touches a
@@ -49,7 +47,7 @@ from __future__ import annotations
 import heapq
 import sys
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -94,11 +92,10 @@ class Agenda:
     * everything else in the heap lies strictly in the future.
 
     Whenever control leaves the drain loop (:meth:`flush`, called on
-    every :meth:`Simulator.run` exit and by the one-at-a-time
-    accessors), pending FIFO entries are folded back into the heap with
-    fresh sequence numbers — they are the youngest entries at their
-    timestamp, so the total order is unchanged and the heap alone is
-    again authoritative.
+    every :meth:`Simulator.run` exit), pending FIFO entries are folded
+    back into the heap with fresh sequence numbers — they are the
+    youngest entries at their timestamp, so the total order is
+    unchanged and the heap alone is again authoritative.
     """
 
     __slots__ = ("_heap", "_dq", "_sequence", "_now")
@@ -142,38 +139,6 @@ class Agenda:
         heap = self._heap
         return heap[0][0] if heap else float("inf")
 
-    def pop(self) -> Tuple[float, "Event"]:
-        """Remove and return the earliest ``(when, event)`` pair."""
-        self.flush()
-        if not self._heap:
-            raise SimulationError("agenda is empty")
-        when, _seq, event = heapq.heappop(self._heap)
-        self._now = when
-        return when, event
-
-    def pop_batch(self, out: list) -> int:
-        """Pop every entry of the earliest timestamp into ``out``.
-
-        Entries are appended as the full ``(when, sequence, event)``
-        triples in firing order, so an interrupted consumer can push
-        unprocessed entries straight back via ``heapq.heappush``.
-        Returns the batch size; raises on an empty agenda.
-        """
-        self.flush()
-        heap = self._heap
-        if not heap:
-            raise SimulationError("agenda is empty")
-        pop = heapq.heappop
-        entry = pop(heap)
-        when = entry[0]
-        self._now = when
-        out.append(entry)
-        count = 1
-        while heap and heap[0][0] == when:
-            out.append(pop(heap))
-            count += 1
-        return count
-
     def __len__(self) -> int:
         return len(self._heap) + len(self._dq)
 
@@ -197,10 +162,9 @@ class KernelHooks:
     progresses (in practice the metrics collector's completed-records
     list) and ``target`` the length at which :meth:`Simulator.run`
     returns.  The kernel checks ``len(counter) >= target`` right after
-    each event's callbacks — the same boundary the old outer
-    ``while len(records) < target: sim.step()`` loop observed, so
-    results are bit-identical while the per-event Python loop (and its
-    method call per event) disappears.
+    each event's callbacks, so a run stops on exactly the event that
+    completed the target-th record — with no Python loop (and no
+    method call) per event outside the kernel.
     """
 
     __slots__ = ("counter", "target")
@@ -342,84 +306,6 @@ class Timeout(Event):
         sim._agenda.schedule(self, sim.now + delay)
 
 
-class _Composite(Event):
-    """Shared base of :class:`AnyOf` / :class:`AllOf`.
-
-    Once the composite's fate is decided it detaches its ``_on_fire``
-    from every member still pending, so losing members no longer pin
-    the composite alive — and plain timeouts among them become
-    eligible for the simulator's free list again.
-    """
-
-    __slots__ = ("_events",)
-
-    def _detach_pending(self, fired: Event) -> None:
-        callback = self._on_fire
-        for event in self._events:
-            if event is not fired and not event._processed:
-                event.remove_callback(callback)
-
-    def _on_fire(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Composite):
-    """Fires when the first of ``events`` fires.
-
-    The value is a dict mapping the fired event(s) to their values.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed({event: event.value})
-        self._detach_pending(event)
-
-
-class AllOf(_Composite):
-    """Fires once all of ``events`` fired.
-
-    The value is a dict mapping each event to its value.
-    """
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            self._detach_pending(event)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self._events})
-
-
 class Process(Event):
     """A generator-based simulation process.
 
@@ -506,11 +392,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:
-            if self.sim.strict:
-                raise
-            self.fail(exc)
-            return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"
@@ -540,12 +421,7 @@ class Simulator:
         sim.run()
         assert sim.now == 3.0 and proc.value == "done"
 
-    Parameters
-    ----------
-    strict:
-        When true (the default), an exception escaping a process body
-        propagates out of :meth:`run` instead of silently failing the
-        process event.
+    An exception escaping a process body propagates out of :meth:`run`.
     """
 
     #: Upper bound on the timeout free list (see :meth:`timeout`); also
@@ -558,9 +434,8 @@ class Simulator:
     #: code and safe to recycle.
     _FREE_REFCOUNT = sys.getrefcount(object())
 
-    def __init__(self, strict: bool = True):
+    def __init__(self):
         self.now: float = 0.0
-        self.strict = strict
         self._agenda = Agenda()
         # The same-instant fast lane, pre-bound once.  Components that
         # complete events on their hot paths (the CPU pool, disks, WAL,
@@ -642,14 +517,6 @@ class Simulator:
         """Start a process from ``generator`` immediately."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event firing once every one of ``events`` fired."""
-        return AllOf(self, events)
-
     # -- scheduling -----------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
@@ -661,58 +528,19 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._agenda.peek()
 
-    def step(self) -> None:
-        """Process the single next event on the agenda.
-
-        The one-at-a-time compatibility face of the batched run loop —
-        useful for tests and debugging; :meth:`run` does not call it.
-        """
-        when, event = self._agenda.pop()
-        self.now = when
-        event._processed = True
-        callback = event._cb
-        if callback is not None:
-            event._cb = None
-            callbacks = event.callbacks
-            if callbacks is None:
-                callback(event)
-            else:
-                event.callbacks = None
-                callback(event)
-                for callback in callbacks:
-                    callback(event)
-        else:
-            callbacks = event.callbacks
-            if callbacks is not None:
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-        if (
-            event.__class__ is Timeout
-            and len(self._timeout_pool) < self.TIMEOUT_POOL_LIMIT
-            and sys.getrefcount(event) == self._FREE_REFCOUNT + 1
-        ):
-            event._value = None
-            self._timeout_pool.append(event)
-
     def run(
-        self,
-        until: Optional[float] = None,
-        stop: Optional[Event] = None,
-        hooks: Optional[KernelHooks] = None,
-    ) -> Any:
+        self, until: Optional[float] = None, hooks: Optional[KernelHooks] = None
+    ) -> None:
         """Drain the agenda until a stop condition holds.
 
         Stops when the agenda empties, virtual time would pass
-        ``until``, the ``stop`` event fires, or ``hooks`` (a
-        :class:`KernelHooks` count condition) is satisfied.  Returns
-        the value of ``stop`` when given and fired.
+        ``until``, or ``hooks`` (a :class:`KernelHooks` count
+        condition) is satisfied.
 
         This is the kernel hot loop: one stack frame, every per-event
         lookup bound to a local.  Same-instant runs drain straight off
-        the agenda's FIFO (the inlined form of
-        :meth:`Agenda.pop_batch` — no entry tuples, no heap traffic);
-        heap pops only happen when virtual time actually advances.
+        the agenda's FIFO (no entry tuples, no heap traffic); heap pops
+        only happen when virtual time actually advances.
         After an event's callbacks ran, a plain :class:`Timeout` that
         nothing else references (verified via the CPython refcount, so
         events held by user code are never touched) is recycled into
@@ -723,8 +551,6 @@ class Simulator:
         now = self.now
         if until is not None and until < now:
             raise SimulationError(f"until={until!r} lies in the past (now={now!r})")
-        if stop is not None and stop._processed:
-            return stop._value
         # locals-bound hot state
         agenda = self._agenda
         heap = agenda._heap
@@ -737,7 +563,7 @@ class Simulator:
             counter = hooks.counter
             target = hooks.target
             if len(counter) >= target:
-                return None
+                return
         pool = self._timeout_pool
         pool_limit = self.TIMEOUT_POOL_LIMIT
         free_threshold = self._FREE_REFCOUNT + 1
@@ -773,8 +599,6 @@ class Simulator:
                             event.callbacks = None
                             for callback in callbacks:
                                 callback(event)
-                    if event is stop:
-                        return event._value
                     if (
                         event.__class__ is timeout_class
                         and len(pool) < pool_limit
@@ -790,7 +614,7 @@ class Simulator:
                         event._value = None
                         event_pool.append(event)
                     if counter is not None and len(counter) >= target:
-                        return None
+                        return
                 # -- phase 2: the same-instant FIFO (may keep growing
                 #    while it drains; nothing here touches the heap's
                 #    now_t run, which is already empty) ---------------
@@ -814,8 +638,6 @@ class Simulator:
                             event.callbacks = None
                             for callback in callbacks:
                                 callback(event)
-                    if event is stop:
-                        return event._value
                     if (
                         event.__class__ is event_class
                         and len(event_pool) < pool_limit
@@ -831,14 +653,14 @@ class Simulator:
                         event._value = None
                         pool.append(event)
                     if counter is not None and len(counter) >= target:
-                        return None
+                        return
                 # -- phase 3: advance virtual time --------------------
                 if heap:
                     when = heap[0][0]
                     if when > until_t:
                         self.now = until
                         agenda._now = until
-                        return None
+                        return
                     now_t = when
                     self.now = when
                     agenda._now = when
@@ -851,6 +673,3 @@ class Simulator:
         if until is not None:
             self.now = until
             agenda._now = until
-        if stop is not None and stop._processed:
-            return stop._value
-        return None

@@ -1,35 +1,25 @@
-"""The unified service-station protocol every simulated resource speaks.
+"""The station base every simulated resource shares, and the cluster router.
 
-A transaction moving through the DBMS passes a sequence of *stations* —
-the CPU pool, the disk array, the WAL disk, the lock table, and any
-scenario-specific extras such as a network/front-end delay.  Before
-this layer each resource grew its own acquire/serve/release plumbing
-and its own metrics; :class:`Station` factors the shared surface out:
+A transaction moving through the DBMS passes four *stations*: the CPU
+pool, the disk array, the WAL disk and the lock table.  Each speaks its
+own verb (``execute``, ``submit``, ``commit``, ``acquire``), but they
+share one metrics surface, which :class:`Station` factors out: every
+station reports ``busy_time``, ``requests_served`` and
+``utilization(elapsed)``, plus per-priority-class counters
+(:class:`ClassStats`) fed through the :meth:`Station._record` hook, so
+per-class breakdowns need no resource-specific code.  The engine lists
+its stations by name in :attr:`repro.dbms.engine.DatabaseEngine.stations`
+for utilization and per-class snapshots.
 
-* **Lifecycle** — ``acquire`` (admission: lock grants, queue entry),
-  ``serve`` (timed service for a demand), ``release`` (give back what
-  ``acquire`` granted).  Pure servers only implement ``serve``; the
-  lock table only implements ``acquire``/``release``.
-* **Metrics** — every station reports ``busy_time``,
-  ``requests_served`` and ``utilization(elapsed)``, plus per-priority-
-  class counters (:class:`ClassStats`) fed through the
-  :meth:`Station._record` hook, so per-class breakdowns need no
-  resource-specific code.
-
-The engine composes stations through this protocol (see
-:attr:`repro.dbms.engine.DatabaseEngine.stations`); adding a resource
-to the model means subclassing :class:`Station` and registering it —
-no engine surgery.  :class:`DelayStation` is the drop-in example: an
-infinite-server delay (network hop, front-end parsing) that slots into
-the pipeline without touching any other layer.
+The cluster front-end, :class:`RouterStation`, is a station too: it
+dispatches transactions to shards under a :class:`RoutingPolicy` and
+counts them per class.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.sim.distributions import BlockSampler, Distribution
 from repro.sim.engine import Event, SimulationError, Simulator
 
 
@@ -59,13 +49,12 @@ class ClassStats:
 
 
 class Station:
-    """Base class: acquire/serve/release plus per-class metrics.
+    """Base class: per-class metrics for one named resource.
 
-    Subclasses call ``Station.__init__(self, sim, name)`` first, then
-    override whichever lifecycle phases the resource actually has.
-    The defaults make every phase optional: ``acquire`` grants
-    immediately, ``release`` is a no-op, and ``serve`` must be
-    overridden by stations that perform timed service.
+    Subclasses call ``Station.__init__(self, sim, name)`` first, record
+    each served or granted request through :meth:`_record` and override
+    :attr:`busy_time` (and :meth:`utilization` where busy time is not
+    per-server time).
     """
 
     #: Whether this station is a server whose utilization belongs in a
@@ -77,19 +66,6 @@ class Station:
         self.sim = sim
         self.name = name
         self.per_class: Dict[int, ClassStats] = {}
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def acquire(self, *args, **kwargs) -> Event:
-        """Admission phase; the default grants immediately."""
-        return self.sim.fired()
-
-    def serve(self, demand: float, priority: int = 0, weight: float = 1.0) -> Event:
-        """Timed service of ``demand``; fires when served."""
-        raise NotImplementedError(f"station {self.name!r} does not serve demands")
-
-    def release(self, *args, **kwargs) -> None:
-        """Give back whatever ``acquire`` granted; default no-op."""
 
     # -- metrics -----------------------------------------------------------
 
@@ -119,51 +95,10 @@ class Station:
         return sum(stats.requests for stats in self.per_class.values())
 
     def utilization(self, elapsed: float) -> float:
-        """Busy fraction of ``elapsed`` (infinite servers: mean jobs)."""
+        """Busy fraction of ``elapsed``."""
         if elapsed <= 0:
             return 0.0
         return self.busy_time / elapsed
-
-
-class DelayStation(Station):
-    """An infinite-server delay: every request is served immediately.
-
-    Models network hops, front-end parsing, or any per-request latency
-    with no queueing.  ``utilization`` reports the time-average number
-    of requests in the delay (Little's law), which can exceed 1.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "delay",
-        delay: Optional[Distribution] = None,
-        rng: Optional[random.Random] = None,
-    ):
-        super().__init__(sim, name)
-        self.delay = delay
-        self._rng = rng
-        # the delay stream has one consumer, so it is block-sampled
-        self._sample = (
-            BlockSampler(delay, rng) if delay is not None and rng is not None else None
-        )
-        self._busy_time = 0.0
-
-    def serve(self, demand: float = 0.0, priority: int = 0, weight: float = 1.0) -> Event:
-        """Delay for ``demand`` seconds, or a sampled delay when 0."""
-        if demand <= 0.0 and self.delay is not None:
-            if self._sample is None:
-                raise ValueError(f"station {self.name!r} has no rng to sample with")
-            demand = self._sample()
-        if demand < 0:
-            raise ValueError(f"delay must be non-negative, got {demand!r}")
-        self._busy_time += demand
-        self._record(priority, service_time=demand)
-        return self.sim.timeout(demand)
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
 
 
 # -- routing (cluster front-end) ----------------------------------------------

@@ -34,20 +34,6 @@ def test_fcfs_ordering():
     assert times[2] == pytest.approx(3.0)
 
 
-def test_priority_order_serves_high_first():
-    sim = Simulator()
-    disk = Disk(sim, Deterministic(1.0), random.Random(0), priority_order=True)
-    low = disk.submit(priority=0)
-    mid = disk.submit(priority=1)
-    high = disk.submit(priority=2)
-    times = _completion_times(sim, [low, mid, high])
-    sim.run()
-    # the first (low) request is already in service; the rest reorder
-    assert times[0] == pytest.approx(1.0)
-    assert times[2] == pytest.approx(2.0)
-    assert times[1] == pytest.approx(3.0)
-
-
 def test_busy_time_and_utilization():
     sim = Simulator()
     disk = Disk(sim, Deterministic(0.5), random.Random(0))

@@ -1,14 +1,12 @@
-"""Kernel v2 edge cases: batched agenda, hooks, pools, composites.
+"""Kernel v2 edge cases: the two-lane agenda, hooks and pools.
 
-Covers the corners the batched drain loop introduced: ``run(until=)``
-landing exactly on an event timestamp, the timeout free-list boundary,
+Covers the corners the drain loop introduced: ``run(until=)`` landing
+exactly on an event timestamp, the timeout free-list boundary,
 interrupting a process that is blocked inside a same-timestamp batch,
-empty-agenda ``peek()``, the :class:`Agenda` API itself, in-kernel
-:class:`KernelHooks` counting, and the composite-event callback
-detachment (with its timeout-pool interaction).
+empty-agenda ``peek()``, the :class:`Agenda` lanes, the (time,
+insertion) firing order of :meth:`Simulator.run` under every stop
+condition, and in-kernel :class:`KernelHooks` counting.
 """
-
-import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +14,6 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import (
     Agenda,
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     KernelHooks,
@@ -181,52 +177,25 @@ def test_peek_sees_same_instant_fifo_entries():
     assert sim.peek() == 0.0
 
 
+# delays are multiples of small binary fractions, so `now + delay` often
+# lands on a pending timestamp and exercises tie-breaking; 0.0 exercises
+# the same-instant FIFO
+_DELAYS = st.sampled_from((0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 2.75))
+
+
 # -- Agenda -------------------------------------------------------------------
 
 
 class TestAgenda:
     def test_schedule_orders_by_time_then_sequence(self):
-        agenda = Agenda()
         sim = Simulator()
-        a, b, c = Event(sim), Event(sim), Event(sim)
-        agenda.schedule(a, 2.0)
-        agenda.schedule(b, 1.0)
-        agenda.schedule(c, 2.0)
-        batch = []
-        assert agenda.pop_batch(batch) == 1
-        assert batch[0][2] is b
-        batch.clear()
-        assert agenda.pop_batch(batch) == 2
-        assert [entry[2] for entry in batch] == [a, c]  # tie: schedule order
-
-    def test_pop_batch_pops_whole_timestamp_run(self):
-        agenda = Agenda()
-        sim = Simulator()
-        events = [Event(sim) for _ in range(5)]
-        for event in events:
-            agenda.schedule(event, 3.0)
-        agenda.schedule(Event(sim), 4.0)
-        batch = []
-        assert agenda.pop_batch(batch) == 5
-        assert [entry[2] for entry in batch] == events
-        assert len(agenda) == 1
-
-    def test_pop_batch_entries_can_be_pushed_back(self):
-        agenda = Agenda()
-        sim = Simulator()
-        first, second = Event(sim), Event(sim)
-        agenda.schedule(first, 1.0)
-        agenda.schedule(second, 1.0)
-        batch = []
-        agenda.pop_batch(batch)
-        heapq.heappush(agenda._heap, batch[1])  # put the tail back
-        when, event = agenda.pop()
-        assert when == 1.0 and event is second
-
-    def test_pop_batch_on_empty_agenda_raises(self):
-        agenda = Agenda()
-        with pytest.raises(SimulationError):
-            agenda.pop_batch([])
+        order = []
+        for name, when in (("a", 2.0), ("b", 1.0), ("c", 2.0)):
+            event = Event(sim)
+            event.add_callback(lambda e, name=name: order.append((sim.now, name)))
+            sim._agenda.schedule(event, when)
+        sim.run()
+        assert order == [(1.0, "b"), (2.0, "a"), (2.0, "c")]  # tie: schedule order
 
     def test_same_instant_entries_use_the_fifo(self):
         agenda = Agenda()
@@ -246,47 +215,65 @@ class TestAgenda:
         assert len(agenda) == 2
         assert bool(agenda)
 
-    # delays are multiples of small binary fractions, so `now + delay`
-    # often lands on a pending timestamp and exercises tie-breaking;
-    # 0.0 exercises the same-instant FIFO
     @settings(max_examples=80, deadline=None)
     @given(
-        ops=st.lists(
-            st.one_of(
-                st.sampled_from((0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 2.75)),
-                st.just("pop"),
-                st.just("flush"),
+        roots=st.lists(
+            # a timeout and the timeouts its callback schedules, recursively
+            st.recursive(
+                st.tuples(_DELAYS, st.just(())),
+                lambda children: st.tuples(
+                    _DELAYS, st.lists(children, max_size=3).map(tuple)
+                ),
+                max_leaves=30,
             ),
             min_size=1,
-            max_size=80,
-        )
+            max_size=8,
+        ),
+        stops=st.lists(
+            st.one_of(
+                st.tuples(st.just("until"), _DELAYS),
+                st.tuples(st.just("hooks"), st.integers(min_value=0, max_value=6)),
+            ),
+            max_size=6,
+        ),
     )
-    def test_pop_order_matches_a_time_then_insertion_model(self, ops):
-        """Any schedule/pop/flush sequence pops in (when, insertion
-        order), whether an entry went through the heap or the FIFO."""
-        agenda = Agenda()
+    def test_pop_order_matches_a_time_then_insertion_model(self, roots, stops):
+        """``run`` fires every timeout in (when, insertion order) — whether
+        it was scheduled before the run or from inside a callback, went
+        through the heap or the same-instant FIFO, and across every
+        ``until=`` and :class:`KernelHooks` stop and resume."""
         sim = Simulator()
-        events = []  # insertion order
-        model = []  # pending (when, insertion index)
-        for op in ops:
-            if op == "flush":
-                agenda.flush()
-            elif op == "pop":
-                if not model:
-                    continue
-                batch = []
-                agenda.pop_batch(batch)
-                earliest = min(when for when, _ in model)
-                expected = [entry for entry in model if entry[0] == earliest]
-                model = [entry for entry in model if entry[0] != earliest]
-                assert [(when, events.index(event)) for when, _, event in batch] == expected
+        fired = []
+        pending = {}  # label -> (when, insertion index): the model
+        inserted = [0]
+
+        def schedule(node, label):
+            delay, children = node
+            pending[label] = (sim.now + delay, inserted[0])
+            inserted[0] += 1
+            sim.timeout(delay).add_callback(lambda e: fire(label, children))
+
+        def fire(label, children):
+            earliest = min(pending, key=pending.get)
+            assert label == earliest and sim.now == pending.pop(label)[0]
+            fired.append(label)
+            for index, child in enumerate(children):
+                schedule(child, label + (index,))
+
+        for index, root in enumerate(roots):
+            schedule(root, (index,))
+        for kind, amount in stops:
+            if kind == "until":
+                until = sim.now + amount
+                sim.run(until=until)
+                assert sim.now == until
+                assert all(when > until for when, _ in pending.values())
             else:
-                event = Event(sim)
-                when = agenda._now + op
-                agenda.schedule(event, when)
-                model.append((when, len(events)))
-                events.append(event)
-        assert len(agenda) == len(model)
+                target = len(fired) + amount
+                sim.run(hooks=KernelHooks(fired, target))
+                assert len(fired) == target or not pending
+        sim.run()
+        assert not pending and len(sim._agenda) == 0
 
 
 # -- KernelHooks --------------------------------------------------------------
@@ -327,82 +314,18 @@ class TestKernelHooks:
         assert sim.peek() == float("inf")
 
     def test_stop_event_mid_batch_preserves_remaining_events(self):
+        """A hooks target met by the first event of a same-timestamp
+        batch stops the run there; the rest of the batch stays queued."""
         sim = Simulator()
         order = []
-        first = sim.timeout(1.0)
-        first.add_callback(lambda e: order.append("first"))
-        second = sim.timeout(1.0)
-        second.add_callback(lambda e: order.append("second"))
-        value = sim.run(stop=first)
+        sim.timeout(1.0).add_callback(lambda e: order.append("first"))
+        sim.timeout(1.0).add_callback(lambda e: order.append("second"))
+        sim.run(hooks=KernelHooks(order, 1))
         assert order == ["first"]
-        assert value is first.value
         # the rest of the t=1.0 batch is still pending
         assert sim.peek() == 1.0
         sim.run()
         assert order == ["first", "second"]
-
-
-# -- composite events: callback detachment ------------------------------------
-
-
-class TestCompositeDetach:
-    def test_any_of_detaches_losers(self):
-        sim = Simulator()
-        slow = sim.timeout(5.0)
-        fast = sim.timeout(1.0)
-        any_event = AnyOf(sim, [slow, fast])
-        sim.run(until=1.0)
-        assert any_event.processed
-        # the loser no longer carries the composite's callback
-        assert slow._cb is None and not slow.callbacks
-
-    def test_any_of_losers_return_to_timeout_pool(self):
-        """Regression: detached losers must become recyclable again.
-
-        Each iteration races a fast timeout against a slow one; once
-        the composite fires, the loser is detached, so when it finally
-        fires nothing references it and it returns to the free list.
-        Before the detach fix the losers kept the composite's bound
-        callback (pinning the whole AnyOf graph) and never recycled.
-        """
-        sim = Simulator()
-
-        def proc():
-            for _ in range(40):
-                fast = sim.timeout(0.001)
-                slow = sim.timeout(1000.0)
-                yield sim.any_of([fast, slow])
-
-        sim.process(proc())
-        sim.run()
-        assert len(sim._timeout_pool) > 0
-
-    def test_all_of_detaches_on_early_failure(self):
-        sim = Simulator()
-        failing = sim.event()
-        pending = sim.timeout(10.0)
-        all_event = AllOf(sim, [failing, pending])
-        failing.fail(ValueError("boom"))
-        sim.run(until=0.5)
-        assert all_event.processed and not all_event.ok
-        assert pending._cb is None and not pending.callbacks
-
-    def test_all_of_still_collects_every_value(self):
-        sim = Simulator()
-        events = [sim.timeout(t, value=t) for t in (1.0, 2.0, 3.0)]
-        all_event = AllOf(sim, events)
-        sim.run()
-        assert sorted(all_event.value.values()) == [1.0, 2.0, 3.0]
-
-    def test_any_of_fail_detaches_and_propagates(self):
-        sim = Simulator()
-        failing = sim.event()
-        pending = sim.timeout(10.0)
-        any_event = AnyOf(sim, [failing, pending])
-        failing.fail(RuntimeError("first failure wins"))
-        sim.run(until=0.5)
-        assert any_event.processed and not any_event.ok
-        assert pending._cb is None and not pending.callbacks
 
 
 # -- fired() ------------------------------------------------------------------

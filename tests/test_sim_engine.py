@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -137,7 +135,9 @@ def test_failed_event_raises_inside_process():
 
 
 def test_exception_escaping_process_propagates_in_strict_mode():
-    sim = Simulator(strict=True)
+    """Strict is the kernel's only mode: a process body's exception
+    leaves ``run`` instead of failing the process event."""
+    sim = Simulator()
 
     def proc():
         yield sim.timeout(1.0)
@@ -146,19 +146,6 @@ def test_exception_escaping_process_propagates_in_strict_mode():
     sim.process(proc())
     with pytest.raises(RuntimeError):
         sim.run()
-
-
-def test_exception_fails_process_event_in_lenient_mode():
-    sim = Simulator(strict=False)
-
-    def proc():
-        yield sim.timeout(1.0)
-        raise RuntimeError("bug")
-
-    process = sim.process(proc())
-    sim.run()
-    assert not process.ok
-    assert isinstance(process.value, RuntimeError)
 
 
 def test_interrupt_is_raised_in_target():
@@ -193,44 +180,6 @@ def test_interrupting_finished_process_rejected():
         process.interrupt()
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        first = sim.timeout(5.0, value="slow")
-        second = sim.timeout(1.0, value="fast")
-        fired = yield sim.any_of([first, second])
-        results.append(list(fired.values()))
-
-    sim.process(proc())
-    sim.run()
-    assert results == [["fast"]]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        events = [sim.timeout(t, value=t) for t in (1.0, 3.0, 2.0)]
-        fired = yield sim.all_of(events)
-        results.append(sorted(fired.values()))
-
-    sim.process(proc())
-    sim.run()
-    assert results == [[1.0, 2.0, 3.0]]
-    assert sim.now == 3.0
-
-
-def test_empty_any_of_and_all_of_fire_immediately():
-    sim = Simulator()
-    any_event = AnyOf(sim, [])
-    all_event = AllOf(sim, [])
-    sim.run()
-    assert any_event.processed and all_event.processed
-
-
 def test_yielding_non_event_is_an_error():
     sim = Simulator()
 
@@ -250,39 +199,19 @@ def test_peek_reports_next_event_time():
 
 
 def test_step_walks_the_agenda_in_time_order():
+    """Stepping one instant at a time with ``run(until=peek())``."""
     sim = Simulator()
-    for delay in (0.5, 0.5, 1.25, 0.0, 3.0):
-        sim.timeout(delay)
     times = []
+    for delay in (0.5, 0.5, 1.25, 0.0, 3.0):
+        sim.timeout(delay).add_callback(lambda e: times.append(sim.now))
     while sim.peek() != float("inf"):
-        sim.step()
-        times.append(sim.now)
+        sim.run(until=sim.peek())
     assert times == [0.0, 0.5, 0.5, 1.25, 3.0]
 
 
 def test_resolve_kernel_lane_is_py():
     # benchmark artifacts record this value
     assert resolve_kernel_lane() == "py"
-
-
-def test_step_on_empty_agenda_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
-def test_run_with_stop_event():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(2.0)
-        return "stopped"
-
-    process = sim.process(proc())
-    sim.timeout(100.0)
-    value = sim.run(stop=process)
-    assert value == "stopped"
-    assert sim.now == 2.0
 
 
 def test_callback_after_processed_runs_immediately():
