@@ -13,6 +13,13 @@
   time vs MPL (Figure 10).
 * :mod:`repro.queueing.mg1` — M/M/1, M/G/1-FIFO (Pollaczek–Khinchine),
   M/G/1-PS and M/M/k reference formulas.
+
+Everything here is stdlib-only except the QBD solver and the Figure 8/9
+model, which import numpy inside the functions that build and solve the
+generator blocks.  numpy therefore loads on the first solve (Figure 10,
+the tuner's response-time jump start), not when this package or
+:mod:`repro` is imported, so CLI targets and workers that never solve
+the chain skip its import cost.
 """
 
 from repro.queueing.mg1 import (

@@ -23,16 +23,23 @@ Sanity anchors (enforced by the test suite):
   insensitive to C².
 * C² = 1 is M/M/1 at every MPL (exponential sizes make the MPL
   irrelevant for the mean).
+
+numpy loads on the first solve.  The block builders and solvers import
+it locally, so neither importing :mod:`repro` (whose facades re-export
+this class) nor constructing a queue and reading its H2 moments loads
+it.  Only Figure 10 and the tuner's response-time jump start for open
+systems solve the model; every other process skips numpy's import cost.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.queueing.qbd import compute_rate_matrix, geometric_tail_sums
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def h2_params(mean: float, scv: float) -> Tuple[float, float, float]:
@@ -135,6 +142,8 @@ class MplPsQueue:
 
     def repeating_blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A0, A1, A2) of the repeating portion (levels n ≥ MPL)."""
+        import numpy as np
+
         m = self.mpl
         lam, prob_p, prob_q = self.arrival_rate, self.p, self.q
         size = m + 1
@@ -156,6 +165,8 @@ class MplPsQueue:
 
     def boundary_up(self, level: int) -> np.ndarray:
         """Arrival block from boundary level ``level`` (< MPL)."""
+        import numpy as np
+
         size = level + 1
         up = np.zeros((size, size + 1))
         for i in range(size):
@@ -165,6 +176,8 @@ class MplPsQueue:
 
     def boundary_down(self, level: int) -> np.ndarray:
         """Completion block from boundary level ``level`` (1..MPL)."""
+        import numpy as np
+
         size = level + 1
         down = np.zeros((size, level))
         for i in range(size):
@@ -177,6 +190,8 @@ class MplPsQueue:
 
     def boundary_local(self, level: int) -> np.ndarray:
         """Diagonal local block at boundary level ``level`` (< MPL)."""
+        import numpy as np
+
         size = level + 1
         local = np.zeros((size, size))
         for i in range(size):
@@ -197,6 +212,8 @@ class MplPsQueue:
             return self._solution
         if self.load >= 1.0:
             raise ValueError(f"unstable: offered load {self.load:.3f} >= 1")
+        import numpy as np
+
         m = self.mpl
         a0, a1, a2 = self.repeating_blocks()
         rate_matrix = compute_rate_matrix(a0, a1, a2)
@@ -220,6 +237,8 @@ class MplPsQueue:
 
     def level_probabilities(self, max_level: int) -> List[float]:
         """P(N = n) for n = 0..``max_level``."""
+        import numpy as np
+
         pis, rate_matrix = self.solve()
         m = self.mpl
         probabilities = []

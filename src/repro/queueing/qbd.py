@@ -18,13 +18,19 @@ then sets ``R = A0 (-(A1 + A0 G))^-1`` [Latouche & Ramaswami,
 *Introduction to Matrix Analytic Methods in Stochastic Modeling*,
 SIAM 1999].  Helpers compute the geometric tail sums needed for
 normalization and mean queue lengths.
+
+numpy is imported inside each function, so it loads on the first
+solve rather than with the module: only the Figure 9 model needs it,
+and every process that imports :mod:`repro` would otherwise pay for
+loading it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QbdConvergenceError(RuntimeError):
@@ -46,6 +52,8 @@ def compute_rate_matrix(
     of climbing 2^k levels first.  For a positive recurrent QBD T
     vanishes quadratically; iteration stops once ``‖T‖∞ < tolerance``.
     """
+    import numpy as np
+
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
@@ -87,6 +95,8 @@ def geometric_tail_sums(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     * total tail probability = ``pi_b (I - R)^-1 1``
     * sum of ``j * R^j``      = ``R (I - R)^-2`` (for mean levels).
     """
+    import numpy as np
+
     size = r.shape[0]
     identity = np.eye(size)
     inv1 = np.linalg.inv(identity - r)
@@ -95,6 +105,8 @@ def geometric_tail_sums(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def validate_generator_rows(blocks_row_sum: np.ndarray, tolerance: float = 1e-8) -> None:
     """Assert a generator's row sums vanish (used by model unit tests)."""
+    import numpy as np
+
     worst = float(np.max(np.abs(blocks_row_sum)))
     if worst > tolerance:
         raise ValueError(f"generator rows sum to {worst:.3e}, expected 0")
