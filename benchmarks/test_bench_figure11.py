@@ -23,7 +23,10 @@ def test_figure11(once):
     setups = len(SETUPS)
     assert stats.submitted == 3 * 2 * setups
     assert stats.deduplicated >= setups
-    assert stats.executed + stats.cache_hits <= 5 * setups
+    # every simulation, the tunings' no-MPL baseline cells included:
+    # 17 references, 34 tunings, 17 baselines (one per setup, shared
+    # by both budgets) and the distinct prioritized runs
+    assert stats.simulated + stats.cached <= 97
     for panel in panels:
         print()
         print(panel.render())

@@ -249,10 +249,25 @@ class ControlSpec:
         """The MPL the system is built with (before any control loop)."""
         raise NotImplementedError
 
+    def baseline_spec(self, scenario: "ScenarioSpec") -> "Optional[ScenarioSpec]":
+        """The reference run this control measures against, if any.
+
+        The runner runs it as a cell of its own ahead of ``scenario``
+        and hands its result to :meth:`apply` as ``baseline``.
+        """
+        return None
+
     def apply(
-        self, system: MeasuredSystem, scenario: "ScenarioSpec"
+        self,
+        system: MeasuredSystem,
+        scenario: "ScenarioSpec",
+        baseline: Optional[RunResult] = None,
     ) -> "Optional[ControlReport]":
-        """Run the control phase against a live system; report or None."""
+        """Run the control phase against a live system; report or None.
+
+        ``baseline`` is the result of :meth:`baseline_spec`'s run, for
+        a control that has one.
+        """
         raise NotImplementedError
 
 
@@ -265,7 +280,7 @@ class StaticMpl(ControlSpec):
     def config_mpl(self) -> Optional[int]:
         return self.mpl
 
-    def apply(self, system, scenario):
+    def apply(self, system, scenario, baseline=None):
         return None
 
 
@@ -277,12 +292,15 @@ class FeedbackMpl(ControlSpec):
     §4.2) using the measured baseline, exactly like
     :class:`~repro.core.tuner.MplTuner` (single-engine topologies
     only — a sharded scenario must pin ``initial_mpl`` explicitly).
-    The no-MPL baseline the penalties are measured against is taken
-    from an unlimited twin of the same scenario (same workload,
-    arrivals, topology, seed), run for ``baseline_transactions`` — or
-    supplied directly via ``baseline_throughput`` /
-    ``baseline_response_time`` when the caller already measured it
-    (e.g. through the result cache), which skips the twin run.
+    The no-MPL baseline the penalties are measured against is the run
+    of :meth:`baseline_spec`: the unlimited twin of the same scenario
+    (same workload, arrivals, topology, seed and warm-up), run for
+    ``baseline_transactions``.  The runner runs that twin as a cell of
+    its own — cached, and shared by every tuning of the same setup in
+    a grid — and passes its result to :meth:`apply`; a standalone run
+    measures it first.  ``baseline_throughput`` /
+    ``baseline_response_time`` supply a pre-measured baseline instead,
+    and then there is no twin.
 
     On a sharded topology the loop runs per shard
     (:meth:`~repro.core.cluster.ClusteredSystem.tune_shards`), each
@@ -339,27 +357,37 @@ class FeedbackMpl(ControlSpec):
     def config_mpl(self) -> Optional[int]:
         return self.initial_mpl
 
-    def _measure_baseline(self, scenario: "ScenarioSpec") -> RunResult:
-        """Run the unlimited twin of ``scenario`` (the no-MPL reference)."""
-        twin = dataclasses.replace(scenario, control=StaticMpl(None))
-        return build_system(twin.build_config()).run(
-            transactions=self.baseline_transactions,
-            warmup_fraction=scenario.measurement.warmup_fraction,
+    def baseline_spec(self, scenario):
+        """The unlimited twin of ``scenario`` (None with an explicit
+        baseline): static unlimited MPL, ``baseline_transactions``
+        measured, no faults, resilience or 2PC."""
+        if self.baseline_throughput is not None:
+            return None
+        return dataclasses.replace(
+            scenario,
+            control=StaticMpl(None),
+            measurement=MeasurementSpec(
+                transactions=self.baseline_transactions,
+                warmup_fraction=scenario.measurement.warmup_fraction,
+            ),
+            faults=None,
+            resilience=None,
+            distributed=None,
         )
 
-    def apply(self, system, scenario):
-        baseline = self.explicit_baseline()
-        reference = None
-        if baseline is None:
-            reference = self._measure_baseline(scenario)
-            baseline = Baseline(
-                throughput=reference.throughput,
-                mean_response_time=reference.mean_response_time,
+    def apply(self, system, scenario, baseline=None):
+        reference = self.explicit_baseline()
+        if reference is None:
+            if baseline is None:
+                baseline = execute_scenario(self.baseline_spec(scenario)).result
+            reference = Baseline(
+                throughput=baseline.throughput,
+                mean_response_time=baseline.mean_response_time,
             )
         if isinstance(system, ClusteredSystem):
             # initial_mpl is validated non-None for sharded scenarios
             reports = system.tune_shards(
-                baseline,
+                reference,
                 self.thresholds(),
                 initial_mpl=self.initial_mpl,
                 window=self.window,
@@ -371,14 +399,14 @@ class FeedbackMpl(ControlSpec):
         initial = self.initial_mpl
         if initial is None:
             jump = model_jump_start(
-                system.config, reference, self.thresholds(),
+                system.config, baseline, self.thresholds(),
                 is_open=scenario.is_open,
             )
             cap = max(1, system.config.num_clients)
             initial = min(max(jump["throughput"], jump["response_time"]), cap)
         controller = MplController(
             system,
-            baseline,
+            reference,
             self.thresholds(),
             initial_mpl=initial,
             window=self.window,
@@ -423,7 +451,7 @@ class PerClassSlo(_SloControl):
     (``high_priority_fraction > 0``) and a single-engine topology.
     """
 
-    def apply(self, system, scenario):
+    def apply(self, system, scenario, baseline=None):
         controller = PerClassSloController(
             system,
             target_p95_s=self.high_p95_target_s,
@@ -470,7 +498,7 @@ class ElasticMpl(ControlSpec):
     def config_mpl(self) -> Optional[int]:
         return self.mpl
 
-    def apply(self, system, scenario):
+    def apply(self, system, scenario, baseline=None):
         if not isinstance(system, ClusteredSystem):
             raise ValueError(
                 "ElasticMpl needs a clustered topology (shards > 1 or "
@@ -507,7 +535,7 @@ class ClusterSlo(_SloControl):
     step: int = 2
     max_mpl: int = 256
 
-    def apply(self, system, scenario):
+    def apply(self, system, scenario, baseline=None):
         if not isinstance(system, ClusteredSystem):
             raise ValueError(
                 "ClusterSlo control needs a sharded topology (shards > 1)"
@@ -1096,14 +1124,18 @@ def _merge_resilience_timeline(
     return [merged[index] for index in sorted(merged)]
 
 
-def run_scenario(spec: ScenarioSpec) -> Tuple[MeasuredSystem, ScenarioOutcome]:
+def run_scenario(
+    spec: ScenarioSpec, baseline: Optional[RunResult] = None
+) -> Tuple[MeasuredSystem, ScenarioOutcome]:
     """Run one scenario and return the live system alongside the outcome.
 
     :func:`execute_scenario` is the plain-outcome face; this variant
     additionally hands back the :class:`MeasuredSystem` so callers
     (the scenario fuzzer's oracles, invariant tests) can inspect
     router counters, per-shard schedulers, and collector state after
-    the measurement window.
+    the measurement window.  ``baseline`` is the result of the
+    control's :meth:`~ControlSpec.baseline_spec` run when the caller
+    already has it; without it the control runs that spec itself.
     """
     measurement = spec.measurement
     system = build_system(spec.build_config())
@@ -1126,7 +1158,7 @@ def run_scenario(spec: ScenarioSpec) -> Tuple[MeasuredSystem, ScenarioOutcome]:
         # attempt accounting watches
         coordinator = TwoPhaseCoordinator(spec.distributed, seed=spec.seed)
         coordinator.install(system)
-    report = spec.control.apply(system, spec)
+    report = spec.control.apply(system, spec, baseline)
     # the control phase's completions precede the measurement window;
     # both run paths land the window at exactly `transactions` records
     # past `start`, so one warmup index serves the result and the
@@ -1181,7 +1213,9 @@ def run_scenario(spec: ScenarioSpec) -> Tuple[MeasuredSystem, ScenarioOutcome]:
     return system, outcome
 
 
-def execute_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
+def execute_scenario(
+    spec: ScenarioSpec, baseline: Optional[RunResult] = None
+) -> ScenarioOutcome:
     """Run one scenario end to end: build, inject, control, measure.
 
     With static control this is byte-for-byte the legacy execution
@@ -1189,9 +1223,10 @@ def execute_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     or SLO control the system first runs the spec-described controller,
     then measures a fresh post-control window.  A fault timeline is
     armed on the simulator clock before anything runs, so its events
-    fire at their absolute simulated times.
+    fire at their absolute simulated times.  ``baseline`` is as for
+    :func:`run_scenario`.
     """
-    return run_scenario(spec)[1]
+    return run_scenario(spec, baseline)[1]
 
 
 # -- demo scenarios ------------------------------------------------------------

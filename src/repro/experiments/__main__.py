@@ -90,29 +90,34 @@ def _unknown(kind: str, name: str, known: Dict[str, Callable]) -> int:
     return 2
 
 
-def _run_figure(key: str, fast: bool) -> None:
-    function = _FIGURES[key]
+def _run_target(kind: str, key: str, fast: bool) -> None:
+    """Print one figure or table, then its ``[kind key regenerated ...]``
+    footer with the cells it served from the cache and ran (baseline
+    and analytic cells included).  A table that submitted no cell
+    prints no footer."""
     runner = parallel.get_runner()
     before = dataclasses.replace(runner.totals)
     start = time.time()
-    if key in _ANALYTIC:
-        result = function()
-    else:
-        result = function(fast=fast)
-    if not isinstance(result, list):
-        result = [result]
-    for panel in result:
-        print(panel.render())
+    if kind == "table":
+        print(_TABLES[key]())
         print()
-    # totals delta = every grid this figure submitted (a figure may
-    # submit several), and nothing from previous figures
+    else:
+        function = _FIGURES[key]
+        result = function() if key in _ANALYTIC else function(fast=fast)
+        for panel in result if isinstance(result, list) else [result]:
+            print(panel.render())
+            print()
+    # totals delta = every grid this target submitted (a figure may
+    # submit several), and nothing from previous targets
     stats = runner.totals.since(before)
+    if kind == "table" and not stats.submitted:
+        return
     cache_note = (
-        f", {stats.cache_hits} cached / {stats.executed} simulated"
-        if stats.cache_hits
+        f", {stats.cached} cached / {stats.simulated} simulated"
+        if stats.submitted
         else ""
     )
-    print(f"[figure {key} regenerated in {time.time() - start:.1f}s{cache_note}]")
+    print(f"[{kind} {key} regenerated in {time.time() - start:.1f}s{cache_note}]")
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -606,10 +611,9 @@ def main(argv: List[str] | None = None) -> int:
     parallel.configure(jobs=args.jobs, cache_dir=args.cache_dir)
     try:
         for key in table_ids:
-            print(_TABLES[key]())
-            print()
+            _run_target("table", key, fast=not args.full)
         for key in figure_ids:
-            _run_figure(key, fast=not args.full)
+            _run_target("figure", key, fast=not args.full)
     finally:
         parallel.configure(jobs=1, cache_dir=None)
     return 0

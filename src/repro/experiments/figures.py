@@ -37,7 +37,13 @@ from repro.core.system import RunResult
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import report
-from repro.experiments.parallel import DEFAULT_SEED, run_grid, run_grid_outcomes
+from repro.experiments.parallel import (
+    DEFAULT_SEED,
+    AnalyticCell,
+    run_analytic,
+    run_grid,
+    run_grid_outcomes,
+)
 from repro.experiments.runner import scenario_for, tuning_scenario
 from repro.priority.evaluation import (
     HIGH_PRIORITY_FRACTION,
@@ -310,6 +316,16 @@ def figure7(
     ]
 
 
+def mpl_ps_response_time(**queue) -> float:
+    """Mean response time (s) of the Figure 9 chain ``MplPsQueue(**queue)``."""
+    return MplPsQueue(**queue).mean_response_time()
+
+
+def ps_response_time(**queue) -> float:
+    """The M/G/1-PS response time (s) the chain approaches as MPL grows."""
+    return MplPsQueue(**queue).ps_reference()
+
+
 def figure10(
     scvs: Sequence[float] = (2.0, 5.0, 10.0, 15.0),
     loads: Sequence[float] = (0.7, 0.9),
@@ -320,26 +336,35 @@ def figure10(
 
     Matches Figure 10: with C² ≤ 2 the response time is flat in the
     MPL; with C² = 15 the MPL must reach ≈ 10 (load 0.7) or ≈ 30
-    (load 0.9) before the PS level is attained.
+    (load 0.9) before the PS level is attained.  Every chain solve and
+    PS reference is an analytic cell, so a warm run solves nothing.
     """
+
+    def queue(load: float, mpl: int, scv: float) -> Dict[str, float]:
+        return {
+            "arrival_rate": load / service_mean,
+            "mpl": mpl,
+            "service_mean": service_mean,
+            "service_scv": scv,
+        }
+
+    cells = []
+    for load in loads:
+        cells += [
+            AnalyticCell(f"{__name__}:mpl_ps_response_time", queue(load, mpl, scv))
+            for scv in scvs
+            for mpl in mpls
+        ]
+        cells.append(AnalyticCell(f"{__name__}:ps_response_time", queue(load, 1, 1.0)))
+    values = iter(run_analytic(cells))
     results = []
     for load in loads:
-        arrival_rate = load / service_mean
-        series = []
-        for scv in scvs:
-            ys = []
-            for mpl in mpls:
-                model = MplPsQueue(
-                    arrival_rate=arrival_rate,
-                    mpl=mpl,
-                    service_mean=service_mean,
-                    service_scv=scv,
-                )
-                ys.append(model.mean_response_time() * 1000.0)  # msec
-            series.append(Series(label=f"C2={scv:g}", ys=tuple(ys)))
-        ps = MplPsQueue(
-            arrival_rate=arrival_rate, mpl=1, service_mean=service_mean, service_scv=1.0
-        ).ps_reference() * 1000.0
+        # response times in msec
+        series = [
+            Series(label=f"C2={scv:g}", ys=tuple(next(values) * 1000.0 for _ in mpls))
+            for scv in scvs
+        ]
+        ps = next(values) * 1000.0
         series.append(Series(label="PS", ys=tuple(ps for _ in mpls)))
         results.append(
             FigureResult(

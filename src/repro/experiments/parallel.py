@@ -8,23 +8,38 @@ out over a process pool, and memoizes every completed run's whole
 outcome on disk keyed by the scenario's content hash, so re-running
 an unchanged figure simulates nothing.
 
+The runner serves three kinds of cell through one walk (cache lookup,
+in-grid dedup, execution, :class:`RunnerStats`):
+
+* a *scenario* cell — a :class:`ScenarioSpec`, keyed by its
+  fingerprint;
+* a *baseline* cell — the reference run a tuning scenario's control
+  names (:meth:`~repro.core.scenario.ControlSpec.baseline_spec`).  The
+  runner derives it from each tuning cell that missed the cache, runs
+  it first (shared by every tuning of the same setup in the grid), and
+  passes its result down to that cell's run;
+* an *analytic* cell — an :class:`AnalyticCell`, a module-qualified
+  pure function plus JSON parameters, keyed in a namespace of its own
+  and cached as its JSON value.
+
 Determinism is structural, not incidental: each run owns a complete
 scenario (including its seed), every worker builds its system
 from scratch, and results are reassembled in submission order.  A
 ``--jobs N`` run is therefore bit-identical to the sequential one for
-any ``N``, and identical specs within one grid execute only once.
+any ``N``, and identical cells within one grid execute only once.
 
 The module keeps one process-wide *active runner* that the figure
-functions submit their grids to (see :func:`run_grid` and
-:func:`run_grid_outcomes`); the CLI
+functions submit their grids to (see :func:`run_grid`,
+:func:`run_grid_outcomes` and :func:`run_analytic`); the CLI
 installs a configured runner from ``--jobs`` / ``--cache-dir``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
+import importlib
 import json
 import os
 import tempfile
@@ -40,9 +55,10 @@ from repro.core.scenario import (
 from repro.core.system import RunResult
 
 __all__ = [
-    "DEFAULT_SEED", "OUTCOME_SCHEMA", "execute_spec", "ResultCache",
-    "ParallelRunner", "RunnerStats", "run_grid", "run_grid_outcomes",
-    "get_runner", "set_runner", "configure", "using_runner",
+    "DEFAULT_SEED", "OUTCOME_SCHEMA", "AnalyticCell", "execute_spec",
+    "ResultCache", "ParallelRunner", "RunnerStats", "run_grid",
+    "run_grid_outcomes", "run_analytic", "get_runner", "set_runner",
+    "configure", "using_runner",
 ]
 
 #: Layout version of the whole-outcome cache entries.  Bump it when
@@ -51,9 +67,49 @@ __all__ = [
 OUTCOME_SCHEMA = 1
 
 
-def execute_spec(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Run one spec to completion (also the process-pool worker)."""
-    return execute_scenario(spec)
+@dataclasses.dataclass(frozen=True)
+class AnalyticCell:
+    """A pure function of JSON parameters, run and cached like a scenario.
+
+    ``function`` names it as ``"package.module:name"``; it is called
+    with ``params`` as keyword arguments and returns a JSON value other
+    than null (what a cache hit serves back).
+    """
+
+    function: str
+    params: Dict[str, Any]
+
+    def fingerprint(self) -> str:
+        """The cache key: a hash of the function name and parameters,
+        prefixed so it never equals a scenario fingerprint."""
+        blob = json.dumps(
+            {"function": self.function, "params": self.params},
+            sort_keys=True, separators=(",", ":"),
+        )
+        return "analytic-" + hashlib.sha256(blob.encode()).hexdigest()
+
+    def evaluate(self) -> Any:
+        """Import the function and call it with the parameters."""
+        module, _, name = self.function.partition(":")
+        return getattr(importlib.import_module(module), name)(**self.params)
+
+
+Cell = Union[ScenarioSpec, AnalyticCell]
+
+
+def execute_spec(
+    spec: ScenarioSpec, baseline: Optional[RunResult] = None
+) -> ScenarioOutcome:
+    """Run one spec to completion (``baseline``: see
+    :func:`~repro.core.scenario.run_scenario`)."""
+    return execute_scenario(spec, baseline)
+
+
+def _evaluate(cell: Cell, baseline: Optional[RunResult] = None) -> Any:
+    """Run one cell of either kind (also the process-pool worker)."""
+    if isinstance(cell, AnalyticCell):
+        return cell.evaluate()
+    return execute_spec(cell, baseline)
 
 
 class ResultCache:
@@ -65,8 +121,10 @@ class ResultCache:
     :meth:`ScenarioOutcome.to_json_dict` plus its :data:`OUTCOME_SCHEMA`
     version, or, when stored from a bare :class:`RunResult`, just the
     spec and the result.  Either way ``payload["result"]`` is the
-    :class:`RunResult`.  Writes are atomic (temp file + rename) so
-    concurrent runners never observe torn entries.
+    :class:`RunResult`.  An analytic cell's entry (under
+    ``<cache_dir>/an/``) is the cell plus its ``value``.  Writes are
+    atomic (temp file + rename) so concurrent runners never observe
+    torn entries.
     """
 
     def __init__(self, cache_dir: str):
@@ -75,19 +133,20 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, key[:2], f"{key}.json")
 
-    def load(
-        self, key: str, spec: Optional[ScenarioSpec] = None
-    ) -> Union[RunResult, ScenarioOutcome, None]:
+    def load(self, key: str, spec: Optional[Cell] = None) -> Any:
         """The cached run for ``key``, or None on miss/corruption.
 
         Without ``spec`` this is the entry's :class:`RunResult`.  With
         the spec it is the whole :class:`ScenarioOutcome`, which only
         an entry stored from an outcome under the current
-        :data:`OUTCOME_SCHEMA` holds.
+        :data:`OUTCOME_SCHEMA` holds.  For an :class:`AnalyticCell` it
+        is the cell's value.
         """
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
+            if isinstance(spec, AnalyticCell):
+                return payload["value"]
             if spec is None:
                 return RunResult.from_json_dict(payload["result"])
             if payload.get("schema") != OUTCOME_SCHEMA:
@@ -96,14 +155,14 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(
-        self, key: str, spec: ScenarioSpec, run: Union[RunResult, ScenarioOutcome]
-    ) -> None:
+    def store(self, key: str, spec: Cell, run: Any) -> None:
         """Atomically persist one run (a whole outcome or just its
-        result) under its fingerprint."""
+        result, or an analytic cell's value) under its key."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        if isinstance(run, ScenarioOutcome):
+        if isinstance(spec, AnalyticCell):
+            payload = {**dataclasses.asdict(spec), "value": run}
+        elif isinstance(run, ScenarioOutcome):
             payload = {**run.to_json_dict(), "schema": OUTCOME_SCHEMA}
         else:
             payload = {"spec": spec.to_json_dict(), "result": run.to_json_dict()}
@@ -119,57 +178,71 @@ class ResultCache:
             raise
 
 
-def _as_served(outcome: ScenarioOutcome) -> ScenarioOutcome:
-    """``outcome`` exactly as a cache hit serves it.
+def _as_served(cell: Cell, value: Any) -> Any:
+    """A fresh cell's value exactly as a cache hit serves it.
 
     A fresh run is decoded from the same sorted JSON a cache entry
     holds, so cold, warm and ``--jobs N`` runs hand figures identical
     values (tuples and lists, key order, numeric types).
     """
-    text = json.dumps(outcome.to_json_dict(), sort_keys=True)
-    return ScenarioOutcome.from_json_dict(json.loads(text), outcome.spec)
+    if isinstance(cell, AnalyticCell):
+        return json.loads(json.dumps(value, sort_keys=True))
+    text = json.dumps(value.to_json_dict(), sort_keys=True)
+    return ScenarioOutcome.from_json_dict(json.loads(text), value.spec)
 
 
 @dataclasses.dataclass
 class RunnerStats:
     """Counters from one grid submitted to a :class:`ParallelRunner` (or a
-    running total)."""
+    running total).
+
+    The first four count the cells the caller submitted; the baseline
+    cells the runner derived from them are counted apart, so a warm
+    grid's ``cache_hits`` equals its cold ``executed + cache_hits``.
+    """
 
     submitted: int = 0
     cache_hits: int = 0
     executed: int = 0
     deduplicated: int = 0
+    #: Baseline cells served from the cache / run (each distinct once).
+    baseline_hits: int = 0
+    baseline_runs: int = 0
     elapsed_s: float = 0.0
+
+    @property
+    def cached(self) -> int:
+        """Cells served from the cache, baseline cells included."""
+        return self.cache_hits + self.baseline_hits
+
+    @property
+    def simulated(self) -> int:
+        """Cells run (simulated or evaluated), baseline cells included."""
+        return self.executed + self.baseline_runs
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
     def accumulate(self, other: "RunnerStats") -> None:
         """Add another call's counters into this running total."""
-        self.submitted += other.submitted
-        self.cache_hits += other.cache_hits
-        self.executed += other.executed
-        self.deduplicated += other.deduplicated
-        self.elapsed_s += other.elapsed_s
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
     def since(self, earlier: "RunnerStats") -> "RunnerStats":
         """The counter delta between two snapshots of a running total."""
-        return RunnerStats(
-            submitted=self.submitted - earlier.submitted,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            executed=self.executed - earlier.executed,
-            deduplicated=self.deduplicated - earlier.deduplicated,
-            elapsed_s=self.elapsed_s - earlier.elapsed_s,
-        )
+        return RunnerStats(**{
+            field.name: getattr(self, field.name) - getattr(earlier, field.name)
+            for field in dataclasses.fields(self)
+        })
 
 
 class ParallelRunner:
-    """Executes :class:`ScenarioSpec` grids over a worker pool, with caching.
+    """Executes grids of cells over a worker pool, with caching.
 
     ``jobs=1`` runs inline in this process (no pool overhead, still
-    cached); ``jobs=N`` fans distinct uncached specs out over
+    cached); ``jobs=N`` fans distinct uncached cells out over
     ``N`` worker processes.  Results always come back in submission
-    order, and duplicate specs within a grid are executed once.
+    order, and duplicate cells within a grid are executed once.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None):
@@ -177,8 +250,8 @@ class ParallelRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        #: Counters from the most recent grid (:meth:`run` or
-        #: :meth:`run_outcomes`).
+        #: Counters from the most recent grid (:meth:`run`,
+        #: :meth:`run_outcomes` or :meth:`run_analytic`).
         self.stats = RunnerStats()
         #: Running totals across every grid this runner ran.
         self.totals = RunnerStats()
@@ -201,60 +274,85 @@ class ParallelRunner:
         """
         return self._run(specs, whole=True)
 
-    def _run(self, specs: Sequence[ScenarioSpec], whole: bool) -> list:
+    def run_analytic(self, cells: Sequence[AnalyticCell]) -> List[Any]:
+        """Evaluate analytic cells; the i-th value belongs to the i-th cell."""
+        return self._run(cells, whole=True)
+
+    def _run(self, cells: Sequence[Cell], whole: bool) -> list:
         start = time.perf_counter()
-        stats = RunnerStats(submitted=len(specs))
-        keys = [spec.fingerprint() for spec in specs]
+        stats = RunnerStats()
+        values = self._walk(cells, whole, stats)
+        stats.elapsed_s = time.perf_counter() - start
+        self.stats = stats
+        self.totals.accumulate(stats)
+        return values
+
+    def _walk(self, cells: Sequence[Cell], whole: bool, stats: RunnerStats) -> list:
+        stats.submitted += len(cells)
+        keys = [cell.fingerprint() for cell in cells]
         served: Dict[str, Any] = {}
-        pending: List[Tuple[str, ScenarioSpec]] = []
-        seen: set = set()
-        for key, spec in zip(keys, specs):
-            if key in seen:
+        pending: Dict[str, Cell] = {}
+        for key, cell in zip(keys, cells):
+            if key in served or key in pending:
                 stats.deduplicated += 1
                 continue
-            seen.add(key)
             cached = (
-                self.cache.load(key, spec if whole else None) if self.cache else None
+                self.cache.load(key, cell if whole else None) if self.cache else None
             )
             if cached is not None:
                 stats.cache_hits += 1
                 served[key] = cached
             else:
-                pending.append((key, spec))
+                pending[key] = cell
 
-        stats.executed = len(pending)
-        for key, outcome in self._execute(pending):
-            served[key] = outcome if whole else outcome.result
+        # a cell whose control measures against a baseline run gets
+        # that run's result; the baselines of the cells that missed
+        # run first, as cells of their own
+        twins = {}
+        for key, cell in pending.items():
+            if isinstance(cell, ScenarioSpec):
+                twin = cell.control.baseline_spec(cell)
+                if twin is not None:
+                    twins[key] = twin
+        baselines = {}
+        if twins:
+            twin_stats = RunnerStats()
+            baselines = dict(zip(twins, self._walk(list(twins.values()), False, twin_stats)))
+            stats.baseline_hits += twin_stats.cache_hits
+            stats.baseline_runs += twin_stats.executed
 
-        stats.elapsed_s = time.perf_counter() - start
-        self.stats = stats
-        self.totals.accumulate(stats)
+        stats.executed += len(pending)
+        for key, value in self._execute(pending, baselines):
+            served[key] = value if whole else value.result
         return [served[key] for key in keys]
 
     def _execute(
-        self, pending: List[Tuple[str, ScenarioSpec]]
-    ) -> Iterator[Tuple[str, ScenarioOutcome]]:
+        self, pending: Dict[str, Cell], baselines: Dict[str, RunResult]
+    ) -> Iterator[Tuple[str, Any]]:
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
-            for key, spec in pending:
-                yield key, self._finish(key, spec, execute_spec(spec))
+            for key, cell in pending.items():
+                yield key, self._finish(key, cell, _evaluate(cell, baselines.get(key)))
             return
+        # only a grid that fans out loads the pool machinery, so a warm
+        # run's startup does not pay for it
+        import concurrent.futures
+
         workers = min(self.jobs, len(pending))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(execute_spec, spec): (key, spec) for key, spec in pending
+                pool.submit(_evaluate, cell, baselines.get(key)): (key, cell)
+                for key, cell in pending.items()
             }
             for future in concurrent.futures.as_completed(futures):
-                key, spec = futures[future]
-                yield key, self._finish(key, spec, future.result())
+                key, cell = futures[future]
+                yield key, self._finish(key, cell, future.result())
 
-    def _finish(
-        self, key: str, spec: ScenarioSpec, outcome: ScenarioOutcome
-    ) -> ScenarioOutcome:
+    def _finish(self, key: str, cell: Cell, value: Any) -> Any:
         if self.cache:
-            self.cache.store(key, spec, outcome)
-        return _as_served(outcome)
+            self.cache.store(key, cell, value)
+        return _as_served(cell, value)
 
 
 # -- process-wide active runner ---------------------------------------------
@@ -302,3 +400,9 @@ def run_grid_outcomes(specs: Sequence[ScenarioSpec]) -> List[ScenarioOutcome]:
     that read control reports, timelines, percentiles, fault,
     resilience, shard-health or 2PC blocks)."""
     return get_runner().run_outcomes(list(specs))
+
+
+def run_analytic(cells: Sequence[AnalyticCell]) -> List[Any]:
+    """Submit analytic cells to the active runner (figure 10, the C²
+    table)."""
+    return get_runner().run_analytic(list(cells))

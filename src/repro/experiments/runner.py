@@ -196,7 +196,9 @@ def tuning_scenario(
     Its measurement window is a single transaction: the outcome's
     ``result.mpl`` is the tuned MPL and its ``control`` the
     :class:`~repro.core.controller.ControllerReport`, so a grid of
-    tunings goes through :func:`run_grid` and its cache.
+    tunings goes through :func:`run_grid` and its cache.  The baseline
+    depends only on the setup, ``transactions`` and ``seed``, so the
+    runner runs it once for every budget tuned in the same grid.
     """
     return ScenarioSpec(
         workload=WorkloadRef(setup_id=setup.setup_id),

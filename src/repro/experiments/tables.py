@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from repro.dbms.bufferpool import AnalyticBufferPool
+from repro.experiments.parallel import AnalyticCell, run_analytic
 from repro.experiments.report import ascii_table
 from repro.metrics import stats
 from repro.workloads.setups import (
@@ -14,7 +15,7 @@ from repro.workloads.setups import (
     WORKLOAD_LOAD,
     WORKLOAD_MEMORY,
 )
-from repro.workloads.traces import auction_site_trace, online_retailer_trace
+from repro.workloads.traces import TRACE_FACTORIES
 
 
 def table1() -> str:
@@ -70,8 +71,8 @@ def table2() -> str:
     )
 
 
-def _workload_demand_scv(name: str, samples: int, seed: int) -> Tuple[float, float]:
-    """Sampled (mean, C²) of total service demand for a workload.
+def workload_demand_moments(name: str, samples: int, seed: int) -> List[float]:
+    """Sampled [mean, C²] of total service demand for a workload.
 
     Demands combine CPU with the expected physical I/O given the
     workload's Table 1 machine, i.e. the same quantity the paper
@@ -95,28 +96,43 @@ def _workload_demand_scv(name: str, samples: int, seed: int) -> Tuple[float, flo
     for tid in range(samples):
         tx = spec.sample_transaction(rng, tid)
         demands.append(tx.cpu_demand + tx.page_accesses * miss * disk_s)
-    return stats.mean(demands), stats.scv(demands)
+    return [stats.mean(demands), stats.scv(demands)]
+
+
+def trace_demand_moments(name: str, transactions: int) -> List[float]:
+    """[mean, C²] of a generated production trace's service demands."""
+    trace = TRACE_FACTORIES[name](transactions)
+    return [stats.mean(trace.demands), trace.demand_scv]
 
 
 def variability_table(samples: int = 20_000, seed: int = 5) -> str:
     """§3.2: demand C² of the benchmarks vs the production traces.
 
     The paper reports C² of 1.0–1.5 for TPC-C configurations, ≈ 15 for
-    TPC-W, and ≈ 2 for the commercial traces.
+    TPC-W, and ≈ 2 for the commercial traces.  Each workload's and
+    trace's moments are an analytic cell, so a warm run samples nothing.
     """
-    rows: List[List[str]] = []
-    for name in WORKLOADS:
-        mean, scv = _workload_demand_scv(name, samples, seed)
-        rows.append([name, f"{mean * 1000:.1f} ms", f"{scv:.2f}"])
-    for trace in (online_retailer_trace(samples // 2), auction_site_trace(samples // 2)):
-        demands = trace.demands
-        rows.append(
-            [
-                f"trace: {trace.name}",
-                f"{stats.mean(demands) * 1000:.1f} ms",
-                f"{trace.demand_scv:.2f}",
-            ]
-        )
+    labels = list(WORKLOADS) + [f"trace: {name}" for name in TRACE_FACTORIES]
+    moments = run_analytic(
+        [
+            AnalyticCell(
+                f"{__name__}:workload_demand_moments",
+                {"name": name, "samples": samples, "seed": seed},
+            )
+            for name in WORKLOADS
+        ]
+        + [
+            AnalyticCell(
+                f"{__name__}:trace_demand_moments",
+                {"name": name, "transactions": samples // 2},
+            )
+            for name in TRACE_FACTORIES
+        ]
+    )
+    rows = [
+        [label, f"{mean * 1000:.1f} ms", f"{scv:.2f}"]
+        for label, (mean, scv) in zip(labels, moments)
+    ]
     return ascii_table(
         ["Workload / trace", "Mean demand", "C^2"],
         rows,
