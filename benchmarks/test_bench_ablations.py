@@ -6,7 +6,7 @@
 """
 
 from repro.core.controller import Baseline, MplController, Thresholds
-from repro.core.system import SimulatedSystem
+from repro.core.simulation import SimulatedSystem
 from repro.experiments.runner import run_setup, setup_config
 from repro.queueing.throughput_model import ThroughputModel
 from repro.workloads.setups import get_setup

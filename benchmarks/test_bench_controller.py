@@ -6,7 +6,7 @@ model jump-start buys over a naive start.
 """
 
 from repro.core.controller import Baseline, MplController, Thresholds
-from repro.core.system import SimulatedSystem
+from repro.core.simulation import SimulatedSystem
 from repro.experiments.figures import controller_convergence
 from repro.experiments.runner import setup_config
 from repro.workloads.setups import get_setup

@@ -15,6 +15,7 @@ import dataclasses
 
 from repro.core.arrivals import PartlyOpenArrivals
 from repro.core.cluster import build_system
+from repro.core.cluster_config import ROUTING_POLICIES
 from repro.core.scenario import (
     MeasurementSpec,
     ScenarioSpec,
@@ -23,7 +24,6 @@ from repro.core.scenario import (
     WorkloadRef,
     execute_scenario,
 )
-from repro.sim.station import ROUTING_POLICIES
 
 SHARDS = 4
 PER_SHARD_RATE = 40.0  # tx/s offered per shard (~60% of capacity)

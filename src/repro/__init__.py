@@ -26,66 +26,58 @@ Quickstart::
                           hardware=setup.hardware, mpl=5)
     result = SimulatedSystem(config).run(transactions=2000)
     print(result.throughput, result.mean_response_time)
+
+Importing :mod:`repro` or any of its packages loads no submodule: each
+public name is imported on first use (:func:`_lazy_exports`).
 """
 
-from repro.core.controller import MplController, PerClassSloController, Thresholds
-from repro.core.frontend import ExternalScheduler
-from repro.core.scenario import (
-    FeedbackMpl,
-    MeasurementSpec,
-    PerClassSlo,
-    ScenarioOutcome,
-    ScenarioSpec,
-    StaticMpl,
-    TopologySpec,
-    WorkloadRef,
-    execute_scenario,
-)
-from repro.core.system import RunResult, SimulatedSystem, SystemConfig
-from repro.core.tuner import MplTuner, TuningResult
-from repro.dbms.config import HardwareConfig, InternalPolicy, IsolationLevel
-from repro.dbms.engine import DatabaseEngine
-from repro.dbms.transaction import Priority, Transaction
-from repro.queueing.mpl_ps_queue import MplPsQueue
-from repro.queueing.throughput_model import ThroughputModel
-from repro.workloads.setups import SETUPS, WORKLOADS, Setup, get_setup, get_workload
-from repro.workloads.spec import TransactionType, WorkloadSpec
+import importlib
+import sys
+
+
+def _lazy_exports(package, exports):
+    """PEP 562 hooks that import each public name of ``package`` on first use.
+
+    ``exports`` maps a submodule to the names it provides.  Returns the
+    package's ``(__all__, __getattr__, __dir__)``; a resolved name is
+    kept in the package namespace, so its submodule is imported once and
+    a package import alone loads none of them.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return sorted(home), __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DatabaseEngine",
-    "ExternalScheduler",
-    "FeedbackMpl",
-    "HardwareConfig",
-    "InternalPolicy",
-    "IsolationLevel",
-    "MeasurementSpec",
-    "MplController",
-    "MplPsQueue",
-    "MplTuner",
-    "PerClassSlo",
-    "PerClassSloController",
-    "Priority",
-    "RunResult",
-    "SETUPS",
-    "ScenarioOutcome",
-    "ScenarioSpec",
-    "StaticMpl",
-    "Setup",
-    "SimulatedSystem",
-    "SystemConfig",
-    "Thresholds",
-    "TopologySpec",
-    "ThroughputModel",
-    "Transaction",
-    "TransactionType",
-    "TuningResult",
-    "WORKLOADS",
-    "WorkloadRef",
-    "WorkloadSpec",
-    "__version__",
-    "execute_scenario",
-    "get_setup",
-    "get_workload",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.control_types": ("Thresholds",),
+    "repro.core.controller": ("MplController", "PerClassSloController"),
+    "repro.core.frontend": ("ExternalScheduler",),
+    "repro.core.scenario": (
+        "FeedbackMpl", "MeasurementSpec", "PerClassSlo", "ScenarioOutcome",
+        "ScenarioSpec", "StaticMpl", "TopologySpec", "WorkloadRef", "execute_scenario",
+    ),
+    "repro.core.simulation": ("SimulatedSystem",),
+    "repro.core.system": ("RunResult", "SystemConfig"),
+    "repro.core.tuner": ("MplTuner", "TuningResult"),
+    "repro.dbms.config": ("HardwareConfig", "InternalPolicy", "IsolationLevel"),
+    "repro.dbms.engine": ("DatabaseEngine",),
+    "repro.dbms.transaction": ("Priority", "Transaction"),
+    "repro.queueing.mpl_ps_queue": ("MplPsQueue",),
+    "repro.queueing.throughput_model": ("ThroughputModel",),
+    "repro.workloads.setups": ("SETUPS", "WORKLOADS", "Setup", "get_setup", "get_workload"),
+    "repro.workloads.spec": ("TransactionType", "WorkloadSpec"),
+})
+__all__.append("__version__")

@@ -2,13 +2,10 @@
 
 The paper schedules one MPL in front of one database; our cluster
 (PRs 3/6/9) still treats shards as fully independent, which real
-sharded OLTP is not.  This module makes the dependence scenario data:
+sharded OLTP is not.  The ``distributed`` axis
+(:class:`~repro.core.distributed_spec.DistributedSpec`) makes the
+dependence scenario data, and this module runs it:
 
-* :class:`DistributedSpec` — pure data, the ``distributed`` axis of a
-  :class:`~repro.core.scenario.ScenarioSpec`.  A deterministic
-  ``cross_shard_fraction`` of transactions fan their CPU / page / lock
-  demand across ``fanout_k`` shards and commit atomically through a
-  simulated two-phase commit.
 * :class:`TwoPhaseCoordinator` — the live runtime installed between
   the arrival source (or the resilience gate) and the router.  A
   cross-shard transaction becomes K *branches*: the original
@@ -41,21 +38,16 @@ decision (or aborts under a commit decision) is recorded in
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.distributed_spec import DistributedSpec
 from repro.core.resilience import GOODPUT_STARVATION_LIMIT, GoodputStarved
-from repro.core.spec_codec import check_fields, spec_field
 from repro.dbms.transaction import Transaction, TxStatus
 from repro.sim.engine import Event, Simulator
 from repro.sim.random import derive_seed
 from repro.sim.station import HashRouting
 
-#: Coordinator-placement policies: which participant runs the home
-#: branch.  ``hash`` pins it to the hash-picked window start; ``lowest``
-#: to the lowest shard index in the window.
-COORDINATOR_POLICIES = ("hash", "lowest")
 
 #: Salt mixed into the cross-shard draw so it is independent of the
 #: participant-window pick (both hash the same tid).
@@ -67,29 +59,6 @@ RETRY_BASE_BACKOFF_S = 0.01
 RETRY_BACKOFF_MULTIPLIER = 2.0
 RETRY_MAX_EXPONENT = 10
 RETRY_JITTER_FRACTION = 0.5
-
-
-@dataclasses.dataclass(frozen=True)
-class DistributedSpec:
-    """The distributed axis: cross-shard transactions over simulated 2PC.
-
-    ``cross_shard_fraction`` of transactions (picked by a deterministic
-    hash of the tid) fan out across ``fanout_k`` participant shards.
-    An attempt that has not fully prepared within ``prepare_timeout_s``
-    of simulated time aborts (when ``abort_on_prepare_timeout`` — else
-    it waits, which can deadlock at the MPL level and is only safe
-    under the resilience axis' deadlines).  ``coordinator`` picks which
-    participant runs the home branch.
-    """
-
-    cross_shard_fraction: float = spec_field(0.1, ge=0, le=1)
-    fanout_k: int = spec_field(2, ge=2)
-    prepare_timeout_s: float = spec_field(0.5, gt=0)
-    coordinator: str = spec_field("hash", choices=COORDINATOR_POLICIES)
-    abort_on_prepare_timeout: bool = True
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 class _DistributedTx:

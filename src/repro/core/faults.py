@@ -7,11 +7,11 @@ a tuple of events (:class:`KillShard`, :class:`RestoreShard`,
 JSON face is the shared spec codec (:mod:`repro.core.spec_codec`),
 with the events a tagged union keyed by ``type``.
 
-The :class:`FaultInjector` turns the spec into behaviour: it arms one
-simulator timeout per event, and each callback drives the matching
-:class:`~repro.core.cluster.ClusteredSystem` transition
-(``kill_shard`` / ``restore_shard`` / ``degrade_shard``).  Every
-applied event is logged with its fire time so a run's fault history
+The :class:`~repro.core.cluster.FaultInjector` turns the spec into
+behaviour: it arms one simulator timeout per event, and each callback
+drives the matching :class:`~repro.core.cluster.ClusteredSystem`
+transition (``kill_shard`` / ``restore_shard`` /
+``degrade_shard``).  Every applied event is logged with its fire time so a run's fault history
 lands in the :class:`~repro.core.scenario.ScenarioOutcome`.
 
 Fault semantics are fail-stop at the admission boundary: a killed node
@@ -25,7 +25,7 @@ through any kill/restore sequence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.spec_codec import UNIONS, check_fields, spec_field
 from repro.core.system import canonical_jsonable, content_digest
@@ -123,73 +123,3 @@ class FaultSpec:
     def event_fingerprints(self) -> Tuple[str, ...]:
         """Per-event digests (each event is individually addressable)."""
         return tuple(event.fingerprint() for event in self.events)
-
-
-@dataclasses.dataclass(frozen=True)
-class AppliedFault:
-    """One fault event as it actually fired during a run."""
-
-    at: float
-    kind: str
-    shard: int
-    detail: str = ""
-
-    def jsonable(self) -> Dict[str, Any]:
-        return {
-            "at": self.at,
-            "kind": self.kind,
-            "shard": self.shard,
-            "detail": self.detail,
-        }
-
-
-class FaultInjector:
-    """Arms a :class:`FaultSpec` timeline on a clustered system's clock.
-
-    Each event becomes one simulator timeout whose callback drives the
-    matching cluster transition.  The injector is passive after
-    :meth:`arm` — the kernel fires the events as simulated time
-    advances, interleaved deterministically with the workload.
-    """
-
-    def __init__(self, system, spec: FaultSpec):
-        self.system = system
-        self.spec = spec
-        self.applied: List[AppliedFault] = []
-        self._armed = False
-
-    def arm(self) -> None:
-        """Schedule every event; call once, before the run starts."""
-        if self._armed:
-            raise ValueError("fault injector is already armed")
-        self._armed = True
-        sim = self.system.sim
-        for event in self.spec.events:
-            delay = event.at - sim.now
-            if delay < 0:
-                raise ValueError(
-                    f"fault at t={event.at:g}s is in the past (now={sim.now:g}s)"
-                )
-            timeout = sim.timeout(delay)
-            timeout.add_callback(lambda _ev, e=event: self._apply(e))
-
-    def _apply(self, event: FaultEvent) -> None:
-        system = self.system
-        if isinstance(event, KillShard):
-            detail = system.kill_shard(event.shard)
-        elif isinstance(event, RestoreShard):
-            detail = system.restore_shard(event.shard)
-        elif isinstance(event, DegradeShard):
-            detail = system.degrade_shard(event.shard, event.factor)
-        else:  # pragma: no cover - registry keeps this unreachable
-            raise ValueError(f"unknown fault event {event!r}")
-        self.applied.append(
-            AppliedFault(
-                at=system.sim.now, kind=event.kind, shard=event.shard,
-                detail=detail or "",
-            )
-        )
-
-    def applied_jsonable(self) -> List[Dict[str, Any]]:
-        """The fault history in JSON-friendly form."""
-        return [fault.jsonable() for fault in self.applied]

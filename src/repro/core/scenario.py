@@ -24,9 +24,9 @@ orthogonal, individually-fingerprinted sub-specs
   and parking/activating shards on watermarks;
 * :class:`~repro.core.faults.FaultSpec` — *what goes wrong*: an
   optional kill/restore/degrade timeline a
-  :class:`~repro.core.faults.FaultInjector` drives on the simulated
+  :class:`~repro.core.cluster.FaultInjector` drives on the simulated
   clock (new in v2);
-* :class:`~repro.core.resilience.ResilienceSpec` — *what the front end
+* :class:`~repro.core.resilience_spec.ResilienceSpec` — *what the front end
   does about it*: per-class deadlines, retry with exponential backoff
   and seeded jitter, bounded admission queues with load shedding, and
   health-aware per-shard circuit breaking (PR 9);
@@ -39,11 +39,13 @@ Scenarios are pure data: frozen dataclasses that JSON round-trip
 both the annotation-driven walk of :mod:`repro.core.spec_codec`, which
 also checks every field's type and declared rules at construction),
 pickle into worker processes, and content-hash into the parallel
-runner's cache key.
+runner's cache key.  Loading them loads no part of the simulator:
+each control's ``apply`` and :func:`run_scenario` import the runtime
+on their first call, so a figure served from the cache never does.
 
 Compatibility is structural: :meth:`ScenarioSpec.build_config`
 constructs exactly the :class:`~repro.core.system.SystemConfig` /
-:class:`~repro.core.cluster.ClusterConfig` the pre-scenario run
+:class:`~repro.core.cluster_config.ClusterConfig` the pre-scenario run
 description produced, and :meth:`ScenarioSpec.fingerprint` only
 appends ``extra`` entries for features that description could not
 express — so every pre-scenario run keeps its exact cache key (pinned
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import spec_codec
 from repro.core.arrivals import (
@@ -65,43 +67,36 @@ from repro.core.arrivals import (
     SinusoidRate,
     TraceArrivals,
 )
-from repro.core.cluster import (
+from repro.core.cluster_config import (
     READ_FANOUT_POLICIES,
+    ROUTING_POLICIES,
     AnyConfig,
     ClusterConfig,
-    ClusteredSystem,
-    build_system,
 )
-from repro.core.controller import (
+from repro.core.control_types import (
     Baseline,
-    ClusterSloController,
     ClusterSloObservation,
     ClusterSloReport,
     ControllerReport,
     ElasticAction,
-    ElasticCapacityController,
     ElasticReport,
-    MplController,
     Observation,
-    PerClassSloController,
     SloObservation,
     SloReport,
     Thresholds,
     check_loop_ranges,
 )
-from repro.core.distributed import DistributedSpec, TwoPhaseCoordinator
-from repro.core.faults import FaultInjector, FaultSpec, KillShard, RestoreShard
+from repro.core.distributed_spec import DistributedSpec
+from repro.core.faults import FaultSpec, KillShard, RestoreShard
 from repro.core.policies import make_policy
-from repro.core.resilience import ResilienceRuntime, ResilienceSpec
+from repro.core.resilience_spec import ResilienceSpec
 from repro.core.spec_codec import ScenarioValidationError, check_fields, spec_field
 from repro.core.system import (
-    MeasuredSystem,
     RunResult,
     SystemConfig,
     canonical_jsonable,
     content_digest,
 )
-from repro.core.tuner import model_jump_start
 from repro.dbms.config import (
     HardwareConfig,
     InternalPolicy,
@@ -109,8 +104,10 @@ from repro.dbms.config import (
     LockSchedulingPolicy,
 )
 from repro.metrics import stats
-from repro.sim.station import ROUTING_POLICIES
 from repro.workloads.setups import SETUPS
+
+if TYPE_CHECKING:
+    from repro.core.simulation import MeasuredSystem
 
 #: Seed shared by every figure unless the paper's text says otherwise
 #: (the historical home of this constant is
@@ -376,6 +373,10 @@ class FeedbackMpl(ControlSpec):
         )
 
     def apply(self, system, scenario, baseline=None):
+        from repro.core.cluster import ClusteredSystem
+        from repro.core.controller import MplController
+        from repro.core.tuner import model_jump_start
+
         reference = self.explicit_baseline()
         if reference is None:
             if baseline is None:
@@ -452,6 +453,8 @@ class PerClassSlo(_SloControl):
     """
 
     def apply(self, system, scenario, baseline=None):
+        from repro.core.controller import PerClassSloController
+
         controller = PerClassSloController(
             system,
             target_p95_s=self.high_p95_target_s,
@@ -499,6 +502,9 @@ class ElasticMpl(ControlSpec):
         return self.mpl
 
     def apply(self, system, scenario, baseline=None):
+        from repro.core.cluster import ClusteredSystem
+        from repro.core.controller import ElasticCapacityController
+
         if not isinstance(system, ClusteredSystem):
             raise ValueError(
                 "ElasticMpl needs a clustered topology (shards > 1 or "
@@ -536,6 +542,9 @@ class ClusterSlo(_SloControl):
     max_mpl: int = 256
 
     def apply(self, system, scenario, baseline=None):
+        from repro.core.cluster import ClusteredSystem
+        from repro.core.controller import ClusterSloController
+
         if not isinstance(system, ClusteredSystem):
             raise ValueError(
                 "ClusterSlo control needs a sharded topology (shards > 1)"
@@ -1130,13 +1139,18 @@ def run_scenario(
     """Run one scenario and return the live system alongside the outcome.
 
     :func:`execute_scenario` is the plain-outcome face; this variant
-    additionally hands back the :class:`MeasuredSystem` so callers
+    additionally hands back the
+    :class:`~repro.core.simulation.MeasuredSystem` so callers
     (the scenario fuzzer's oracles, invariant tests) can inspect
     router counters, per-shard schedulers, and collector state after
     the measurement window.  ``baseline`` is the result of the
     control's :meth:`~ControlSpec.baseline_spec` run when the caller
     already has it; without it the control runs that spec itself.
     """
+    from repro.core.cluster import ClusteredSystem, FaultInjector, build_system
+    from repro.core.distributed import TwoPhaseCoordinator
+    from repro.core.resilience import ResilienceRuntime
+
     measurement = spec.measurement
     system = build_system(spec.build_config())
     injector = None

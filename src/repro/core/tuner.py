@@ -11,6 +11,11 @@ tuner
    workload is variable);
 3. hands that starting value to the feedback controller of §4.3,
    which converges to the lowest feasible MPL in a few iterations.
+
+The queueing models, the simulator and the controller load when a
+model is first solved or a tuning first runs, so sizing a tuning
+scenario's baseline (:func:`scaled_baseline_transactions`) loads none
+of them.
 """
 
 from __future__ import annotations
@@ -18,15 +23,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.core.controller import (
-    Baseline,
-    ControllerReport,
-    MplController,
-    Thresholds,
-)
-from repro.core.system import RunResult, SimulatedSystem, SystemConfig
-from repro.queueing.mpl_ps_queue import MplPsQueue
-from repro.queueing.throughput_model import ThroughputModel
+from repro.core.control_types import Baseline, ControllerReport, Thresholds
+from repro.core.system import RunResult, SystemConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +49,8 @@ def model_initial_mpl_throughput(
     max_throughput_loss: float,
 ) -> int:
     """§4.1: minimum MPL keeping modelled throughput loss within bounds."""
+    from repro.queueing.throughput_model import ThroughputModel
+
     model = ThroughputModel.from_utilizations(utilizations, counts)
     return model.min_mpl_for_fraction(1.0 - max_throughput_loss)
 
@@ -124,6 +124,8 @@ def model_initial_mpl_response_time(
     C², returning the smallest MPL whose mean response time is within
     the tolerance of the (insensitive) PS reference.
     """
+    from repro.queueing.mpl_ps_queue import MplPsQueue
+
     load = min(max(load, 0.05), 0.95)
     scv = max(1.0, demand_scv)
     queue = MplPsQueue(arrival_rate=load, mpl=1, service_mean=1.0, service_scv=scv)
@@ -188,12 +190,17 @@ class MplTuner:
         transactions = scaled_baseline_transactions(
             self.config, self.baseline_transactions
         )
+        from repro.core.simulation import SimulatedSystem
+
         config = dataclasses.replace(self.config, mpl=None)
         system = SimulatedSystem(config)
         return system.run(transactions=transactions)
 
     def tune(self) -> TuningResult:
         """Measure the baseline, jump-start from the models, run the loop."""
+        from repro.core.controller import MplController
+        from repro.core.simulation import SimulatedSystem
+
         baseline = self.measure_baseline()
         jump_start = model_jump_start(self.config, baseline, self.thresholds)
         # An MPL above the client population is meaningless in a closed

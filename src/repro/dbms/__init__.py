@@ -18,41 +18,17 @@ executes :class:`Transaction` objects against simulated hardware:
   (priority queues and Preempt-on-Wait).
 """
 
-from repro.dbms.bufferpool import AnalyticBufferPool, LRUBufferPool
-from repro.dbms.config import (
-    HardwareConfig,
-    InternalPolicy,
-    IsolationLevel,
-    LockSchedulingPolicy,
-)
-from repro.dbms.cpu import ProcessorSharingPool
-from repro.dbms.disk import Disk, DiskArray
-from repro.dbms.engine import DatabaseEngine
-from repro.dbms.lockmgr import (
-    DeadlockError,
-    LockManager,
-    LockMode,
-    PreemptionError,
-)
-from repro.dbms.transaction import Priority, Transaction
-from repro.dbms.wal import LogManager
+from repro import _lazy_exports
 
-__all__ = [
-    "AnalyticBufferPool",
-    "DatabaseEngine",
-    "DeadlockError",
-    "Disk",
-    "DiskArray",
-    "HardwareConfig",
-    "InternalPolicy",
-    "IsolationLevel",
-    "LRUBufferPool",
-    "LockManager",
-    "LockMode",
-    "LockSchedulingPolicy",
-    "LogManager",
-    "PreemptionError",
-    "Priority",
-    "ProcessorSharingPool",
-    "Transaction",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.dbms.bufferpool": ("AnalyticBufferPool", "LRUBufferPool"),
+    "repro.dbms.config": (
+        "HardwareConfig", "InternalPolicy", "IsolationLevel", "LockSchedulingPolicy",
+    ),
+    "repro.dbms.cpu": ("ProcessorSharingPool",),
+    "repro.dbms.disk": ("Disk", "DiskArray"),
+    "repro.dbms.engine": ("DatabaseEngine",),
+    "repro.dbms.lockmgr": ("DeadlockError", "LockManager", "LockMode", "PreemptionError"),
+    "repro.dbms.transaction": ("Priority", "Transaction"),
+    "repro.dbms.wal": ("LogManager",),
+})

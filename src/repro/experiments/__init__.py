@@ -5,42 +5,14 @@ be regenerated; each figure/table function is also importable for
 programmatic use and is wrapped by a benchmark in ``benchmarks/``.
 """
 
-from repro.experiments.figures import (
-    FigureResult,
-    Series,
-    controller_convergence,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    section32_response_time,
-)
-from repro.experiments.runner import mpl_sweep, run_setup, tuning_scenario
-from repro.experiments.tables import table1, table2, variability_table
+from repro import _lazy_exports
 
-__all__ = [
-    "FigureResult",
-    "Series",
-    "controller_convergence",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure7",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "mpl_sweep",
-    "run_setup",
-    "section32_response_time",
-    "table1",
-    "table2",
-    "tuning_scenario",
-    "variability_table",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.experiments.figures": (
+        "FigureResult", "Series", "controller_convergence", "figure2", "figure3",
+        "figure4", "figure5", "figure7", "figure10", "figure11", "figure12", "figure13",
+        "section32_response_time",
+    ),
+    "repro.experiments.runner": ("mpl_sweep", "run_setup", "tuning_scenario"),
+    "repro.experiments.tables": ("table1", "table2", "variability_table"),
+})

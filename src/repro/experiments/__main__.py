@@ -37,10 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import platform
-import shutil
 import sys
-import tempfile
 import time
 from typing import Callable, Dict, List
 
@@ -139,6 +136,10 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 
 def bench_main(argv: List[str]) -> int:
     """``bench``: run one figure grid cold then warm; emit a JSON artifact."""
+    import platform
+    import shutil
+    import tempfile
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments bench",
         description="Benchmark the parallel runner + cache on one figure grid.",

@@ -19,10 +19,10 @@ from repro.core.arrivals import (
     PartlyOpenArrivals,
     SinusoidRate,
 )
+from repro.core.cluster_config import READ_FANOUT_POLICIES, ROUTING_POLICIES
+from repro.core.distributed_spec import DistributedSpec
 from repro.core.faults import DegradeShard, FaultSpec, KillShard, RestoreShard
-from repro.core.cluster import READ_FANOUT_POLICIES
-from repro.core.distributed import DistributedSpec
-from repro.core.resilience import ResilienceSpec
+from repro.core.resilience_spec import ResilienceSpec
 from repro.core.scenario import (
     ClusterSlo,
     ElasticMpl,
@@ -50,9 +50,6 @@ from repro.priority.evaluation import (
     PrioritizationOutcome,
     outcome_from_runs,
 )
-from repro.queueing.mpl_ps_queue import MplPsQueue
-from repro.queueing.throughput_model import ThroughputModel, balanced_min_mpl
-from repro.sim.station import ROUTING_POLICIES
 from repro.workloads.setups import SETUPS, get_setup
 
 
@@ -285,6 +282,8 @@ def figure7(
     (squares) of maximum throughput — both exactly linear in the disk
     count, matching the paper's straight-line observation.
     """
+    from repro.queueing.throughput_model import ThroughputModel, balanced_min_mpl
+
     xs = tuple(float(m) for m in range(1, max_mpl + 1))
     series = []
     marks80: List[str] = []
@@ -318,11 +317,15 @@ def figure7(
 
 def mpl_ps_response_time(**queue) -> float:
     """Mean response time (s) of the Figure 9 chain ``MplPsQueue(**queue)``."""
+    from repro.queueing.mpl_ps_queue import MplPsQueue
+
     return MplPsQueue(**queue).mean_response_time()
 
 
 def ps_response_time(**queue) -> float:
     """The M/G/1-PS response time (s) the chain approaches as MPL grows."""
+    from repro.queueing.mpl_ps_queue import MplPsQueue
+
     return MplPsQueue(**queue).ps_reference()
 
 

@@ -59,9 +59,10 @@ from repro.core.arrivals import (
     TraceArrivals,
 )
 from repro.core.cluster import ClusteredSystem
-from repro.core.distributed import COORDINATOR_POLICIES, DistributedSpec
+from repro.core.distributed_spec import COORDINATOR_POLICIES, DistributedSpec
 from repro.core.faults import DegradeShard, FaultEvent, FaultSpec, KillShard, RestoreShard
-from repro.core.resilience import GoodputStarved, SHED_POLICIES, ResilienceSpec
+from repro.core.resilience import GoodputStarved
+from repro.core.resilience_spec import SHED_POLICIES, ResilienceSpec
 from repro.core.scenario import (
     ElasticMpl,
     FeedbackMpl,

@@ -27,7 +27,7 @@ from repro.core.scenario import (
     TopologySpec,
     WorkloadRef,
 )
-from repro.core.system import RunResult, SimulatedSystem, SystemConfig
+from repro.core.system import RunResult, SystemConfig
 from repro.core.tuner import scaled_baseline_transactions
 from repro.dbms.config import InternalPolicy
 from repro.experiments.parallel import ParallelRunner, run_grid
@@ -160,7 +160,9 @@ def run_setup(
             seed=seed,
             arrival=arrival,
         )
-        return SimulatedSystem(config).run(transactions=transactions)
+        from repro.core.simulation import run_system
+
+        return run_system(config, transactions)
     return run_grid([spec])[0]
 
 
@@ -195,7 +197,7 @@ def tuning_scenario(
     demand C² exactly as :class:`~repro.core.tuner.MplTuner` sizes it.
     Its measurement window is a single transaction: the outcome's
     ``result.mpl`` is the tuned MPL and its ``control`` the
-    :class:`~repro.core.controller.ControllerReport`, so a grid of
+    :class:`~repro.core.control_types.ControllerReport`, so a grid of
     tunings goes through :func:`run_grid` and its cache.  The baseline
     depends only on the setup, ``transactions`` and ``seed``, so the
     runner runs it once for every budget tuned in the same grid.

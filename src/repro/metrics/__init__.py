@@ -1,20 +1,10 @@
 """Measurement machinery: per-transaction records and statistics."""
 
-from repro.metrics.collector import MetricsCollector, TransactionRecord
-from repro.metrics.stats import (
-    confidence_interval,
-    mean,
-    relative_half_width,
-    scv,
-    variance,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricsCollector",
-    "TransactionRecord",
-    "confidence_interval",
-    "mean",
-    "relative_half_width",
-    "scv",
-    "variance",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.metrics.collector": ("MetricsCollector", "TransactionRecord"),
+    "repro.metrics.stats": (
+        "confidence_interval", "mean", "relative_half_width", "scv", "variance",
+    ),
+})

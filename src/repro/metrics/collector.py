@@ -1,6 +1,6 @@
 """Per-transaction measurement records.
 
-Every transaction that completes in a :class:`~repro.core.system.
+Every transaction that completes in a :class:`~repro.core.simulation.
 SimulatedSystem` leaves a :class:`TransactionRecord` here.  The
 experiment runners use the collector to compute throughput, per-class
 mean response times, and the C² statistics of §3.2 — always after

@@ -1,15 +1,11 @@
 """Transaction prioritization — external and internal (§5)."""
 
-from repro.priority.assignment import PriorityAssignment
-from repro.priority.evaluation import (
-    PrioritizationOutcome,
-    evaluate_external_prioritization,
-    evaluate_internal_prioritization,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PriorityAssignment",
-    "PrioritizationOutcome",
-    "evaluate_external_prioritization",
-    "evaluate_internal_prioritization",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.priority.assignment": ("PriorityAssignment",),
+    "repro.priority.evaluation": (
+        "PrioritizationOutcome", "evaluate_external_prioritization",
+        "evaluate_internal_prioritization",
+    ),
+})

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.core.system import RunResult, SimulatedSystem, SystemConfig
+from repro.core.system import RunResult, SystemConfig
 from repro.dbms.config import InternalPolicy
 from repro.workloads.setups import Setup
 
@@ -103,11 +103,13 @@ def _base_config(setup: Setup, seed: int) -> SystemConfig:
 
 
 def _no_prio_reference(setup: Setup, seed: int, transactions: int) -> RunResult:
+    from repro.core.simulation import run_system
+
     config = dataclasses.replace(
         _base_config(setup, seed), mpl=None, policy="fifo",
         high_priority_fraction=0.0,
     )
-    return SimulatedSystem(config).run(transactions=transactions)
+    return run_system(config, transactions)
 
 
 def evaluate_external_prioritization(
@@ -119,6 +121,8 @@ def evaluate_external_prioritization(
     no_prio: Optional[RunResult] = None,
 ) -> PrioritizationOutcome:
     """External priority scheduling at a fixed MPL vs the stock system."""
+    from repro.core.simulation import run_system
+
     if no_prio is None:
         no_prio = _no_prio_reference(setup, seed, transactions)
     config = dataclasses.replace(
@@ -127,7 +131,7 @@ def evaluate_external_prioritization(
         policy="priority",
         high_priority_fraction=HIGH_PRIORITY_FRACTION,
     )
-    result = SimulatedSystem(config).run(transactions=transactions)
+    result = run_system(config, transactions)
     return outcome_from_runs(label or f"ext mpl={mpl}", mpl, result, no_prio)
 
 
@@ -140,6 +144,8 @@ def evaluate_internal_prioritization(
     no_prio: Optional[RunResult] = None,
 ) -> PrioritizationOutcome:
     """Internal prioritization (POW locks or CPU weights), no MPL limit."""
+    from repro.core.simulation import run_system
+
     if no_prio is None:
         no_prio = _no_prio_reference(setup, seed, transactions)
     config = dataclasses.replace(
@@ -149,5 +155,5 @@ def evaluate_internal_prioritization(
         internal=internal,
         high_priority_fraction=HIGH_PRIORITY_FRACTION,
     )
-    result = SimulatedSystem(config).run(transactions=transactions)
+    result = run_system(config, transactions)
     return outcome_from_runs(label, None, result, no_prio)

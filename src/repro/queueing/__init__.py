@@ -19,30 +19,23 @@ model, which import numpy inside the functions that build and solve the
 generator blocks.  numpy therefore loads on the first solve (Figure 10,
 the tuner's response-time jump start), not when this package or
 :mod:`repro` is imported, so CLI targets and workers that never solve
-the chain skip its import cost.
+the chain skip its import cost.  The models themselves load on first
+use too, except :func:`mva`: it shares its submodule's name, and
+importing the submodule later would rebind the package attribute to
+the module, so the function is bound here.
 """
 
-from repro.queueing.mg1 import (
-    mg1_fifo_response_time,
-    mg1_ps_response_time,
-    mm1_response_time,
-    mmk_response_time,
-)
-from repro.queueing.mpl_ps_queue import MplPsQueue, h2_params
-from repro.queueing.mva import MvaResult, Station, mva
-from repro.queueing.qbd import compute_rate_matrix
-from repro.queueing.throughput_model import ThroughputModel
+from repro import _lazy_exports
+from repro.queueing.mva import mva
 
-__all__ = [
-    "MplPsQueue",
-    "MvaResult",
-    "Station",
-    "ThroughputModel",
-    "compute_rate_matrix",
-    "h2_params",
-    "mg1_fifo_response_time",
-    "mg1_ps_response_time",
-    "mm1_response_time",
-    "mmk_response_time",
-    "mva",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.queueing.mg1": (
+        "mg1_fifo_response_time", "mg1_ps_response_time", "mm1_response_time",
+        "mmk_response_time",
+    ),
+    "repro.queueing.mpl_ps_queue": ("MplPsQueue", "h2_params"),
+    "repro.queueing.mva": ("MvaResult", "Station"),
+    "repro.queueing.qbd": ("compute_rate_matrix",),
+    "repro.queueing.throughput_model": ("ThroughputModel",),
+})
+__all__.append("mva")

@@ -11,54 +11,17 @@ two-phase hyperexponential fitting from a mean and a squared
 coefficient of variation (:mod:`repro.sim.distributions`).
 """
 
-from repro.sim.engine import (
-    Agenda,
-    Event,
-    Interrupt,
-    KernelHooks,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-    resolve_kernel_lane,
-)
-from repro.sim.distributions import (
-    BlockSampler,
-    Deterministic,
-    Distribution,
-    Empirical,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    LogNormal,
-    Mixture,
-    Pareto,
-    Uniform,
-    fit_hyperexponential,
-)
-from repro.sim.random import RandomStreams
+from repro import _lazy_exports
 
-__all__ = [
-    "Agenda",
-    "BlockSampler",
-    "Deterministic",
-    "Distribution",
-    "Empirical",
-    "Erlang",
-    "Event",
-    "Exponential",
-    "Hyperexponential",
-    "Interrupt",
-    "KernelHooks",
-    "LogNormal",
-    "Mixture",
-    "Pareto",
-    "Process",
-    "RandomStreams",
-    "SimulationError",
-    "Simulator",
-    "Timeout",
-    "Uniform",
-    "fit_hyperexponential",
-    "resolve_kernel_lane",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sim.engine": (
+        "Agenda", "Event", "Interrupt", "KernelHooks", "Process", "SimulationError",
+        "Simulator", "Timeout", "resolve_kernel_lane",
+    ),
+    "repro.sim.distributions": (
+        "BlockSampler", "Deterministic", "Distribution", "Empirical", "Erlang",
+        "Exponential", "Hyperexponential", "LogNormal", "Mixture", "Pareto", "Uniform",
+        "fit_hyperexponential",
+    ),
+    "repro.sim.random": ("RandomStreams",),
+})

@@ -207,10 +207,6 @@ class WeightedRouting(RoutingPolicy):
         return best
 
 
-#: Routing-policy registry consumed by cluster configs and the CLI.
-ROUTING_POLICIES = ("round_robin", "hash", "least_in_flight", "weighted")
-
-
 def make_routing(
     name: str, num_shards: int, weights: Optional[Sequence[float]] = None
 ) -> RoutingPolicy:
@@ -231,6 +227,8 @@ def make_routing(
                 f"need {num_shards} weights, got {len(weights)}: {tuple(weights)!r}"
             )
         return WeightedRouting(weights)
+    from repro.core.cluster_config import ROUTING_POLICIES
+
     raise ValueError(
         f"unknown routing policy {name!r}; available: {', '.join(ROUTING_POLICIES)}"
     )

@@ -13,37 +13,15 @@
   Table 2's seventeen setups as data.
 """
 
-from repro.workloads.spec import TransactionType, WorkloadSpec
-from repro.workloads.setups import (
-    SETUPS,
-    WORKLOADS,
-    Setup,
-    get_setup,
-    get_workload,
-)
-from repro.workloads.synthetic import synthetic_workload
-from repro.workloads.tpcc import tpcc_workload
-from repro.workloads.tpcw import tpcw_workload
-from repro.workloads.traces import (
-    auction_site_trace,
-    load_trace_file,
-    online_retailer_trace,
-    trace_workload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SETUPS",
-    "Setup",
-    "TransactionType",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "auction_site_trace",
-    "get_setup",
-    "get_workload",
-    "load_trace_file",
-    "online_retailer_trace",
-    "synthetic_workload",
-    "tpcc_workload",
-    "tpcw_workload",
-    "trace_workload",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.spec": ("TransactionType", "WorkloadSpec"),
+    "repro.workloads.setups": ("SETUPS", "WORKLOADS", "Setup", "get_setup", "get_workload"),
+    "repro.workloads.synthetic": ("synthetic_workload",),
+    "repro.workloads.tpcc": ("tpcc_workload",),
+    "repro.workloads.tpcw": ("tpcw_workload",),
+    "repro.workloads.traces": (
+        "auction_site_trace", "load_trace_file", "online_retailer_trace", "trace_workload",
+    ),
+})

@@ -14,18 +14,17 @@ import pytest
 
 from repro.core.arrivals import (
     ClosedArrivals,
-    ClosedPopulation,
     ModulatedArrivals,
     OpenArrivals,
-    OpenPoisson,
     PartlyOpenArrivals,
-    PartlyOpenSessions,
     PiecewiseRate,
     SinusoidRate,
     fraction_high_assigner,
 )
 from repro.core.frontend import ExternalScheduler
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.sources import ClosedPopulation, OpenPoisson, PartlyOpenSessions
+from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.transaction import Priority
@@ -399,7 +398,7 @@ class TestTraceReplayZeroSpan:
     """
 
     def _replay(self, times, loop):
-        from repro.core.arrivals import TraceReplay
+        from repro.core.sources import TraceReplay
 
         return TraceReplay(
             sim=None, frontend=None, workload=None,

@@ -24,13 +24,14 @@ from repro.core.cluster import (
     split_mpl,
 )
 from repro.core.arrivals import OpenArrivals, PartlyOpenArrivals
+from repro.core.cluster_config import ROUTING_POLICIES
 from repro.core.controller import Baseline, Thresholds
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.system import SystemConfig
 from repro.experiments import figures
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import scenario_for
 from repro.sim.random import derive_seed
-from repro.sim.station import ROUTING_POLICIES
 from repro.workloads.setups import get_setup
 
 

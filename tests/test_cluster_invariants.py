@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import ClusterConfig, ClusteredSystem
+from repro.core.cluster_config import ROUTING_POLICIES
 from repro.core.system import SystemConfig
 from repro.dbms.cpu import ProcessorSharingPool
 from repro.dbms.transaction import Transaction
 from repro.sim.engine import Simulator
 from repro.sim.station import (
-    ROUTING_POLICIES,
     HashRouting,
     LeastInFlightRouting,
     RouterStation,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.controller import Baseline, MplController, Thresholds
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.workloads.synthetic import synthetic_workload
 

@@ -20,15 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cluster import ClusterConfig, ClusteredSystem
+from repro.core.cluster import ClusterConfig, ClusteredSystem, FaultInjector
 from repro.core.controller import ElasticCapacityController
-from repro.core.faults import (
-    DegradeShard,
-    FaultInjector,
-    FaultSpec,
-    KillShard,
-    RestoreShard,
-)
+from repro.core.faults import DegradeShard, FaultSpec, KillShard, RestoreShard
 from repro.core.scenario import (
     ElasticMpl,
     MeasurementSpec,

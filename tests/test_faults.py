@@ -16,12 +16,12 @@ from repro.core.cluster import (
     READ_FANOUT_POLICIES,
     ClusterConfig,
     ClusteredSystem,
+    FaultInjector,
 )
 from repro.core.faults import (
     FAULT_EVENT_TYPES,
     DegradeShard,
     FaultEvent,
-    FaultInjector,
     FaultSpec,
     KillShard,
     RestoreShard,

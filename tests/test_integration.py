@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig, InternalPolicy
 from repro.experiments.runner import run_setup
 from repro.queueing.mpl_ps_queue import MplPsQueue
@@ -156,7 +157,7 @@ class TestIsolationAndInternalPolicies:
         assert ur.mean_lock_wait <= rr.mean_lock_wait
 
     def test_pow_preemptions_happen_under_contention(self):
-        from repro.core.system import SimulatedSystem
+        from repro.core.simulation import SimulatedSystem
         from repro.experiments.runner import setup_config
 
         config = setup_config(

@@ -28,7 +28,7 @@ from repro.core.scenario import (
     demo_scenarios,
     execute_scenario,
 )
-from repro.core.system import SimulatedSystem
+from repro.core.simulation import SimulatedSystem
 from repro.experiments import figures
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.parallel import (

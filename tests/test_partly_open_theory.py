@@ -25,7 +25,8 @@ demands, C² = 2 — an M/G/1 up to the MPL limit):
 import pytest
 
 from repro.core.arrivals import PartlyOpenArrivals
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.experiments.figures import partly_open_grid
 from repro.metrics import stats

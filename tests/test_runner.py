@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.scenario import FeedbackMpl, execute_scenario
-from repro.core.system import SimulatedSystem
+from repro.core.simulation import SimulatedSystem
 from repro.dbms.config import InternalPolicy, IsolationLevel
 from repro.experiments import figures
 from repro.experiments.parallel import ParallelRunner, run_grid, using_runner

@@ -25,7 +25,6 @@ from repro.core.arrivals import (
     PiecewiseRate,
     SinusoidRate,
     TraceArrivals,
-    TraceReplay,
 )
 from repro.core.cluster import ClusterConfig, build_system
 from repro.core.controller import (
@@ -55,7 +54,9 @@ from repro.core.scenario import (
     demo_scenarios,
     execute_scenario,
 )
-from repro.core.system import SimulatedSystem, SystemConfig
+from repro.core.simulation import SimulatedSystem
+from repro.core.sources import TraceReplay
+from repro.core.system import SystemConfig
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import figures

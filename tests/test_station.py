@@ -131,7 +131,7 @@ class TestPerClassMetrics:
             isolation=setup.isolation, mpl=4, seed=2,
             high_priority_fraction=0.3, policy="priority",
         )
-        from repro.core.system import SimulatedSystem
+        from repro.core.simulation import SimulatedSystem
 
         system = SimulatedSystem(config)
         system.run_transactions(100)

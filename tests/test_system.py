@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.system import RunResult, SimulatedSystem, SystemConfig, run_system
+from repro.core.simulation import SimulatedSystem, run_system
+from repro.core.system import RunResult, SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.dbms.transaction import Priority
 from repro.workloads.synthetic import synthetic_workload
