@@ -27,7 +27,7 @@ COV_MODULES  = --cov=repro.core.cluster --cov=repro.sim.station --cov=repro.core
 # figure grids and demo scenarios the scenario round-trip check walks
 SCENARIO_GRIDS ?= 2 3 4 5 smoke sh po ft rf rs xs es
 SCENARIO_DEMOS ?= trace-retailer trace-auction slo-tv failover
-# fuzz campaign knobs (what CI's smoke job runs; ~45s total)
+# fuzz campaign knobs (what CI's smoke job runs; about a minute on a 2-vCPU host)
 FUZZ_SEED       ?= 0
 FUZZ_ITERATIONS ?= 75
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -102,10 +102,11 @@ scenarios:
 	done
 	@rm -f .scenario-rt-a.json .scenario-rt-b.json
 
-# Seeded random walk over ScenarioSpec space under the oracle library
-# (conservation, bit-identical replay, --jobs invariance, codec
-# round-trip, MPL sanity), then a replay of the checked-in minimized
-# reproducer corpus.  Failures write shrunk reproducers into
+# Seeded random walk over ScenarioSpec space, drawn from the spec codec,
+# under the oracle library (codec round-trip, conservation, MPL sanity,
+# exactly-once disposition, 2PC atomicity, bit-identical replay, --jobs
+# invariance), then a replay of the checked-in minimized reproducer
+# corpus.  Failures write shrunk reproducers into
 # tests/data/fuzz_corpus/ — CI uploads them as an artifact.
 fuzz:
 	$(PYTHON) -m repro.experiments fuzz --seed $(FUZZ_SEED) \

@@ -96,6 +96,15 @@ class PiecewiseRate(RateFunction):
             raise ValueError(f"breakpoint times must ascend, got {times!r}")
         if any(rate < 0 for _t, rate in self.points):
             raise ValueError("rates must be non-negative")
+        # arrivals that stop for good never fill a completion-counted
+        # window: the run would thin candidate arrivals forever
+        if self.max_rate() <= 0:
+            raise ValueError("at least one rate must be positive")
+        if self.period is None and self.points[-1][1] <= 0:
+            raise ValueError(
+                "without a period the last rate holds forever, so it must "
+                f"be positive, got {self.points[-1]!r}"
+            )
         if self.period is not None and self.period <= times[-1]:
             raise ValueError(
                 f"period {self.period!r} must exceed the last breakpoint {times[-1]!r}"

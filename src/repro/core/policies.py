@@ -146,7 +146,8 @@ class SjfPolicy(QueuePolicy):
         return len(self._heap)
 
 
-_POLICIES = {
+#: External queue policies by the (lower-case) name :func:`make_policy` takes.
+QUEUE_POLICIES = {
     "fifo": FifoPolicy,
     "priority": PriorityPolicy,
     "sjf": SjfPolicy,
@@ -156,9 +157,9 @@ _POLICIES = {
 def make_policy(name: str) -> QueuePolicy:
     """Instantiate a policy by name (``fifo``, ``priority``, ``sjf``)."""
     try:
-        factory = _POLICIES[name.lower()]
+        factory = QUEUE_POLICIES[name.lower()]
     except KeyError:
         raise ValueError(
-            f"unknown policy {name!r}; known: {sorted(_POLICIES)}"
+            f"unknown policy {name!r}; known: {sorted(QUEUE_POLICIES)}"
         ) from None
     return factory()

@@ -159,6 +159,12 @@ class WorkloadRef:
                 "specify exactly one of setup_id / trace, got "
                 f"setup_id={self.setup_id!r} trace={self.trace!r}"
             )
+        if self.trace is not None:
+            # load it now, as TraceArrivals does: a bad name or bad
+            # generation parameters fail here, not at fingerprint time
+            from repro.workloads.traces import get_trace
+
+            get_trace(self.trace, self.trace_transactions, self.trace_seed)
 
     def resolve(self) -> "Tuple[Any, HardwareConfig, IsolationLevel]":
         """The (workload, hardware, isolation) triple this ref names."""
@@ -618,13 +624,20 @@ class ScenarioSpec:
             raise ValueError(
                 "specify either an arrival spec or the legacy arrival_rate, not both"
             )
+        mpl = self.control.config_mpl()
+        if mpl is not None and mpl < self.topology.shards:
+            # split_mpl gives every shard at least one admission slot
+            raise ValueError(
+                f"{type(self.control).__name__} MPL {mpl} cannot cover "
+                f"{self.topology.shards} shards (need >= 1 each)"
+            )
         if (
             isinstance(self.control, FeedbackMpl)
-            and self.topology.shards > 1
+            and self.is_clustered
             and self.control.initial_mpl is None
         ):
             raise ValueError(
-                "FeedbackMpl on a sharded topology needs an explicit "
+                "FeedbackMpl on a clustered topology needs an explicit "
                 "initial_mpl (the queueing-model jump-start is single-engine)"
             )
         if self.distributed is not None:
@@ -655,12 +668,6 @@ class ScenarioSpec:
                     "ClusterSlo control needs HIGH-priority traffic "
                     "(high_priority_fraction > 0)"
                 )
-            if self.control.initial_mpl < self.topology.shards:
-                raise ValueError(
-                    f"ClusterSlo initial_mpl {self.control.initial_mpl} "
-                    f"cannot cover {self.topology.shards} shards "
-                    "(need >= 1 each)"
-                )
         if isinstance(self.control, PerClassSlo):
             if self.topology.shards != 1 or self.topology.replicas_per_shard > 0:
                 raise ValueError(
@@ -678,11 +685,6 @@ class ScenarioSpec:
                 raise ValueError(
                     "ElasticMpl control needs a clustered topology "
                     "(shards > 1 or replicas_per_shard > 0)"
-                )
-            if self.control.mpl < self.topology.shards:
-                raise ValueError(
-                    f"ElasticMpl mpl {self.control.mpl} cannot cover "
-                    f"{self.topology.shards} shards (need >= 1 each)"
                 )
         if self.faults is not None:
             if not self.is_clustered:

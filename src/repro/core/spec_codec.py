@@ -13,6 +13,9 @@ jobs, so no axis carries its own encoder, decoder or type checks:
 * :func:`encode` / :func:`decode` turn a spec into plain JSON data and
   back.  The decoder collects every problem, each at its field's
   JSON-pointer path (``/topology/shards``).
+* :func:`plan` and :func:`shape` are the walk itself: a class's fields
+  with their hints, defaults and declared rules, and how a hint is
+  walked.  The scenario fuzzer draws and shrinks specs from them.
 
 Types come from the annotations: an ``int`` rejects a ``bool``; a
 ``float`` must be finite and keeps an ``int`` as it is (``rate=5`` and
@@ -153,7 +156,7 @@ def _optional_inner(hint: Any) -> Any:
     return inner
 
 
-def _tuple_items(hint: Any, count: int) -> Tuple[Any, ...]:
+def tuple_items(hint: Any, count: int) -> Tuple[Any, ...]:
     """The item hints of a ``Tuple[...]`` hint, for ``count`` items."""
     args = typing.get_args(hint)
     return args[:1] * count if args[-1] is Ellipsis else args
@@ -178,7 +181,7 @@ def _compile_check(hint: Any, rules: Any) -> _Check:
             if not isinstance(value, tuple):
                 problems.append((path, f"must be a tuple, got {value!r}"))
                 return
-            items = _tuple_items(hint, len(value))
+            items = tuple_items(hint, len(value))
             if len(items) != len(value):
                 problems.append(
                     (path, f"must have {len(items)} items, got {value!r}")
@@ -213,12 +216,15 @@ class _Field(NamedTuple):
     check: _Check
     default: Any
     derived: bool
+    #: The declared rules (``spec_field`` keywords), for walks that draw
+    #: or shrink values within them.
+    rules: Any
 
 
 _PLANS: Dict[type, Dict[str, _Field]] = {}
 
 
-def _plan(cls: type) -> Dict[str, _Field]:
+def plan(cls: type) -> Dict[str, _Field]:
     """``cls``'s fields by name, hints resolved and checks compiled once."""
     plan = _PLANS.get(cls)
     if plan is None:
@@ -231,6 +237,7 @@ def _plan(cls: type) -> Dict[str, _Field]:
                 _compile_check(hints[field.name], field.metadata),
                 field.default,
                 bool(field.metadata.get("derived")),
+                field.metadata,
             )
             for field in dataclasses.fields(cls)
         }
@@ -251,7 +258,7 @@ def check_fields(spec: Any) -> None:
     breaks its annotation or its declared rules (all such fields are
     listed, at paths relative to ``spec``)."""
     problems: Problems = []
-    for name, _hint, path, check, default, _derived in _plan(type(spec)).values():
+    for name, _hint, path, check, default, _derived, _rules in plan(type(spec)).values():
         value = getattr(spec, name)
         if value is not default:
             check(value, path, problems)
@@ -264,7 +271,7 @@ def check_fields(spec: Any) -> None:
 _SHAPES: Dict[Any, Tuple[str, Any]] = {}
 
 
-def _shape(hint: Any) -> Tuple[str, Any]:
+def shape(hint: Any) -> Tuple[str, Any]:
     """How the walk treats ``hint``: ``(kind, detail)``, resolved once."""
     shape = _SHAPES.get(hint)
     if shape is None:
@@ -289,11 +296,11 @@ def encode(value: Any, hint: Any) -> Any:
     """``value``, annotated ``hint``, as plain JSON data."""
     if value is None:
         return None
-    kind, detail = _shape(hint)
+    kind, detail = shape(hint)
     if kind == "optional":
         return encode(value, detail)
     if kind == "tuple":
-        items = _tuple_items(detail, len(value))
+        items = tuple_items(detail, len(value))
         return [encode(item, item_hint) for item, item_hint in zip(value, items)]
     if kind == "hook":
         return detail[0](value)
@@ -313,7 +320,7 @@ def encode(value: Any, hint: Any) -> Any:
 def _encode_fields(spec: Any) -> Dict[str, Any]:
     return {
         field.name: encode(getattr(spec, field.name), field.hint)
-        for field in _plan(type(spec)).values()
+        for field in plan(type(spec)).values()
         if not field.derived
     }
 
@@ -329,7 +336,7 @@ def decode(payload: Any, hint: Any, path: str, problems: Problems) -> Any:
     a part that cannot be built; a scalar comes back as it is, because
     the object that owns it checks its type and rules.
     """
-    kind, detail = _shape(hint)
+    kind, detail = shape(hint)
     if kind == "optional":
         if payload is None:
             return None
@@ -338,7 +345,7 @@ def decode(payload: Any, hint: Any, path: str, problems: Problems) -> Any:
         if not isinstance(payload, list):
             problems.append((path, f"must be a list, got {payload!r}"))
             return _INVALID
-        items = _tuple_items(detail, len(payload))
+        items = tuple_items(detail, len(payload))
         if len(items) != len(payload):
             problems.append((path, f"must have {len(items)} items, got {payload!r}"))
             return _INVALID
@@ -373,11 +380,11 @@ def _decode_fields(cls: type, payload: Any, path: str, problems: Problems) -> An
     if not isinstance(payload, dict):
         problems.append((path, f"must be an object, got {payload!r}"))
         return _INVALID
-    plan = _plan(cls)
+    fields = plan(cls)
     values: Dict[str, Any] = {}
     failed = False
     for key, item in payload.items():
-        field = plan.get(key)
+        field = fields.get(key)
         if field is None:
             problems.append((f"{path}/{key}", "unknown field"))
             failed = True
@@ -390,7 +397,7 @@ def _decode_fields(cls: type, payload: Any, path: str, problems: Problems) -> An
     if failed:
         # cls cannot be built; still report what is wrong with the rest
         for key, value in values.items():
-            plan[key].check(value, path + plan[key].path, problems)
+            fields[key].check(value, path + fields[key].path, problems)
         return _INVALID
     try:
         return cls(**values)

@@ -7,32 +7,34 @@ machinery can be hunted by *sampling* that space instead of
 hand-writing grids.  The pieces:
 
 * :class:`ScenarioWalker` — a seeded random walk over
-  :class:`~repro.core.scenario.ScenarioSpec` space.  Each step mutates
-  a few axes of the current spec (workload refs including ``file:``
-  traces, every :class:`~repro.core.arrivals.ArrivalSpec` family,
-  sharded/replicated topologies, every
-  :class:`~repro.core.scenario.ControlSpec` including ``ElasticMpl``,
-  kill/restore/degrade fault timelines) and then reconciles the
-  cross-axis rules so every emitted spec is *intended* to be valid —
-  a spec the constructor rejects is itself a generator bug.  The walk
-  is deterministic: same seed ⇒ same scenario sequence, fingerprint
-  for fingerprint (the determinism test pins this).
+  :class:`~repro.core.scenario.ScenarioSpec` space, driven by the spec
+  codec (:mod:`repro.core.spec_codec`).  Each step redraws a few axes;
+  a draw follows each field's annotation and declared rules
+  (``choices``, bounds, ``Optional``, ``Tuple``, and the members of
+  every tagged union in :data:`~repro.core.spec_codec.UNIONS`), with
+  :data:`FUZZ_DOMAINS` sizing the numbers the codec leaves unbounded.
+  The constructors decide what is valid: a draw they reject, or one
+  that breaks a :data:`WALK_RULES` run-safety rule, is drawn again, a
+  bounded number of times.  The walk is deterministic: same seed ⇒
+  same scenario sequence, fingerprint for fingerprint (the
+  determinism test pins this).
 * An **oracle library** (:data:`ORACLES`) run against every sampled
   scenario at small transaction counts: codec round-trip (the one
   collecting decoder must accept the spec and rebuild it, fingerprint
   included), transaction conservation (per-shard
   re-route transfer accounting included), exactly-once disposition
   under the resilience gate (every admission is completed, timed out,
-  shed, or in flight — never two, never none), bit-identical replay,
-  ``--jobs N`` invariance through the
+  shed, or in flight — never two, never none), 2PC atomicity,
+  bit-identical replay, ``--jobs N`` invariance through the
   :class:`~repro.experiments.parallel.ParallelRunner`, and MPL/SLO
   sanity (per-shard MPL split sums to the global budget, dead shards
   hold no queued admissions).
 * A **shrinker** (:func:`shrink_scenario`) that minimizes a failing
-  scenario — drop fault events, shrink the topology, simplify control
-  and arrivals, halve the sample — while the same oracle keeps
-  failing, and a **corpus** (:func:`write_reproducer` /
-  :func:`replay_corpus`) of minimized reproducers under
+  scenario by the same codec walk — an optional field to ``None``, a
+  tuple item dropped, a number moved toward its lower bound or
+  default, a union member replaced by the field's default — while the
+  same oracle keeps failing, and a **corpus** (:func:`write_reproducer`
+  / :func:`replay_corpus`) of minimized reproducers under
   ``tests/data/fuzz_corpus/`` that CI replays.
 
 CLI face: ``python -m repro.experiments fuzz --seed 0 --iterations 50``
@@ -42,12 +44,14 @@ CLI face: ``python -m repro.experiments fuzz --seed 0 --iterations 50``
 from __future__ import annotations
 
 import dataclasses
+import enum
 import glob
 import json
 import os
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core import spec_codec
 from repro.core.arrivals import (
     ArrivalSpec,
     ClosedArrivals,
@@ -55,15 +59,18 @@ from repro.core.arrivals import (
     OpenArrivals,
     PartlyOpenArrivals,
     PiecewiseRate,
+    RateFunction,
     SinusoidRate,
     TraceArrivals,
 )
 from repro.core.cluster import ClusteredSystem
-from repro.core.distributed_spec import COORDINATOR_POLICIES, DistributedSpec
-from repro.core.faults import DegradeShard, FaultEvent, FaultSpec, KillShard, RestoreShard
+from repro.core.distributed_spec import DistributedSpec
+from repro.core.faults import FaultEvent, KillShard, RestoreShard
+from repro.core.policies import QUEUE_POLICIES
 from repro.core.resilience import GoodputStarved
-from repro.core.resilience_spec import SHED_POLICIES, ResilienceSpec
+from repro.core.resilience_spec import ResilienceSpec
 from repro.core.scenario import (
+    ControlSpec,
     ElasticMpl,
     FeedbackMpl,
     MeasurementSpec,
@@ -75,17 +82,11 @@ from repro.core.scenario import (
     WorkloadRef,
     run_scenario,
 )
+from repro.dbms.config import InternalPolicy
+from repro.dbms.transaction import Priority
 from repro.sim.random import derive_seed
-
-#: Table 2 setups the walker draws workloads from (the CPU-bound ones:
-#: cheap to simulate at fuzzing sample sizes).
-SETUP_IDS = (1, 2, 3)
-
-#: Synthetic §3.2 traces (drawn both as workloads and as arrival streams).
-NAMED_TRACES = ("online-retailer", "auction-site")
-
-#: Trace-file prefix understood by :func:`~repro.workloads.traces.get_trace`.
-FILE_TRACE_PREFIX = "file:"
+from repro.workloads.setups import SETUPS
+from repro.workloads.traces import FILE_TRACE_PREFIX, TRACE_FACTORIES
 
 #: Default checked-in trace files offered to the walker (relative to the
 #: repo root, which is where the CLI and the test suite run).
@@ -93,9 +94,6 @@ DEFAULT_TRACE_FILES = (
     "tests/data/trace_fixture.csv",
     "tests/data/trace_fixture.jsonl",
 )
-
-ROUTINGS = ("round_robin", "hash", "least_in_flight", "weighted")
-READ_FANOUTS = ("primary", "round_robin", "least_in_flight")
 
 
 class OracleFailure(AssertionError):
@@ -107,465 +105,114 @@ class OracleFailure(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-class ScenarioWalker:
-    """Seeded random walk over ScenarioSpec space.
+class Uniform(NamedTuple):
+    """A float drawn uniformly from ``[lo, hi]``, rounded to 3 places."""
 
-    ``next_spec()`` mutates a few axes of the current spec and
-    reconciles cross-axis rules; every ``restart_every`` steps the walk
-    restarts from a fresh full sample so one sticky region cannot
-    trap it.  All randomness flows from one
-    :func:`~repro.sim.random.derive_seed`-derived stream, so the
-    sequence is a pure function of ``seed``.
-    """
+    lo: float
+    hi: float
 
-    AXES = ("workload", "arrival", "topology", "control", "faults",
-            "resilience", "distributed", "measurement", "mix")
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace_files: Sequence[str] = (),
-        restart_every: int = 8,
-    ):
-        self.rng = random.Random(derive_seed(seed, "scenario-fuzz"))
-        self.trace_files = tuple(t for t in trace_files if os.path.exists(t))
-        self.restart_every = max(1, restart_every)
-        self.steps = 0
-        self._axes = self._fresh_axes()
+class Items(tuple):
+    """One domain per item of a fixed-length ``Tuple`` field."""
 
-    # -- axis samplers -----------------------------------------------------
 
-    def _sample_workload(self) -> WorkloadRef:
-        rng = self.rng
-        roll = rng.random()
-        if roll < 0.6 or (roll < 0.75 and not self.trace_files):
-            return WorkloadRef(setup_id=rng.choice(SETUP_IDS))
-        if roll < 0.75:
-            path = rng.choice(self.trace_files)
-            return WorkloadRef(setup_id=None, trace=FILE_TRACE_PREFIX + path)
-        return WorkloadRef(
-            setup_id=None,
-            trace=rng.choice(NAMED_TRACES),
-            trace_transactions=rng.choice((400, 800, 1500)),
-            trace_seed=rng.randrange(1000),
-        )
+#: Fuzz sizes: ``(class, field) -> values`` for what the codec leaves
+#: unbounded above (sample sizes, rates, windows, timers) or free (trace
+#: and policy names, weight maps).  An entry on a base class covers its
+#: subclasses; on a ``Tuple`` field it sizes each item (:class:`Items`
+#: gives each item of a fixed-length one its own).  A tuple or ``range``
+#: is drawn from uniformly.  These keep runs small; they are
+#: not validity rules — the constructors decide what is valid.
+FUZZ_DOMAINS: Dict[Tuple[type, str], Any] = {
+    # the CPU-bound setups: an I/O-bound one costs 2-15x more per
+    # transaction, and far more under the open overload the walk drives
+    (WorkloadRef, "setup_id"): tuple(
+        setup.setup_id for setup in SETUPS
+        if setup.workload_name.startswith("W_CPU-")
+    ),
+    (WorkloadRef, "trace"): tuple(TRACE_FACTORIES),
+    (WorkloadRef, "trace_transactions"): (400, 800, 1500),
+    # a few seeds per trace: each new one generates (and caches) a trace
+    (WorkloadRef, "trace_seed"): range(4),
+    (ArrivalSpec, "think_time_s"): (0.0, 0.02, 0.1),
+    (ClosedArrivals, "num_clients"): range(4, 33),
+    (OpenArrivals, "rate"): Uniform(20.0, 90.0),
+    (PartlyOpenArrivals, "session_rate"): Uniform(2.0, 12.0),
+    (PartlyOpenArrivals, "mean_session_length"): Uniform(1.0, 6.0),
+    (RateFunction, "period"): (0.5, 1.0, 2.0, 4.0),
+    # (breakpoint time, rate) pairs
+    (PiecewiseRate, "points"): Items(((0.0, 0.5, 1.0, 2.0, 3.0), Uniform(15.0, 80.0))),
+    (SinusoidRate, "base"): Uniform(30.0, 70.0),
+    (SinusoidRate, "amplitude"): Uniform(0.0, 60.0),
+    (SinusoidRate, "phase"): Uniform(0.0, 6.283),
+    (TraceArrivals, "trace_name"): tuple(TRACE_FACTORIES),
+    (TraceArrivals, "transactions"): (300, 600),
+    (TraceArrivals, "seed"): range(4),
+    (TraceArrivals, "time_scale"): (0.02, 0.1, 0.25, 0.5, 1.0),
+    (TopologySpec, "shards"): range(1, 5),
+    (TopologySpec, "routing_weights"): (0.05, 0.5, 1.0, 2.0, 10.0, 250.0),
+    (TopologySpec, "replicas_per_shard"): (0, 0, 1, 2),
+    (TopologySpec, "election_timeout_s"): (0.1, 0.25, 0.5),
+    (ControlSpec, "mpl"): range(1, 25),
+    (ControlSpec, "initial_mpl"): range(2, 17),
+    (ControlSpec, "window"): (20, 30),
+    (ControlSpec, "step"): range(1, 4),
+    (ControlSpec, "max_mpl"): (16, 32, 64),
+    (ControlSpec, "max_iterations"): (2, 3),
+    (ControlSpec, "high_p95_target_s"): (0.1, 0.3, 0.6),
+    (FeedbackMpl, "max_throughput_loss"): (0.05, 0.1, 0.2),
+    (FeedbackMpl, "max_response_time_increase"): (0.1, 0.3, 0.6),
+    (FeedbackMpl, "baseline_transactions"): (60, 100),
+    # a pre-measured baseline the CPU-bound setups can meet: an
+    # unattainable one walks the loop to its 40-iteration cap
+    (FeedbackMpl, "baseline_throughput"): Uniform(5.0, 20.0),
+    (FeedbackMpl, "baseline_response_time"): Uniform(0.05, 1.0),
+    (ElasticMpl, "interval_s"): (0.2, 0.3, 0.5),
+    (ElasticMpl, "low_watermark"): Uniform(0.0, 1.0),
+    (ElasticMpl, "high_watermark"): Uniform(0.0, 1.0),
+    (ElasticMpl, "min_shards"): range(1, 3),
+    (ElasticMpl, "max_ticks"): (100, 1000),
+    (MeasurementSpec, "transactions"): range(40, 161),
+    (MeasurementSpec, "timeline_bucket_s"): (0.25, 0.5, 1.0),
+    (ScenarioSpec, "policy"): tuple(QUEUE_POLICIES),
+    (ScenarioSpec, "arrival_rate"): Uniform(20.0, 80.0),
+    (ScenarioSpec, "seed"): range(10_000),
+    (InternalPolicy, "cpu_weights"): ({int(Priority.HIGH): 4.0},),
+    (FaultEvent, "at"): Uniform(0.2, 3.0),
+    (FaultEvent, "shard"): range(4),
+    (ResilienceSpec, "deadline_s"): (1.0, 2.0, 5.0),
+    (ResilienceSpec, "high_deadline_s"): (2.0, 5.0),
+    (ResilienceSpec, "max_attempts"): range(4),
+    (ResilienceSpec, "base_backoff_s"): (0.0, 0.01, 0.05),
+    (ResilienceSpec, "backoff_multiplier"): (1.0, 2.0),
+    (ResilienceSpec, "queue_cap"): (8, 16, 32),
+    (ResilienceSpec, "breaker_window"): (5, 10, 20),
+    (ResilienceSpec, "breaker_response_time_s"): (0.1, 0.5),
+    (ResilienceSpec, "breaker_open_s"): (0.2, 0.5, 1.0),
+    (ResilienceSpec, "breaker_probes"): range(1, 4),
+    (DistributedSpec, "fanout_k"): range(2, 5),
+    (DistributedSpec, "prepare_timeout_s"): (0.5, 1.0, 2.0, 5.0),
+}
 
-    def _sample_arrival(self) -> Tuple[Optional[ArrivalSpec], Optional[float]]:
-        """One (arrival, legacy arrival_rate) pair; at most one is set."""
-        rng = self.rng
-        kind = rng.choice(
-            ("legacy-closed", "legacy-rate", "closed", "open",
-             "partly-open", "modulated", "trace")
-        )
-        if kind == "legacy-closed":
-            return None, None
-        if kind == "legacy-rate":
-            return None, round(rng.uniform(20.0, 80.0), 3)
-        if kind == "closed":
-            return ClosedArrivals(
-                num_clients=rng.randrange(4, 33),
-                think_time_s=rng.choice((0.0, 0.02, 0.1)),
-            ), None
-        if kind == "open":
-            return OpenArrivals(rate=round(rng.uniform(20.0, 90.0), 3)), None
-        if kind == "partly-open":
-            return PartlyOpenArrivals(
-                session_rate=round(rng.uniform(2.0, 12.0), 3),
-                mean_session_length=round(rng.uniform(1.0, 6.0), 2),
-                think_time_s=rng.choice((0.0, 0.02)),
-            ), None
-        if kind == "modulated":
-            if rng.random() < 0.5:
-                base = rng.uniform(30.0, 70.0)
-                rate = SinusoidRate(
-                    base=round(base, 3),
-                    # amplitude < base: the clipped-to-zero quiet phase of a
-                    # full-depth swing can stall small fuzzing windows
-                    amplitude=round(rng.uniform(0.2, 0.8) * base, 3),
-                    period=rng.choice((0.5, 1.0, 2.0)),
-                )
-            else:
-                times = sorted(rng.sample((0.5, 1.0, 1.5, 2.0, 3.0),
-                                          rng.randrange(1, 3)))
-                points = [(0.0, round(rng.uniform(25.0, 60.0), 3))]
-                points += [(t, round(rng.uniform(15.0, 80.0), 3)) for t in times]
-                rate = PiecewiseRate(
-                    points=tuple(points),
-                    period=rng.choice((None, points[-1][0] + 1.0)),
-                )
-            return ModulatedArrivals(rate_function=rate), None
-        # trace replay: loop=True always — a non-looping stream shorter
-        # than the sample drains the simulation mid-measurement
-        if self.trace_files and rng.random() < 0.4:
-            name = FILE_TRACE_PREFIX + rng.choice(self.trace_files)
-            return TraceArrivals(
-                trace_name=name,
-                time_scale=rng.choice((0.02, 0.05, 0.1)),
-                loop=True,
-            ), None
-        return TraceArrivals(
-            trace_name=rng.choice(NAMED_TRACES),
-            transactions=rng.choice((300, 600)),
-            seed=rng.randrange(1000),
-            time_scale=rng.choice((0.25, 0.5, 1.0)),
-            loop=True,
-        ), None
+#: Draws of one value before the walk keeps the value it has (a fixed
+#: bound keeps the walk a pure function of its seed).
+MAX_DRAWS = 20
 
-    def _sample_topology(self) -> TopologySpec:
-        rng = self.rng
-        shards = rng.choice((1, 1, 2, 2, 3, 4))
-        routing = rng.choice(ROUTINGS) if shards > 1 else "round_robin"
-        weights: Optional[Tuple[float, ...]] = None
-        if shards > 1 and rng.random() < 0.4:
-            # skewed on purpose — this is what flushes split/rounding bugs
-            weights = tuple(
-                round(rng.choice((0.05, 0.5, 1.0, 2.0, 10.0, 250.0)), 3)
-                for _ in range(shards)
-            )
-        replicas = rng.choice((0, 0, 0, 1, 1, 2))
-        return TopologySpec(
-            shards=shards,
-            routing=routing,
-            routing_weights=weights,
-            replicas_per_shard=replicas,
-            read_fanout=rng.choice(READ_FANOUTS),
-            election_timeout_s=rng.choice((0.1, 0.25, 0.5)),
-        )
+#: Draws per partner axis when an axis is drawn together with another.
+PARTNER_DRAWS = 4
 
-    def _sample_control(self) -> Any:
-        rng = self.rng
-        kind = rng.choice(("static", "static", "static-unlimited",
-                           "feedback", "slo", "elastic"))
-        if kind == "static-unlimited":
-            return StaticMpl(None)
-        if kind == "static":
-            return StaticMpl(rng.randrange(4, 25))
-        if kind == "feedback":
-            return FeedbackMpl(
-                initial_mpl=rng.randrange(4, 17),
-                window=rng.choice((20, 30)),
-                baseline_transactions=rng.choice((60, 100)),
-                adaptive=rng.random() < 0.7,
-            )
-        if kind == "slo":
-            return PerClassSlo(
-                high_p95_target_s=rng.choice((0.1, 0.3, 0.6)),
-                initial_mpl=rng.randrange(2, 9),
-                window=rng.choice((30, 50)),
-                max_mpl=32,
-                max_iterations=rng.choice((2, 3)),
-            )
-        return ElasticMpl(
-            mpl=rng.randrange(6, 25),
-            interval_s=rng.choice((0.2, 0.3, 0.5)),
-            low_watermark=round(rng.uniform(0.05, 0.4), 3),
-            high_watermark=round(rng.uniform(0.6, 0.95), 3),
-        )
+#: Chance that an optional field is drawn unset.
+UNSET_CHANCE = 0.5
 
-    def _sample_faults(self, shards: int, replicas: int) -> Optional[FaultSpec]:
-        rng = self.rng
-        if rng.random() < 0.5:
-            return None
-        events: List[FaultEvent] = []
-        t = rng.uniform(0.2, 0.6)
-        for _ in range(rng.randrange(1, 4)):
-            shard = rng.randrange(shards)
-            kind = rng.choice(("kill", "kill", "degrade", "restore"))
-            if kind == "kill":
-                candidate: FaultEvent = KillShard(at=round(t, 3), shard=shard)
-            elif kind == "degrade":
-                candidate = DegradeShard(
-                    at=round(t, 3), shard=shard,
-                    factor=rng.choice((0.3, 0.5, 0.8)),
-                )
-            else:
-                candidate = RestoreShard(at=round(t, 3), shard=shard)
-            if fault_timeline_is_safe(events + [candidate], shards, replicas):
-                events.append(candidate)
-                if isinstance(candidate, KillShard) and rng.random() < 0.6:
-                    t += rng.uniform(0.2, 0.6)
-                    events.append(
-                        RestoreShard(at=round(t, 3), shard=candidate.shard)
-                    )
-            t += rng.uniform(0.2, 0.7)
-        if not events:
-            return None
-        return FaultSpec(events=tuple(events))
+#: Item counts of a drawn variable-length tuple.
+TUPLE_LENGTHS = range(1, 4)
 
-    def _sample_resilience(self) -> Optional[ResilienceSpec]:
-        rng = self.rng
-        if rng.random() < 0.35:
-            return None
-        # deadlines are generous relative to fuzzing-size service times
-        # (tens of milliseconds), so a resilient walk always makes
-        # forward progress — goodput-zero livelock is the figure's job,
-        # not the fuzzer's
-        max_attempts = rng.choice((0, 0, 1, 2, 3))
-        return ResilienceSpec(
-            deadline_s=rng.choice((1.0, 2.0, 5.0)),
-            high_deadline_s=rng.choice((None, None, 2.0, 5.0)),
-            max_attempts=max_attempts,
-            base_backoff_s=(
-                rng.choice((0.0, 0.01, 0.05)) if max_attempts > 0 else None
-            ),
-            backoff_multiplier=rng.choice((1.0, 2.0)),
-            jitter_fraction=rng.choice((0.0, 0.25, 0.5)),
-            queue_cap=rng.choice((None, None, 8, 16, 32)),
-            shed_policy=rng.choice(SHED_POLICIES),
-            breaker_enabled=rng.random() < 0.35,
-            breaker_window=rng.choice((5, 10, 20)),
-            breaker_timeout_threshold=rng.choice((0.3, 0.5, 0.8)),
-            breaker_open_s=rng.choice((0.2, 0.5, 1.0)),
-        )
 
-    def _sample_distributed(self) -> Optional[DistributedSpec]:
-        rng = self.rng
-        if rng.random() < 0.5:
-            return None
-        # abort_on_prepare_timeout stays True: a hung prepare would
-        # park MPL slots forever and stall the completion-counted
-        # window; the timeout-abort path is the escape hatch the walk
-        # relies on (and the goodput-starvation guard turns a
-        # pathological retry storm into a deterministic refusal)
-        return DistributedSpec(
-            cross_shard_fraction=rng.choice((0.05, 0.1, 0.2, 0.5, 1.0)),
-            fanout_k=rng.randrange(2, 5),
-            prepare_timeout_s=rng.choice((0.5, 1.0, 2.0, 5.0)),
-            coordinator=rng.choice(COORDINATOR_POLICIES),
-            abort_on_prepare_timeout=True,
-        )
+class WalkRule(NamedTuple):
+    """A run-safety rule no constructor enforces, and why it holds."""
 
-    def _sample_measurement(self) -> MeasurementSpec:
-        rng = self.rng
-        metrics: Tuple[str, ...] = ("standard",)
-        if rng.random() < 0.3:
-            metrics += ("percentiles",)
-        if rng.random() < 0.3:
-            metrics += ("timeline",)
-        return MeasurementSpec(
-            transactions=rng.randrange(40, 161),
-            warmup_fraction=rng.choice((0.0, 0.1, 0.2)),
-            metrics=metrics,
-            timeline_bucket_s=rng.choice((0.25, 0.5, 1.0)),
-        )
-
-    def _sample_mix(self) -> Dict[str, Any]:
-        rng = self.rng
-        hpf = rng.choice((0.0, 0.0, 0.1, 0.3))
-        return {
-            "policy": "priority" if hpf > 0 and rng.random() < 0.7 else "fifo",
-            "high_priority_fraction": hpf,
-            "seed": rng.randrange(10_000),
-        }
-
-    def _fresh_axes(self) -> Dict[str, Any]:
-        arrival, arrival_rate = self._sample_arrival()
-        topology = self._sample_topology()
-        return {
-            "workload": self._sample_workload(),
-            "arrival": arrival,
-            "arrival_rate": arrival_rate,
-            "topology": topology,
-            "control": self._sample_control(),
-            "faults": self._sample_faults(
-                topology.shards, topology.replicas_per_shard
-            ),
-            "resilience": self._sample_resilience(),
-            "distributed": self._sample_distributed(),
-            "measurement": self._sample_measurement(),
-            "mix": self._sample_mix(),
-        }
-
-    # -- reconciliation ----------------------------------------------------
-
-    def _reconcile(self, axes: Dict[str, Any]) -> Dict[str, Any]:
-        """Repair cross-axis rules after independent mutation.
-
-        Mirrors ``ScenarioSpec.__post_init__``'s cross-field checks —
-        plus the run-safety rules the constructor cannot know about
-        (never kill the last live shard; no faults under a per-shard
-        tuning loop, which would wait forever on a dead shard's
-        completions under open arrivals).  Works on a copy: the walk's
-        stored axes keep their sampled values, so an axis suppressed
-        by one step's control choice (faults under ``FeedbackMpl``,
-        resilience under a tuning loop) resurfaces as soon as the
-        conflicting axis mutates away — repair is per-spec, not sticky.
-        """
-        rng = self.rng
-        axes = dict(axes)
-        topology: TopologySpec = axes["topology"]
-        control = axes["control"]
-        clustered = topology.shards > 1 or topology.replicas_per_shard > 0
-
-        if isinstance(control, PerClassSlo):
-            if topology.shards != 1 or topology.replicas_per_shard > 0:
-                # a truly single-engine topology: the SLO tuning loop
-                # drives one ExternalScheduler, not a cluster façade
-                topology = dataclasses.replace(
-                    topology, shards=1, routing="round_robin",
-                    routing_weights=None, replicas_per_shard=0,
-                )
-                axes["topology"] = topology
-                clustered = False
-            if axes["mix"]["high_priority_fraction"] <= 0:
-                axes["mix"] = dict(
-                    axes["mix"], high_priority_fraction=rng.choice((0.1, 0.3))
-                )
-        if isinstance(control, ElasticMpl):
-            if not clustered:
-                topology = dataclasses.replace(topology, shards=2)
-                axes["topology"] = topology
-                clustered = True
-            if control.mpl < topology.shards:
-                control = dataclasses.replace(
-                    control, mpl=topology.shards * rng.randrange(2, 6)
-                )
-                axes["control"] = control
-        if isinstance(control, (StaticMpl, FeedbackMpl)):
-            mpl = control.config_mpl()
-            if mpl is not None and mpl < topology.shards:
-                # split_mpl needs >= 1 admission per shard
-                field = "mpl" if isinstance(control, StaticMpl) else "initial_mpl"
-                control = dataclasses.replace(
-                    control, **{field: topology.shards * rng.randrange(2, 6)}
-                )
-                axes["control"] = control
-        if isinstance(control, FeedbackMpl):
-            if clustered and control.initial_mpl is None:
-                control = dataclasses.replace(
-                    control, initial_mpl=max(topology.shards, 8)
-                )
-                axes["control"] = control
-            # per-shard tuning windows wait on a single shard's
-            # completions; a fault that kills that shard would stall the
-            # window forever under open arrivals
-            axes["faults"] = None
-
-        resilience: Optional[ResilienceSpec] = axes["resilience"]
-        if resilience is not None:
-            # the resilience gate composes with static/elastic capacity
-            # control; the per-shard tuning loops (feedback, SLO) run
-            # baseline twins outside the gate, so the axes stay apart
-            if isinstance(control, (FeedbackMpl, PerClassSlo)):
-                axes["resilience"] = None
-                resilience = None
-        if resilience is not None and topology.replicas_per_shard > 0:
-            # replica groups own their own retry story — when both axes
-            # land, a coin decides which one this step keeps, so the
-            # walk covers each at full strength
-            if rng.random() < 0.5:
-                axes["resilience"] = None
-                resilience = None
-            else:
-                topology = dataclasses.replace(topology, replicas_per_shard=0)
-                if isinstance(control, ElasticMpl) and topology.shards < 2:
-                    # elastic control needs the topology to stay
-                    # clustered once the replicas are gone
-                    topology = dataclasses.replace(topology, shards=2)
-                axes["topology"] = topology
-                clustered = topology.shards > 1
-        if resilience is not None and (
-            resilience.breaker_enabled and topology.shards < 2
-        ):
-            axes["resilience"] = dataclasses.replace(
-                resilience, breaker_enabled=False
-            )
-        resilience = axes["resilience"]
-        if resilience is not None and resilience.queue_cap is not None:
-            # shedding needs externally driven arrivals: a closed client
-            # resubmits the instant a shed releases it (zero-time livelock)
-            closed_population = axes["arrival_rate"] is None and (
-                axes["arrival"] is None
-                or isinstance(axes["arrival"], ClosedArrivals)
-            )
-            if closed_population:
-                axes["resilience"] = dataclasses.replace(
-                    resilience, queue_cap=None
-                )
-
-        distributed: Optional[DistributedSpec] = axes["distributed"]
-        if distributed is not None:
-            topology = axes["topology"]
-            if topology.shards < 2 or topology.replicas_per_shard > 0:
-                # 2PC needs >= 2 participant shards, and replica groups
-                # own their own commit story (the constructor rejects
-                # the combination)
-                axes["distributed"] = None
-            elif distributed.fanout_k > topology.shards:
-                axes["distributed"] = dataclasses.replace(
-                    distributed, fanout_k=topology.shards
-                )
-
-        faults: Optional[FaultSpec] = axes["faults"]
-        if faults is not None:
-            if not clustered:
-                axes["faults"] = None
-            else:
-                events = [e for e in faults.events if e.shard < topology.shards]
-                kept: List[FaultEvent] = []
-                for event in events:
-                    if fault_timeline_is_safe(
-                        kept + [event], topology.shards,
-                        topology.replicas_per_shard,
-                    ):
-                        kept.append(event)
-                axes["faults"] = FaultSpec(events=tuple(kept)) if kept else None
-        return axes
-
-    def _build(self, axes: Dict[str, Any]) -> ScenarioSpec:
-        mix = axes["mix"]
-        return ScenarioSpec(
-            workload=axes["workload"],
-            arrival=axes["arrival"],
-            topology=axes["topology"],
-            control=axes["control"],
-            measurement=axes["measurement"],
-            policy=mix["policy"],
-            high_priority_fraction=mix["high_priority_fraction"],
-            arrival_rate=axes["arrival_rate"],
-            seed=mix["seed"],
-            tag=f"fuzz-{self.steps}",
-            faults=axes["faults"],
-            resilience=axes["resilience"],
-            distributed=axes["distributed"],
-        )
-
-    def next_spec(self) -> ScenarioSpec:
-        """The walk's next scenario (always constructor-valid)."""
-        rng = self.rng
-        self.steps += 1
-        if self.steps % self.restart_every == 1:
-            self._axes = self._fresh_axes()
-        else:
-            mutated = rng.sample(self.AXES, rng.randrange(1, 3))
-            for axis in mutated:
-                if axis == "workload":
-                    self._axes["workload"] = self._sample_workload()
-                elif axis == "arrival":
-                    arrival, rate = self._sample_arrival()
-                    self._axes["arrival"] = arrival
-                    self._axes["arrival_rate"] = rate
-                elif axis == "topology":
-                    self._axes["topology"] = self._sample_topology()
-                elif axis == "control":
-                    self._axes["control"] = self._sample_control()
-                elif axis == "faults":
-                    topology = self._axes["topology"]
-                    self._axes["faults"] = self._sample_faults(
-                        topology.shards, topology.replicas_per_shard
-                    )
-                elif axis == "resilience":
-                    self._axes["resilience"] = self._sample_resilience()
-                elif axis == "distributed":
-                    self._axes["distributed"] = self._sample_distributed()
-                elif axis == "measurement":
-                    self._axes["measurement"] = self._sample_measurement()
-                else:
-                    self._axes["mix"] = self._sample_mix()
-        return self._build(self._reconcile(self._axes))
-
-    def specs(self, count: int) -> List[ScenarioSpec]:
-        return [self.next_spec() for _ in range(count)]
+    reason: str
+    holds: Callable[[ScenarioSpec], bool]
 
 
 def fault_timeline_is_safe(
@@ -592,6 +239,216 @@ def fault_timeline_is_safe(
         if all(suspect):
             return False
     return True
+
+
+def _amplitude_below_base(spec: ScenarioSpec) -> bool:
+    arrival = spec.arrival
+    if isinstance(arrival, ModulatedArrivals) and isinstance(
+        arrival.rate_function, SinusoidRate
+    ):
+        return arrival.rate_function.amplitude < arrival.rate_function.base
+    return True
+
+
+#: What the walk and the shrinker keep on top of the constructors.
+WALK_RULES = (
+    WalkRule(
+        "a fault timeline keeps one shard kill-free at every instant: "
+        "nothing routes around a fully killed cluster",
+        lambda spec: spec.faults is None or fault_timeline_is_safe(
+            spec.faults.events, spec.topology.shards,
+            spec.topology.replicas_per_shard,
+        ),
+    ),
+    WalkRule(
+        "no faults under FeedbackMpl: a per-shard tuning window waits on "
+        "one shard's completions, and a killed shard stalls it forever "
+        "under open arrivals",
+        lambda spec: spec.faults is None
+        or not isinstance(spec.control, FeedbackMpl),
+    ),
+    WalkRule(
+        "resilience stays apart from FeedbackMpl and PerClassSlo: their "
+        "tuning loops run baseline twins outside the resilience gate",
+        lambda spec: spec.resilience is None
+        or not isinstance(spec.control, (FeedbackMpl, PerClassSlo)),
+    ),
+    WalkRule(
+        "trace replay loops: a stream shorter than the sample would "
+        "drain the simulation mid-measurement",
+        lambda spec: not isinstance(spec.arrival, TraceArrivals)
+        or spec.arrival.loop,
+    ),
+    WalkRule(
+        "2PC aborts on a prepare timeout: a hung prepare parks MPL slots "
+        "forever and stalls the completion-counted window",
+        lambda spec: spec.distributed is None
+        or spec.distributed.abort_on_prepare_timeout,
+    ),
+    WalkRule(
+        "a sinusoid's amplitude stays below its base: the clipped-to-zero "
+        "quiet phase of a full-depth swing can stall a small window",
+        _amplitude_below_base,
+    ),
+)
+
+
+def walk_rules_hold(spec: ScenarioSpec) -> bool:
+    return all(rule.holds(spec) for rule in WALK_RULES)
+
+
+class ScenarioWalker:
+    """Seeded random walk over ScenarioSpec space.
+
+    ``next_spec()`` redraws one to three axes of the current spec;
+    every ``restart_every`` steps the walk redraws every axis from the
+    default scenario, so one sticky region cannot trap it.  All
+    randomness flows from one :func:`~repro.sim.random.derive_seed`
+    stream, so the sequence is a pure function of ``seed``.
+    """
+
+    #: Every ScenarioSpec field but the label the walker stamps.
+    AXES = tuple(name for name in spec_codec.plan(ScenarioSpec) if name != "tag")
+
+    def __init__(
+        self,
+        seed: int = 0,
+        trace_files: Sequence[str] = (),
+        restart_every: int = 8,
+    ):
+        self.rng = random.Random(derive_seed(seed, "scenario-fuzz"))
+        files = tuple(
+            FILE_TRACE_PREFIX + path for path in trace_files
+            if os.path.exists(path)
+        )
+        self.domains = dict(FUZZ_DOMAINS)
+        for key in ((WorkloadRef, "trace"), (TraceArrivals, "trace_name")):
+            self.domains[key] += files
+        self.restart_every = max(1, restart_every)
+        self.steps = 0
+        self.spec = ScenarioSpec()
+
+    def next_spec(self) -> ScenarioSpec:
+        """The walk's next scenario (constructor-valid, rules kept)."""
+        rng = self.rng
+        self.steps += 1
+        if self.steps % self.restart_every == 1:
+            # two passes, so an axis the first pass left blocked by
+            # another gets a second draw once that one has moved
+            spec = ScenarioSpec()
+            axes = []
+            for _ in range(2):
+                order = list(self.AXES)
+                rng.shuffle(order)
+                axes += order
+        else:
+            spec = self.spec
+            axes = rng.sample(self.AXES, rng.randrange(1, 4))
+        for axis in axes:
+            spec = self._redraw(spec, axis)
+        self.spec = spec
+        return dataclasses.replace(spec, tag=f"fuzz-{self.steps}")
+
+    def specs(self, count: int) -> List[ScenarioSpec]:
+        return [self.next_spec() for _ in range(count)]
+
+    def _redraw(self, spec: ScenarioSpec, axis: str) -> ScenarioSpec:
+        """``spec`` with ``axis`` drawn again, unchanged if no draw fits.
+
+        A draw the other axes reject is drawn again; if none fits,
+        ``axis`` is drawn together with one other axis at a time, so an
+        axis another one blocks (2PC on a single shard, say) still moves.
+        """
+        draw = self._axis_draw(axis)
+        partners = [other for other in self.AXES if other != axis]
+        self.rng.shuffle(partners)
+        for partner in [None] + partners:
+            for _ in range(MAX_DRAWS if partner is None else PARTNER_DRAWS):
+                try:
+                    changes = {axis: draw()}
+                    if partner is not None:
+                        changes[partner] = self._axis_draw(partner)()
+                    candidate = dataclasses.replace(spec, **changes)
+                except ValueError:
+                    continue
+                if walk_rules_hold(candidate):
+                    return candidate
+        return spec
+
+    def _axis_draw(self, axis: str) -> Callable[[], Any]:
+        """A drawer for one axis.  Whether an optional axis is set, and
+        which member a union axis takes, is decided here, once: a value
+        the other axes reject is drawn again rather than swapped for
+        None or for a member they happen to accept."""
+        field = spec_codec.plan(ScenarioSpec)[axis]
+        kind, inner = spec_codec.shape(field.hint)
+        if kind == "optional":
+            if self.rng.random() < UNSET_CHANCE:
+                return lambda: None
+            field = field._replace(hint=inner)
+            kind = spec_codec.shape(inner)[0]
+        if kind == "union":
+            member = self.rng.choice(list(spec_codec.UNIONS[field.hint].values()))
+            return lambda: self._object(member)
+        return lambda: self._field(ScenarioSpec, field)
+
+    def _object(self, cls: type) -> Any:
+        """A ``cls`` instance with every field drawn; ValueError if none fits."""
+        fields = [f for f in spec_codec.plan(cls).values() if not f.derived]
+        for _ in range(MAX_DRAWS):
+            try:
+                return cls(**{f.name: self._field(cls, f) for f in fields})
+            except ValueError:
+                continue
+        raise ValueError(f"no valid {cls.__name__} in {MAX_DRAWS} draws")
+
+    def _field(self, owner: type, field: Any) -> Any:
+        domain = next(
+            (self.domains[cls, field.name] for cls in owner.__mro__
+             if (cls, field.name) in self.domains),
+            None,
+        )
+        return self._value(field.hint, field.rules, domain)
+
+    def _value(self, hint: Any, rules: Any, domain: Any) -> Any:
+        rng = self.rng
+        kind, detail = spec_codec.shape(hint)
+        if kind == "optional":
+            if rng.random() < UNSET_CHANCE:
+                return None
+            return self._value(detail, rules, domain)
+        if kind == "tuple":
+            items = spec_codec.tuple_items(hint, rng.choice(TUPLE_LENGTHS))
+            fixed = len(spec_codec.tuple_items(hint, 0)) > 0
+            domains = domain if fixed and isinstance(domain, Items) else [domain] * len(items)
+            return tuple(
+                self._value(item, rules, item_domain)
+                for item, item_domain in zip(items, domains)
+            )
+        if isinstance(domain, Uniform):
+            return round(rng.uniform(domain.lo, domain.hi), 3)
+        if domain is not None:
+            return rng.choice(domain)
+        if kind == "union":
+            return self._object(rng.choice(list(detail.values())))
+        if dataclasses.is_dataclass(hint):
+            return self._object(hint)
+        if "choices" in rules:
+            return rng.choice(rules["choices"])
+        if hint is bool:
+            return rng.random() < 0.5
+        if isinstance(hint, type) and issubclass(hint, enum.Enum):
+            return rng.choice(list(hint))
+        lower = rules.get("ge", rules.get("gt"))
+        upper = rules.get("le", rules.get("lt"))
+        if lower is None or upper is None:
+            raise LookupError(
+                f"no fuzz size for a {hint} field with rules {dict(rules)}: "
+                "add it to FUZZ_DOMAINS"
+            )
+        if hint is int:
+            return rng.randint(lower, upper)
+        return round(rng.uniform(lower, upper), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -909,95 +766,78 @@ def _check_starvation_replays(
 # the shrinker
 # ---------------------------------------------------------------------------
 
+#: Shrink steps, most aggressive first (a candidate's sort rank).
+_TO_NONE, _TO_DEFAULT, _DROP_ITEM, _TOWARD_BOUND = range(4)
 
-def _shrink_candidates(spec: ScenarioSpec) -> List[ScenarioSpec]:
-    """Strictly-smaller variants of ``spec``, most aggressive first.
 
-    Invalid combinations are simply skipped (the constructor is the
-    filter); fault timelines are re-checked against the liveness model
-    so the shrinker never invents an all-shards-dead crash.
-    """
-    out: List[ScenarioSpec] = []
+def _number_targets(value: Any, hint: Any, rules: Any, default: Any) -> List[Any]:
+    """``value`` moved to, then halfway to, its lower bound or default."""
+    if isinstance(value, bool):
+        return [default] if default is not dataclasses.MISSING and value != default else []
+    target = rules.get("ge", default)
+    if target is dataclasses.MISSING or target is None or target == value:
+        return []
+    target = hint(target)
+    if hint is int:
+        halfway = (value + target) // 2
+    else:
+        halfway = round((value + target) / 2, 3)
+    return [target] + ([halfway] if halfway not in (value, target) else [])
 
-    def push(**changes: Any) -> None:
-        try:
-            candidate = dataclasses.replace(spec, **changes)
-        except ValueError:
-            return
-        faults = candidate.faults
-        if faults is not None and not fault_timeline_is_safe(
-            faults.events, candidate.topology.shards,
-            candidate.topology.replicas_per_shard,
+
+def _smaller(
+    value: Any, hint: Any, rules: Any, default: Any, depth: int
+) -> Iterator[Tuple[int, int, Any]]:
+    """Simpler variants of ``value``: ``(step, depth, variant)`` triples."""
+    kind, detail = spec_codec.shape(hint)
+    if kind == "optional":
+        if value is not None:
+            yield _TO_NONE, depth, None
+            yield from _smaller(value, detail, rules, dataclasses.MISSING, depth)
+        return
+    if kind == "tuple":
+        if len(spec_codec.tuple_items(hint, 0)) == 0:  # Tuple[X, ...]
+            for index in range(len(value)):
+                yield _DROP_ITEM, depth, value[:index] + value[index + 1:]
+        items = spec_codec.tuple_items(hint, len(value))
+        for index, (item, item_hint) in enumerate(zip(value, items)):
+            for step, at, variant in _smaller(
+                item, item_hint, rules, dataclasses.MISSING, depth
+            ):
+                yield step, at, value[:index] + (variant,) + value[index + 1:]
+        return
+    if kind == "union" and default is not dataclasses.MISSING and value != default:
+        yield _TO_DEFAULT, depth, default
+    if dataclasses.is_dataclass(value):
+        yield from _smaller_fields(value, depth + 1)
+    elif isinstance(value, (int, float)):
+        for target in _number_targets(value, detail, rules, default):
+            yield _TOWARD_BOUND, depth, target
+
+
+def _smaller_fields(spec: Any, depth: int) -> Iterator[Tuple[int, int, Any]]:
+    """``spec`` with one field simplified; later fields (which refine
+    earlier ones, as replicas refine shards) come first."""
+    for field in reversed(list(spec_codec.plan(type(spec)).values())):
+        if field.derived:
+            continue
+        for step, at, variant in _smaller(
+            getattr(spec, field.name), field.hint, field.rules, field.default,
+            depth,
         ):
-            return
-        out.append(candidate)
-
-    if spec.resilience is not None:
-        push(resilience=None)
-
-        def push_resilience(**changes: Any) -> None:
             try:
-                push(resilience=dataclasses.replace(spec.resilience, **changes))
+                yield step, at, dataclasses.replace(spec, **{field.name: variant})
             except ValueError:
-                return
+                continue
 
-        if spec.resilience.breaker_enabled:
-            push_resilience(breaker_enabled=False)
-        if spec.resilience.queue_cap is not None:
-            push_resilience(queue_cap=None)
-        if spec.resilience.max_attempts > 0:
-            push_resilience(max_attempts=0, base_backoff_s=None)
-        if spec.resilience.jitter_fraction > 0:
-            push_resilience(jitter_fraction=0.0)
-        if spec.resilience.high_deadline_s is not None:
-            push_resilience(high_deadline_s=None)
-    if spec.distributed is not None:
-        push(distributed=None)
-        if spec.distributed.cross_shard_fraction > 0:
-            push(distributed=dataclasses.replace(
-                spec.distributed, cross_shard_fraction=0.0
-            ))
-        if spec.distributed.fanout_k > 2:
-            push(distributed=dataclasses.replace(spec.distributed, fanout_k=2))
-    if spec.faults is not None:
-        push(faults=None)
-        if len(spec.faults.events) > 1:
-            for drop in range(len(spec.faults.events)):
-                events = tuple(
-                    e for i, e in enumerate(spec.faults.events) if i != drop
-                )
-                push(faults=FaultSpec(events=events))
-    if not isinstance(spec.control, StaticMpl):
-        push(control=StaticMpl(spec.control.config_mpl()), faults=None)
-        push(control=StaticMpl(spec.control.config_mpl()))
-    if spec.arrival is not None or spec.arrival_rate is not None:
-        push(arrival=None, arrival_rate=None)
-    topology = spec.topology
-    if topology.replicas_per_shard > 0:
-        push(topology=dataclasses.replace(topology, replicas_per_shard=0))
-    if topology.shards > 1:
-        smaller = max(1, topology.shards // 2)
-        weights = topology.routing_weights
-        push(topology=dataclasses.replace(
-            topology,
-            shards=smaller,
-            routing="round_robin" if smaller == 1 else topology.routing,
-            routing_weights=weights[:smaller] if weights else None,
-        ), faults=None)
-    if topology.routing_weights is not None:
-        push(topology=dataclasses.replace(topology, routing_weights=None))
-    measurement = spec.measurement
-    if measurement.transactions > 20:
-        push(measurement=dataclasses.replace(
-            measurement, transactions=max(20, measurement.transactions // 2)
-        ))
-    if measurement.metrics != ("standard",):
-        push(measurement=dataclasses.replace(measurement, metrics=("standard",)))
-    if spec.high_priority_fraction > 0 and not isinstance(spec.control, PerClassSlo):
-        push(high_priority_fraction=0.0, policy="fifo")
-    if spec.workload != WorkloadRef():
-        push(workload=WorkloadRef())
-    return out
+
+def _shrink_steps(spec: ScenarioSpec) -> List[ScenarioSpec]:
+    """Every one-step simplification of ``spec`` the constructors and
+    the walk rules accept: optional axes to ``None``, then union members
+    to their defaults, tuple items dropped, numbers moved toward their
+    bounds; shallow fields before deep ones within each step."""
+    steps = sorted(_smaller_fields(spec, 1), key=lambda found: found[:2])
+    return [variant for _step, _depth, variant in steps if walk_rules_hold(variant)]
 
 
 def shrink_scenario(
@@ -1013,7 +853,7 @@ def shrink_scenario(
     current = spec
     for _round in range(max_rounds):
         improved = False
-        for candidate in _shrink_candidates(current):
+        for candidate in _shrink_steps(current):
             verdict = check_scenario(
                 candidate, check_jobs=check_jobs, cache_dir=cache_dir
             )

@@ -363,8 +363,18 @@ class Process(Event):
         self._waiting_on = None
         self._interrupt_pending = True
         wakeup = Event(self.sim)
-        wakeup._cb = self._bound_resume
+        wakeup._cb = self._interrupted
         wakeup.fail(Interrupt(cause))
+
+    def _interrupted(self, wakeup: Event) -> None:
+        # a process interrupted the instant it was created has not taken
+        # its first step: that step runs before the wakeup lands and
+        # waits on an event of its own, which must not resume it again
+        self._interrupt_pending = False
+        waiting_on = self._waiting_on
+        if waiting_on is not None:
+            waiting_on.remove_callback(self._bound_resume)
+        self._resume(wakeup)
 
     @property
     def interrupt_pending(self) -> bool:
@@ -382,7 +392,6 @@ class Process(Event):
         """Advance the generator with ``event``'s outcome (the only
         stepping path: resumes, failures and interrupts all land here)."""
         self._waiting_on = None
-        self._interrupt_pending = False
         value = event._value
         try:
             if event._ok or not isinstance(value, BaseException):

@@ -241,6 +241,14 @@ class TestRateFunctions:
             PiecewiseRate(points=((0.0, -5.0),))
         with pytest.raises(ValueError):
             PiecewiseRate(points=((0.0, 5.0), (10.0, 6.0)), period=10.0)
+        # arrivals that stop for good: both used to construct, the first
+        # then thinned candidate arrivals forever, the second crashed
+        with pytest.raises(ValueError, match="holds forever"):
+            PiecewiseRate(points=((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="positive"):
+            PiecewiseRate(points=((0.0, 0.0), (1.0, 0.0)), period=2.0)
+        # a quiet phase inside a period is fine
+        assert PiecewiseRate(points=((0.0, 0.0), (1.0, 5.0)), period=2.0)
 
     def test_sinusoid_profile(self):
         rate = SinusoidRate(base=10.0, amplitude=4.0, period=8.0)

@@ -7,14 +7,18 @@ of its seed, every spec it emits must survive the codec round trip
 the checked-in corpus must replay green from any working directory.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.core import spec_codec
+
 from repro.core.faults import FaultSpec, KillShard, RestoreShard
 from repro.core.resilience import ResilienceSpec
 from repro.core.scenario import (
+    ClusterSlo,
     MeasurementSpec,
     ScenarioSpec,
     ScenarioValidationError,
@@ -32,6 +36,7 @@ from repro.experiments.fuzz import (
     replay_corpus,
     run_fuzz,
     shrink_scenario,
+    walk_rules_hold,
     write_reproducer,
 )
 
@@ -111,6 +116,60 @@ class TestWalkerValidity:
                 assert spec.topology.shards >= 2
             if spec.resilience.queue_cap is not None:
                 assert spec.is_open
+
+
+class TestCodecDrivenWalk:
+    """The walk draws from the spec codec, so its coverage follows the
+    codec: every union member and every optional axis, no hand list."""
+
+    def test_bounded_walk_reaches_every_union_member_and_optional_axis(self):
+        optional_axes = {
+            name for name, field in spec_codec.plan(ScenarioSpec).items()
+            if spec_codec.shape(field.hint)[0] == "optional"
+        }
+        reached, set_axes, unset_axes = set(), set(), set()
+
+        def visit(value):
+            if dataclasses.is_dataclass(value):
+                reached.add(type(value))
+                for field in dataclasses.fields(value):
+                    visit(getattr(value, field.name))
+            elif isinstance(value, tuple):
+                for item in value:
+                    visit(item)
+
+        for spec in ScenarioWalker(seed=0).specs(200):
+            assert walk_rules_hold(spec)
+            visit(spec)
+            for name in optional_axes:
+                target = set_axes if getattr(spec, name) is not None else unset_axes
+                target.add(name)
+        for base, members in spec_codec.UNIONS.items():
+            missing = set(members.values()) - reached
+            assert not missing, f"{base.__name__}: never drew {missing}"
+        assert ClusterSlo in reached
+        assert set_axes == unset_axes == optional_axes
+
+    def test_shrink_replaces_a_union_member_with_the_field_default(
+        self, monkeypatch
+    ):
+        def needs_shards(ctx):
+            if ctx.spec.topology.shards >= 2:
+                raise OracleFailure("sharded specs are (pretend-)broken")
+
+        monkeypatch.setitem(fuzz.ORACLES, "toy", needs_shards)
+        monkeypatch.setattr(fuzz, "_STRUCTURAL", fuzz._STRUCTURAL + ("toy",))
+
+        spec = ScenarioSpec(
+            topology=TopologySpec(shards=2),
+            control=ClusterSlo(initial_mpl=4, window=30, max_iterations=2),
+            high_priority_fraction=0.2,
+            measurement=MeasurementSpec(transactions=60),
+            arrival_rate=60.0,
+        )
+        minimized = shrink_scenario(spec, "toy", max_rounds=30)
+        assert minimized.topology.shards == 2
+        assert minimized.control == ScenarioSpec().control
 
 
 class TestFaultTimelineSafety:

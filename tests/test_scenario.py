@@ -1161,6 +1161,27 @@ class TestMalformedPayloads:
             != ScenarioSpec(arrival=OpenArrivals(rate=5.0)).fingerprint()
         )
 
+    @pytest.mark.parametrize("control", [
+        {"type": "static", "mpl": 2},
+        {"type": "feedback", "initial_mpl": 2},
+        {"type": "elastic", "mpl": 2},
+    ], ids=["static", "feedback", "elastic"])
+    def test_mpl_below_the_shard_count_is_refused(
+        self, control, tmp_path, capsys
+    ):
+        # static and feedback payloads used to decode, then crash in
+        # split_mpl when fingerprinted or run (exit 1 with a traceback)
+        payload = {"topology": {"shards": 4}, "control": control}
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            ScenarioSpec.from_json_dict(payload)
+        assert [where for where, _message in excinfo.value.errors] == [""]
+        assert "cannot cover 4 shards" in str(excinfo.value)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["scenario", "fingerprint", str(path)]) == 2
+        assert cli_main(["scenario", "run", str(path)]) == 2
+        assert "cannot cover 4 shards" in capsys.readouterr().err
+
     def test_cli_refuses_a_nan_rate_without_simulating(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -324,3 +324,27 @@ def test_interrupt_then_timer_fire_does_not_resume_twice():
     sim.process(attacker(target))
     sim.run()
     assert log == ["interrupted", "after"]
+
+
+def test_interrupt_before_the_first_step_resumes_once():
+    """A process interrupted the instant it is created takes its first
+    step, then the interrupt; the event that step waits on must not
+    resume it a second time (it used to finish the process twice)."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield sim.timeout(0.0)
+            log.append("timer")
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause))
+        return "done"
+
+    process = sim.process(victim())
+    process.interrupt("at birth")
+    assert process.interrupt_pending
+    sim.run()
+    assert log == [("interrupted", "at birth")]
+    assert process.value == "done"
+    assert not process.interrupt_pending
