@@ -5,7 +5,8 @@
 #                    with pytest-cov installed it also prints coverage
 #                    and gates the cluster/routing modules at COV_MIN%
 #   make lint        ruff (falls back to a syntax check if ruff is absent)
-#   make bench       parallel-runner benchmark -> BENCH_smoke.json
+#   make perf-gate   perfbench on each workload in PERF_RECORD.json, checked
+#                    against the record by tools/perf_gate.py (what CI gates on)
 #   make fuzz        seeded scenario fuzz campaign + corpus replay
 #   make reproduce   every figure and table, parallel, cached
 #   make startup     what a warm run imports: repro modules + self time
@@ -15,9 +16,6 @@
 PYTHON      ?= python
 JOBS        ?= 4
 CACHE_DIR   ?= .repro-cache
-# bench gets its own cache so its cold pass stays cold even after
-# `make reproduce` warmed the main cache
-BENCH_CACHE ?= .repro-bench-cache
 # coverage floor for the modules the cluster + scenario PRs introduced,
 # and the spec modules split out of them (what CI enforces); the rest
 # of the tree is reported, not gated
@@ -32,7 +30,7 @@ FUZZ_SEED       ?= 0
 FUZZ_ITERATIONS ?= 75
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench cluster-bench kernel-bench profile reproduce smoke scenarios fuzz startup clean
+.PHONY: test lint perf-gate reproduce smoke scenarios fuzz startup clean
 
 test:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
@@ -45,43 +43,26 @@ test:
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples tools; \
 	else \
 		echo "ruff not installed; falling back to a syntax check"; \
-		$(PYTHON) -m compileall -q src tests benchmarks examples; \
+		$(PYTHON) -m compileall -q src tests benchmarks examples tools; \
 	fi
 
-bench:
-	rm -rf $(BENCH_CACHE)
-	$(PYTHON) -m repro.experiments bench --figure smoke --jobs $(JOBS) \
-		--cache-dir $(BENCH_CACHE) --output BENCH_smoke.json
-
-# Sharded-cluster grid (1-8 shards, all four routing policies) through
-# the runner; CI uploads the artifact next to the smoke benchmark.
-cluster-bench:
-	rm -rf .cluster-bench-cache
-	$(PYTHON) -m repro.experiments bench --figure sh --jobs $(JOBS) \
-		--cache-dir .cluster-bench-cache --output BENCH_sh.json
-
-# Serial figure-2 cold pass against the checked-in kernel-v2 baseline
-# BENCH_pr4.json (1.48x faster than the seed-era baseline, so the
-# same 2x ratio is a much tighter absolute budget; what CI runs).
-# BENCH_seed.json remains checked in as the start of the trajectory.
-kernel-bench:
-	rm -rf .kernel-bench-cache
-	$(PYTHON) -m repro.experiments bench --figure 2 --jobs 1 \
-		--cache-dir .kernel-bench-cache --output BENCH_figure2.json \
-		--baseline BENCH_pr4.json --max-regression 2
-
-# cProfile the kernel on the figure-2 fast grid (serial, cold cache)
-# and print the top 25 functions by self time.
-profile:
-	rm -rf .profile-cache
-	$(PYTHON) -m cProfile -o profile.out -m repro.experiments bench \
-		--figure 2 --jobs 1 --cache-dir .profile-cache \
-		--output BENCH_profile.json
-	$(PYTHON) -c "import pstats; pstats.Stats('profile.out').sort_stats('tottime').print_stats(25)"
-	rm -rf .profile-cache
+# The benchmark gate: run perfbench (perfbench/run.py, the repository
+# benchmark) on every workload PERF_RECORD.json records, at its recorded
+# seed, then check the results against the record.  tools/perf_gate.py
+# fails when a run fails a cell, runs over 2x the recorded host-scaled
+# us_per_tx, serves its cached pass less than 10x faster than its cold
+# pass, or left no result.  A stale result is removed before each run.
+perf-gate:
+	@for run in $$($(PYTHON) -c 'import json; print(*("%s:%d" % (name, entry["seed"]) \
+			for name, entry in json.load(open("PERF_RECORD.json"))["workloads"].items()))'); do \
+		workload=$${run%:*}; seed=$${run#*:}; \
+		rm -f .perfbench-out/results/$$workload-seed$$seed-trace0.json; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed --seconds 20 || exit 1; \
+	done
+	$(PYTHON) tools/perf_gate.py
 
 # Scenario API round-trip: for every figure grid and every demo,
 # `scenario show` piped back through `scenario fingerprint` must produce
@@ -134,9 +115,7 @@ startup:
 		startup-importtime.log
 
 clean:
-	rm -rf $(CACHE_DIR) $(BENCH_CACHE) .kernel-bench-cache .cluster-bench-cache .profile-cache src/*.egg-info
+	rm -rf $(CACHE_DIR) .perfbench-out src/*.egg-info
 	rm -f .scenario-rt-a.json .scenario-rt-b.json
-	rm -f BENCH_smoke.json BENCH_figure2.json BENCH_sh.json BENCH_profile.json profile.out
 	rm -f startup-importtime.log
-	# BENCH_seed.json / BENCH_pr4*.json are checked in (perf trajectory)
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -718,19 +718,25 @@ class ClusteredSystem(MeasuredSystem):
         """Run one §4.3 feedback controller per shard (dynamic split).
 
         ``baseline`` is the *cluster-wide* no-MPL reference; each shard
-        is held to its fair share (cluster throughput divided by the
-        shard count, the cluster's mean response time).  Shards are
-        tuned in index order against the live cluster — while one
-        shard's controller observes, every other shard keeps serving
-        its own traffic under its current MPL.
+        is held to its share of it: the cluster throughput split by the
+        routing weights under ``weighted`` routing (evenly otherwise),
+        at the cluster's mean response time.  Shards are tuned in index
+        order against the live cluster — while one shard's controller
+        observes, every other shard keeps serving its own traffic under
+        its current MPL.
         """
         thresholds = thresholds or Thresholds()
-        share = Baseline(
-            throughput=baseline.throughput / len(self.shards),
-            mean_response_time=baseline.mean_response_time,
-        )
+        weights = (
+            self.config.routing_weights
+            if self.config.routing == "weighted" else None
+        ) or (1.0,) * len(self.shards)
+        total = sum(weights)
         reports = []
-        for index in range(len(self.shards)):
+        for index, weight in enumerate(weights):
+            share = Baseline(
+                throughput=baseline.throughput * weight / total,
+                mean_response_time=baseline.mean_response_time,
+            )
             controller = MplController(
                 self.shard_view(index),  # type: ignore[arg-type]
                 share,

@@ -307,7 +307,8 @@ class FeedbackMpl(ControlSpec):
 
     On a sharded topology the loop runs per shard
     (:meth:`~repro.core.cluster.ClusteredSystem.tune_shards`), each
-    shard held to its fair share of the cluster baseline.
+    shard held to its share of the cluster baseline (its routing
+    weight's share under ``weighted`` routing, an even one otherwise).
     """
 
     max_throughput_loss: float = 0.05
@@ -734,7 +735,7 @@ class ScenarioSpec:
         """Whether this scenario builds a router-fronted cluster."""
         return self.topology.shards > 1 or self.topology.replicas_per_shard > 0
 
-    # legacy-facing accessors (bench artifacts, grid assertions)
+    # legacy-facing accessors (grid assertions)
 
     @property
     def setup_id(self) -> Optional[int]:

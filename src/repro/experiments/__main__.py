@@ -6,7 +6,6 @@ Examples::
     python -m repro.experiments --figure 2
     python -m repro.experiments 2 3 --jobs 8 --cache-dir .repro-cache
     python -m repro.experiments all --jobs 8
-    python -m repro.experiments bench --jobs 2 --output BENCH_smoke.json
     python -m repro.experiments scenario show --grid 2
     python -m repro.experiments scenario run my_scenario.json
 
@@ -15,10 +14,8 @@ everything) or through the original ``--figure`` / ``--table`` flags.
 Every id is checked before anything runs: one unknown id exits 2 with
 nothing on stdout.  ``--jobs N`` fans each figure's run grid out over
 N worker processes and ``--cache-dir`` memoizes completed runs on disk
-(see :mod:`repro.experiments.parallel`).  The ``bench`` subcommand runs
-one figure's grid twice — cold then warm — and writes a ``BENCH_*.json``
-trajectory artifact that CI uploads and diffs.  ``bench`` and
-``scenario --grid`` take the keys of the grid registry
+(see :mod:`repro.experiments.parallel`).  ``scenario --grid`` takes
+the keys of the grid registry
 :data:`repro.experiments.figures.FIGURE_GRIDS` (``--list`` prints them).
 
 The ``scenario`` subcommand is the JSON face of the Scenario API
@@ -44,7 +41,6 @@ from typing import Callable, Dict, List
 from repro.core import scenario as scenario_module
 from repro.core.scenario import ScenarioSpec
 from repro.experiments import figures, parallel, tables
-from repro.sim.random import replicate_seeds
 
 _FIGURES: Dict[str, Callable] = {
     "2": figures.figure2,
@@ -132,156 +128,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="content-addressed result cache; re-runs of unchanged "
         "figures become near-instant",
     )
-
-
-def bench_main(argv: List[str]) -> int:
-    """``bench``: run one figure grid cold then warm; emit a JSON artifact."""
-    import platform
-    import shutil
-    import tempfile
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments bench",
-        description="Benchmark the parallel runner + cache on one figure grid.",
-    )
-    parser.add_argument(
-        "--figure",
-        default="smoke",
-        metavar="ID",
-        help=f"grid to benchmark (one of {sorted(figures.FIGURE_GRIDS)})",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="full-size grid (default: fast)"
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="artifact path (default BENCH_<figure>.json)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        metavar="K",
-        help="replicate every grid point K times under derived seeds "
-        "(variance estimation)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="a previous BENCH_*.json to compare the cold pass against; "
-        "exits non-zero when the cold wall-clock regresses beyond "
-        "--max-regression (the CI kernel micro-benchmark gate)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        metavar="X",
-        help="with --baseline: fail when cold time exceeds X times the "
-        "baseline's cold time (default 2.0, lenient to absorb runner "
-        "hardware variance)",
-    )
-    _add_runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}", file=sys.stderr)
-        return 2
-    key = args.figure.lower()
-    grid_builder = figures.FIGURE_GRIDS.get(key)
-    if grid_builder is None:
-        return _unknown("figure grid", args.figure, figures.FIGURE_GRIDS)
-    grid = grid_builder(fast=not args.full)
-    if args.repeats > 1:
-        grid = [
-            dataclasses.replace(spec, seed=seed, tag=f"replicate-{index}")
-            for spec in grid
-            for index, seed in enumerate(replicate_seeds(spec.seed, args.repeats))
-        ]
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-bench-cache-")
-
-    passes = []
-    results = []
-    try:
-        for label in ("cold", "warm"):
-            runner = parallel.ParallelRunner(jobs=args.jobs, cache_dir=cache_dir)
-            results = runner.run(grid)
-            passes.append({"pass": label, **runner.stats.as_dict()})
-            print(
-                f"[bench {key}] {label}: {runner.stats.elapsed_s:.2f}s "
-                f"({runner.stats.executed} simulated, "
-                f"{runner.stats.cache_hits} cache hits)"
-            )
-    finally:
-        if args.cache_dir is None:
-            shutil.rmtree(cache_dir, ignore_errors=True)
-    cold_s, warm_s = passes[0]["elapsed_s"], passes[1]["elapsed_s"]
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-
-    artifact = {
-        "benchmark": "parallel-runner",
-        "figure": key,
-        "grid_size": len(grid),
-        "jobs": args.jobs,
-        "repeats": args.repeats,
-        "cache_dir": args.cache_dir,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "passes": passes,
-        "warm_speedup": speedup,
-        "runs": [
-            {
-                "fingerprint": spec.fingerprint(),
-                "setup_id": spec.setup_id,
-                "mpl": spec.mpl,
-                "seed": spec.seed,
-                "transactions": spec.transactions,
-                "throughput": result.throughput,
-                "mean_response_time": result.mean_response_time,
-                "completed": result.completed,
-            }
-            for spec, result in zip(grid, results)
-        ],
-    }
-    output = args.output or f"BENCH_{key}.json"
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
-    print(f"[bench {key}] warm speedup {speedup:.1f}x; artifact: {output}")
-
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-            baseline_cold = float(baseline["passes"][0]["elapsed_s"])
-        except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-            print(f"error: unreadable baseline {args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
-        if baseline.get("figure") != key:
-            print(
-                f"error: baseline benchmarked figure {baseline.get('figure')!r}, "
-                f"not {key!r}; wall-clocks are not comparable",
-                file=sys.stderr,
-            )
-            return 2
-        ratio = cold_s / baseline_cold if baseline_cold > 0 else float("inf")
-        print(
-            f"[bench {key}] cold {cold_s:.2f}s vs baseline {baseline_cold:.2f}s "
-            f"({ratio:.2f}x, limit {args.max_regression:g}x)"
-        )
-        if ratio > args.max_regression:
-            print(
-                f"error: cold pass regressed {ratio:.2f}x over the baseline "
-                f"(limit {args.max_regression:g}x)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
 
 
 def _load_scenarios(args: argparse.Namespace) -> "tuple[List[ScenarioSpec], bool]":
@@ -517,8 +363,6 @@ def fuzz_main(argv: List[str]) -> int:
 
 def main(argv: List[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:])
     if argv and argv[0] == "scenario":
         return scenario_main(argv[1:])
     if argv and argv[0] == "fuzz":
@@ -533,9 +377,8 @@ def main(argv: List[str] | None = None) -> int:
         nargs="*",
         metavar="TARGET",
         help="figure/table ids to regenerate, or 'all' (same as --all); "
-        "'bench' starts the runner benchmark subcommand, 'scenario' "
-        "the Scenario API subcommand (show / fingerprint / run), and "
-        "'fuzz' the scenario fuzzer",
+        "'scenario' starts the Scenario API subcommand (show / "
+        "fingerprint / run), and 'fuzz' the scenario fuzzer",
     )
     parser.add_argument(
         "--figure",
@@ -565,7 +408,7 @@ def main(argv: List[str] | None = None) -> int:
         print("figures:", ", ".join(sorted(_FIGURES)))
         print("tables :", ", ".join(sorted(_TABLES)))
         print("grids  :", ", ".join(sorted(figures.FIGURE_GRIDS)),
-              "(for bench + scenario --grid)")
+              "(for scenario --grid)")
         print("demos  :", ", ".join(sorted(scenario_module.demo_scenarios())),
               "(for scenario run --demo)")
         return 0
@@ -598,7 +441,7 @@ def main(argv: List[str] | None = None) -> int:
                 + ", ".join(sorted(_FIGURES))
                 + "; tables: "
                 + ", ".join(sorted(_TABLES))
-                + "; or 'all' / 'bench' / 'scenario' / 'fuzz'",
+                + "; or 'all' / 'scenario' / 'fuzz'",
                 file=sys.stderr,
             )
             return 2

@@ -217,7 +217,7 @@ def figure5(
 
 
 def smoke_grid(fast: bool = True) -> List[ScenarioSpec]:
-    """A deliberately cheap grid for CI smoke runs and cache benchmarks."""
+    """A deliberately cheap grid for the scenario round-trip and CLI tests."""
     if fast:
         return throughput_grid((1,), (1, 2, 4, 8), 150)
     return throughput_grid((1,), (1, 2, 4, 8, 16, 30), 600)
@@ -586,7 +586,7 @@ def figure13(fast: bool = True, seed: int = 11) -> List[FigureResult]:
 
 # -- new-scenario figures: partly-open sessions and time-varying load ---------
 
-#: Offered transaction rate for the stand-alone partly-open bench grid:
+#: Offered transaction rate for the stand-alone partly-open grid:
 #: ≈ 80% of setup 1's fast-probe closed capacity (the figure function
 #: probes the live capacity instead of relying on this constant).
 PARTLY_OPEN_NOMINAL_RATE = 52.0
@@ -1680,11 +1680,10 @@ def elastic_capacity(
     ]
 
 
-# -- grid registry (for `repro.experiments bench`, `scenario --grid` and CI) --
+# -- grid registry (for `scenario --grid` and CI) -----------------------------
 
 #: Figure key -> ``(fast) -> [ScenarioSpec]``: every figure grid that
-#: does not depend on an earlier grid's results, as data.  ``bench``
-#: runs any of these through the parallel runner.
+#: does not depend on an earlier grid's results, as data.
 FIGURE_GRIDS: Dict[str, Callable[[bool], List[ScenarioSpec]]] = {
     **{key: functools.partial(throughput_figure_grid, key) for key in THROUGHPUT_FIGURES},
     "smoke": smoke_grid,

@@ -220,9 +220,6 @@ class RunnerStats:
         """Cells run (simulated or evaluated), baseline cells included."""
         return self.executed + self.baseline_runs
 
-    def as_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
     def accumulate(self, other: "RunnerStats") -> None:
         """Add another call's counters into this running total."""
         for field in dataclasses.fields(self):

@@ -15,7 +15,6 @@ cached and fanned out like any other grid cell.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.arrivals import ArrivalSpec
@@ -214,54 +213,4 @@ def tuning_scenario(
         ),
         measurement=MeasurementSpec(transactions=1),
         seed=seed,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class MinMplResult:
-    """Outcome of an experimental minimum-MPL search."""
-
-    min_mpl: int
-    baseline_throughput: float
-    achieved_throughput: float
-    sweep: Tuple[Tuple[int, float], ...]
-
-
-def find_min_mpl_experimental(
-    setup: Setup,
-    fraction: float = 0.95,
-    candidate_mpls: Sequence[int] = (1, 2, 3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 40),
-    transactions: int = 1200,
-    seed: int = 11,
-) -> MinMplResult:
-    """Sweep MPLs and report the lowest reaching ``fraction`` of baseline.
-
-    This is the brute-force measurement the paper's Figures 2–5 are
-    built from (the tuner exists precisely to avoid needing it
-    online).
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
-    ordered = sorted(candidate_mpls)
-    grid = [scenario_for(setup, mpl=None, transactions=transactions, seed=seed)] + [
-        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed)
-        for mpl in ordered
-    ]
-    baseline, *candidates = run_grid(grid)
-    sweep: List[Tuple[int, float]] = []
-    chosen: Optional[int] = None
-    achieved = 0.0
-    for mpl, result in zip(ordered, candidates):
-        sweep.append((mpl, result.throughput))
-        if chosen is None and result.throughput >= fraction * baseline.throughput:
-            chosen = mpl
-            achieved = result.throughput
-    if chosen is None:
-        chosen = max(candidate_mpls)
-        achieved = sweep[-1][1]
-    return MinMplResult(
-        min_mpl=chosen,
-        baseline_throughput=baseline.throughput,
-        achieved_throughput=achieved,
-        sweep=tuple(sweep),
     )

@@ -22,7 +22,7 @@ from typing import Dict, List
 def derive_seed(root_seed: int, *components: object) -> int:
     """A stable 63-bit seed derived from a root seed and a label path.
 
-    Replicated experiment grids (``bench --repeats K``) use this to
+    Replicated experiment grids (:func:`replicate_seeds`) use this to
     give every replicate its own seed that depends only on
     ``(root_seed, components)`` — never on worker scheduling or
     submission order — so a ``--jobs N`` run is bit-identical to the

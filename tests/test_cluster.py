@@ -26,6 +26,14 @@ from repro.core.cluster import (
 from repro.core.arrivals import OpenArrivals, PartlyOpenArrivals
 from repro.core.cluster_config import ROUTING_POLICIES
 from repro.core.controller import Baseline, Thresholds
+from repro.core.scenario import (
+    FeedbackMpl,
+    MeasurementSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadRef,
+    execute_scenario,
+)
 from repro.core.simulation import SimulatedSystem
 from repro.core.system import SystemConfig
 from repro.experiments import figures
@@ -370,6 +378,23 @@ class TestPerShardControllers:
         for index, report in enumerate(reports):
             assert report.final_mpl >= 1
             assert system.scheduler[index].mpl == report.final_mpl
+
+    def test_weighted_routing_splits_the_baseline_by_weight(self):
+        # held to an even third of the cluster throughput, the two
+        # lightly weighted shards can never reach it and run away to
+        # MPL 512; their weight share of the baseline is reachable
+        spec = ScenarioSpec(
+            workload=WorkloadRef(setup_id=1),
+            topology=TopologySpec(
+                shards=3, routing="weighted", routing_weights=(10.0, 2.0, 0.5)
+            ),
+            control=FeedbackMpl(initial_mpl=3, window=20, baseline_transactions=300),
+            measurement=MeasurementSpec(transactions=200),
+            seed=3,
+        )
+        reports = execute_scenario(spec).control.shards
+        assert [report.converged for report in reports] == [True, True, True]
+        assert [report.final_mpl for report in reports] == [3, 2, 18]
 
     def test_shard_view_counts_only_its_own_completions(self):
         system = ClusteredSystem(

@@ -4,11 +4,7 @@ import pytest
 
 from repro.experiments import figures, report, tables
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.runner import (
-    find_min_mpl_experimental,
-    mpl_sweep,
-    run_setup,
-)
+from repro.experiments.runner import mpl_sweep, run_setup
 from repro.workloads.setups import get_setup
 
 
@@ -39,15 +35,6 @@ class TestRunner:
         assert len(sweep) == 2
         assert sweep[0][0] == 2 and sweep[1][0] == 10
         assert sweep[1][1].throughput > sweep[0][1].throughput
-
-    def test_find_min_mpl(self):
-        found = find_min_mpl_experimental(
-            get_setup(1), fraction=0.9,
-            candidate_mpls=(1, 2, 4, 8, 16), transactions=400,
-        )
-        assert 1 <= found.min_mpl <= 16
-        assert found.baseline_throughput > 0
-        assert len(found.sweep) == 5
 
 
 class TestAnalyticFigures:

@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner, result cache, and bench CLI."""
+"""Tests for the parallel experiment runner, result cache, and CLI."""
 
 import json
 import os
@@ -227,99 +227,10 @@ class TestCli:
         assert cli_main(["--figure", "7", "--cache-dir", cache]) == 0
         capsys.readouterr()
 
-    def test_bench_emits_artifact(self, tmp_path, capsys):
-        output = str(tmp_path / "BENCH_smoke.json")
-        cache = str(tmp_path / "cache")
-        assert cli_main(
-            ["bench", "--jobs", "2", "--cache-dir", cache, "--output", output]
-        ) == 0
-        assert "warm speedup" in capsys.readouterr().out
-        with open(output, encoding="utf-8") as handle:
-            artifact = json.load(handle)
-        assert artifact["figure"] == "smoke"
-        assert artifact["grid_size"] == len(artifact["runs"])
-        assert [p["pass"] for p in artifact["passes"]] == ["cold", "warm"]
-        assert artifact["passes"][1]["cache_hits"] == artifact["grid_size"]
-        assert artifact["passes"][1]["executed"] == 0
-        for run in artifact["runs"]:
-            assert run["throughput"] > 0
-
-    def test_bench_unknown_grid(self, capsys):
-        assert cli_main(["bench", "--figure", "zzz"]) == 2
-        assert "unknown figure grid" in capsys.readouterr().err
-
-    def test_bench_baseline_gate_passes_against_itself(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert cli_main(
-            ["bench", "--cache-dir", str(tmp_path / "c1"), "--output", baseline]
-        ) == 0
-        assert cli_main(
-            ["bench", "--cache-dir", str(tmp_path / "c2"),
-             "--output", str(tmp_path / "check.json"),
-             "--baseline", baseline, "--max-regression", "1000"]
-        ) == 0
-        assert "vs baseline" in capsys.readouterr().out
-
-    def test_bench_baseline_gate_fails_on_regression(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert cli_main(
-            ["bench", "--cache-dir", str(tmp_path / "c1"), "--output", baseline]
-        ) == 0
-        assert cli_main(
-            ["bench", "--cache-dir", str(tmp_path / "c2"),
-             "--output", str(tmp_path / "check.json"),
-             "--baseline", baseline, "--max-regression", "0.000001"]
-        ) == 1
-        assert "regressed" in capsys.readouterr().err
-
-    def test_bench_baseline_figure_mismatch_rejected(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert cli_main(
-            ["bench", "--figure", "smoke", "--cache-dir", str(tmp_path / "c1"),
-             "--output", baseline]
-        ) == 0
-        with open(baseline, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["figure"] = "2"
-        with open(baseline, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        assert cli_main(
-            ["bench", "--figure", "smoke", "--cache-dir", str(tmp_path / "c2"),
-             "--output", str(tmp_path / "check.json"), "--baseline", baseline]
-        ) == 2
-        assert "not comparable" in capsys.readouterr().err
-
-    def test_bench_unreadable_baseline_rejected(self, tmp_path, capsys):
-        assert cli_main(
-            ["bench", "--cache-dir", str(tmp_path / "c"),
-             "--output", str(tmp_path / "out.json"),
-             "--baseline", str(tmp_path / "missing.json")]
-        ) == 2
-        assert "unreadable baseline" in capsys.readouterr().err
-
-    def test_bench_jobs_and_repeats_validation(self, capsys):
-        assert cli_main(["bench", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert cli_main(["bench", "--repeats", "0"]) == 2
-        assert "--repeats" in capsys.readouterr().err
-
-    def test_bench_repeats_derive_distinct_seeds(self, tmp_path, capsys):
-        output = str(tmp_path / "bench.json")
-        assert cli_main(
-            ["bench", "--repeats", "2", "--cache-dir", str(tmp_path / "c"),
-             "--output", output]
-        ) == 0
-        capsys.readouterr()
-        with open(output, encoding="utf-8") as handle:
-            artifact = json.load(handle)
-        assert artifact["repeats"] == 2
-        assert artifact["grid_size"] == 2 * len(figures.FIGURE_GRIDS["smoke"](True))
-        # replicates get distinct derived seeds, but within a replicate
-        # every grid point shares one seed (common random numbers)
-        seeds = {run["seed"] for run in artifact["runs"]}
-        assert len(seeds) == 2
-        fingerprints = {run["fingerprint"] for run in artifact["runs"]}
-        assert len(fingerprints) == artifact["grid_size"]
+    def test_bench_is_an_unknown_target(self, capsys):
+        # the runner benchmark moved to perfbench/ (`make perf-gate`)
+        assert cli_main(["bench"]) == 2
+        assert "unknown target 'bench'" in capsys.readouterr().err
 
 
 class TestFigureGrids:

@@ -7,11 +7,7 @@ from repro.core.simulation import SimulatedSystem
 from repro.dbms.config import InternalPolicy, IsolationLevel
 from repro.experiments import figures
 from repro.experiments.parallel import ParallelRunner, run_grid, using_runner
-from repro.experiments.runner import (
-    find_min_mpl_experimental,
-    setup_config,
-    tuning_scenario,
-)
+from repro.experiments.runner import setup_config, tuning_scenario
 from repro.workloads.setups import get_setup
 
 
@@ -107,20 +103,3 @@ class TestFigureTuningGrid:
         assert built == []
         assert warm.totals.executed == 0
         assert [p.render() for p in again] == [p.render() for p in panels]
-
-
-class TestFindMinMpl:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            find_min_mpl_experimental(get_setup(1), fraction=0.0)
-
-    def test_min_mpl_increases_with_fraction(self):
-        relaxed = find_min_mpl_experimental(
-            get_setup(2), fraction=0.6,
-            candidate_mpls=(1, 2, 4, 8, 16), transactions=400,
-        )
-        strict = find_min_mpl_experimental(
-            get_setup(2), fraction=0.95,
-            candidate_mpls=(1, 2, 4, 8, 16), transactions=400,
-        )
-        assert strict.min_mpl >= relaxed.min_mpl
