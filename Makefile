@@ -7,6 +7,7 @@
 #   make lint        ruff (falls back to a syntax check if ruff is absent)
 #   make perf-gate   perfbench on each workload in PERF_RECORD.json, checked
 #                    against the record by tools/perf_gate.py (what CI gates on)
+#   make equiv       replicated-seed equivalence gate against EQUIV_pool.json
 #   make fuzz        seeded scenario fuzz campaign + corpus replay
 #   make reproduce   every figure and table, parallel, cached
 #   make startup     what a warm run imports: repro modules + self time
@@ -30,7 +31,7 @@ FUZZ_SEED       ?= 0
 FUZZ_ITERATIONS ?= 75
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint perf-gate reproduce smoke scenarios fuzz startup clean
+.PHONY: test lint perf-gate equiv reproduce smoke scenarios fuzz startup clean
 
 test:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
@@ -63,6 +64,13 @@ perf-gate:
 		$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed --seconds 20 || exit 1; \
 	done
 	$(PYTHON) tools/perf_gate.py
+
+# The equivalence gate: rerun every cell the checked-in reference
+# recorded (figures 2-5, sh, xs, rs at 8 seeds each) with this tree's
+# code and compare by paired per-seed differences, Holm-corrected;
+# exits 1 when a (grid, metric) test rejects (README, "Equivalence gate").
+equiv:
+	$(PYTHON) -m repro.experiments equiv --against EQUIV_pool.json --jobs 2
 
 # Scenario API round-trip: for every figure grid and every demo,
 # `scenario show` piped back through `scenario fingerprint` must produce

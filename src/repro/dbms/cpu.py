@@ -1,4 +1,4 @@
-"""A weighted processor-sharing CPU pool.
+"""A weighted processor-sharing CPU pool, kept by virtual clocks.
 
 The paper models (and measures) the DBMS CPU as processor sharing:
 every runnable transaction gets an equal share of the k CPUs, with no
@@ -6,56 +6,58 @@ job using more than one CPU at a time.  Internal CPU prioritization
 (the ``renice`` experiment of §5.2) skews the shares by a per-class
 weight, which is exactly weighted processor sharing.
 
-The implementation is event driven: whenever the active-job set (or a
-weight) changes, remaining service is settled at the old rates, new
-rates are computed by max-min water-filling (each job's rate is capped
-at one core), and a single completion timer is scheduled for the next
-finishing job.  This is exact, not time-sliced.
+Jobs of equal weight always run at one rate, so the pool keeps one
+*class* per distinct weight: one for the stock DBMS, one per priority
+under renicing.  Each class has a virtual clock V, the work served so
+far to each of its jobs, which advances at the class's per-job rate —
+the finish-tag construction of generalized processor sharing (Parekh
+and Gallager, IEEE/ACM ToN 1993).  A job of demand d admitted at clock
+V gets the finish tag V + d and is done when the clock reaches it, so
+a class is a heap of tags and nothing per job changes as time passes.
 
-The pool is the simulator's single hottest component (roughly one in
-three kernel events is a CPU timer), so the uniform-weight case — the
-stock DBMS, where every job runs at the *same* rate — is specialized
-end to end:
-
-* the shared rate lives in one pool-level field (``_uniform_rate``)
-  instead of per-job attributes, making water-filling O(1);
-* settling, completion detection and next-finish selection fuse into a
-  single pass over the jobs (:meth:`_settle_scan`), tracking the
-  minimum surviving remaining work, so arming the completion timer
-  needs one division and no extra scan (dividing by the one positive
-  shared rate is monotone, hence ``min(remaining)/rate`` is bitwise the
-  minimum of the per-job quotients the general path computes).
-
-The weighted path keeps the general per-job-rate algorithm.  Both
-paths perform the exact same floating-point operations in the same
-order as the straightforward implementation, so simulated timestamps
-are bit-identical.
+Every pool event (an admission, the completion timer, a weight change)
+advances the clocks, completes each job whose tag is within 1e-9 of its
+clock (same-instant completions in submission order), re-divides the
+capacity over the classes by weighted max-min water-filling with a cap
+of one core per job, and arms one timer for the earliest
+(tag - V) / rate.  That is O(classes + log jobs) per event, the same
+code for one class and for several.  The schedule is exact PS up to
+float rounding, not time-sliced; a class's clock restarts from zero
+whenever the class empties, so its tags stay small.  Busy time is not
+integrated per event but read off the clocks (:attr:`busy_core_time`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+import math
+from heapq import heapify, heappop, heappush
+from operator import attrgetter, itemgetter
+from typing import Dict, List
 
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.station import ClassStats, Station
 
 _EPSILON = 1e-9
+_INFINITY = math.inf
+_WEIGHT = attrgetter("weight")
+_HANDLE = itemgetter(1)
 
 
-class _Job:
-    __slots__ = ("handle", "demand", "remaining", "weight", "event", "rate", "priority")
+class _Class:
+    """The jobs of one weight: a virtual clock, a rate, a finish-tag heap.
 
-    def __init__(
-        self, handle: int, demand: float, weight: float, event: Event, priority: int = 0
-    ):
-        self.handle = handle
-        self.demand = demand
-        self.remaining = demand
+    Heap entries are ``(tag, handle, demand, priority, event)``; handles
+    are unique, so comparisons never reach past them.
+    """
+
+    __slots__ = ("weight", "clock", "rate", "tags")
+
+    def __init__(self, weight: float):
         self.weight = weight
-        self.event = event
+        self.clock = 0.0
         self.rate = 0.0
-        self.priority = priority
+        self.tags: List[tuple] = []
 
 
 class ProcessorSharingPool(Station):
@@ -77,24 +79,13 @@ class ProcessorSharingPool(Station):
         self.speed = speed
         self._capacity = cores * speed  # total service rate on offer
         self._speed_eps = speed - _EPSILON  # per-job cap, tolerance folded in
-        self._jobs: Dict[int, _Job] = {}
+        self._classes: Dict[float, _Class] = {}
+        self._heaviest_first: List[_Class] = []  # the same classes, by weight
         self._handles = itertools.count(1)
-        self._last_settle = sim.now
+        self._last_update = sim.now
         self._timer_generation = 0
         self._timer_callback = self._on_timer  # no per-arm closure
         self._fire = sim._fire_now  # same-instant completion lane
-        self._weighted_jobs = 0  # active jobs with weight != 1.0
-        #: The shared service rate while all weights are 1.0 (None when
-        #: the weighted general path owns the per-job ``rate`` fields).
-        self._uniform_rate: Optional[float] = 0.0
-        # cached min remaining among surviving jobs, maintained by the
-        # uniform-mode scans so same-instant re-settles can skip the
-        # O(jobs) pass entirely; _least_valid guards staleness and
-        # _needs_scan flags completions a metrics settle left pending
-        self._least_remaining: Optional[float] = None
-        self._least_valid = True
-        self._needs_scan = False
-        self._busy_core_time = 0.0  # integral of (total service rate / speed) dt
         self._work_completed = 0.0
 
     # -- public API ------------------------------------------------------
@@ -103,81 +94,68 @@ class ProcessorSharingPool(Station):
         """Submit a job of CPU demand ``demand``; fires when served.
 
         ``weight`` is the weighted-PS share weight (used by internal
-        CPU prioritization); it must be positive.
+        CPU prioritization); it must be positive.  Jobs of positive
+        demand get handles 1, 2, ... in submission order (see
+        :meth:`set_weight`).
         """
-        if demand < 0:
-            raise ValueError(f"demand must be non-negative, got {demand!r}")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
+        if not 0.0 <= demand < _INFINITY:
+            raise ValueError(f"demand must be finite and non-negative, got {demand!r}")
+        if not 0.0 < weight < _INFINITY:
+            raise ValueError(f"weight must be finite and positive, got {weight!r}")
+        sim = self.sim
         if demand <= _EPSILON:
             self._record(priority)
-            return self.sim.fired()
-        event = self.sim.event()  # pooled
-        uniform_scan = self._uniform_rate is not None
-        finished, least = self._settle_scan()
-        # inlined _Job construction (one fewer frame on the admission path)
-        job = _Job.__new__(_Job)
-        job.handle = handle = next(self._handles)
-        job.demand = job.remaining = float(demand)
-        job.weight = weight
-        job.event = event
-        job.rate = 0.0
-        job.priority = priority
-        self._jobs[handle] = job
-        if weight != 1.0:
-            self._weighted_jobs += 1
-        if self._weighted_jobs == 0:
-            # inlined uniform water-fill (n >= 1: the job just joined)
-            capacity = self._capacity
-            if capacity <= _EPSILON:
-                self._uniform_rate = 0.0
-            else:
-                share = capacity / len(self._jobs)
-                self._uniform_rate = self.speed if share >= self._speed_eps else share
-        else:
-            self._water_fill()
-        if finished is not None:
-            self._finish_jobs(finished)
-        # arm: in steady uniform mode the next finisher is simply
-        # min(surviving remainings, the new job's demand); any mode
-        # transition falls back to the full scan
-        rate = self._uniform_rate
-        if rate is not None and uniform_scan:
-            self._timer_generation = generation = self._timer_generation + 1
-            remaining = job.remaining
-            if least is None or remaining < least:
-                least = remaining
-            self._least_remaining = least  # cache covers the new job now
-            if rate > _EPSILON:
-                timer = self.sim.timeout(max(0.0, least / rate), value=generation)
-                timer._cb = self._timer_callback
-        else:
-            self._arm_timer()
+            return sim.fired()
+        event = sim.event()  # pooled
+        job_class = self._classes.get(weight) or self._new_class(weight)
+        self._update(job_class, demand, priority, event)
         return event
 
     def set_weight(self, handle: int, weight: float) -> None:
-        """Change a running job's weight (rarely needed; for tooling)."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
-        job = self._jobs.get(handle)
-        if job is None:
+        """Move a running job to another weight (rarely needed; for tooling)."""
+        if not 0.0 < weight < _INFINITY:
+            raise ValueError(f"weight must be finite and positive, got {weight!r}")
+        found = [
+            (job_class, entry)
+            for job_class in self._heaviest_first
+            for entry in job_class.tags
+            if entry[1] == handle
+        ]
+        if not found:
             raise SimulationError(f"no active job with handle {handle!r}")
-        self._settle()
-        if (job.weight != 1.0) != (weight != 1.0):
-            self._weighted_jobs += 1 if weight != 1.0 else -1
-        job.weight = weight
-        self._reallocate_and_arm()
+        (job_class, entry), = found
+        self._update()  # clocks to now
+        if entry not in job_class.tags:
+            return  # it was due now and has just completed
+        remaining = entry[0] - job_class.clock
+        job_class.tags.remove(entry)
+        heapify(job_class.tags)
+        target = self._classes.get(weight) or self._new_class(weight)
+        if not target.tags:
+            target.clock = 0.0
+        heappush(target.tags, (target.clock + remaining,) + entry[1:])
+        self._update()
 
     @property
     def active_jobs(self) -> int:
         """Number of jobs currently in service."""
-        return len(self._jobs)
+        return sum(len(job_class.tags) for job_class in self._heaviest_first)
 
     @property
     def busy_core_time(self) -> float:
-        """Cumulative busy time summed over cores (for utilization)."""
-        self._settle()
-        return self._busy_core_time
+        """Cumulative busy time summed over cores (for utilization).
+
+        The work served so far over the speed: the demand of completed
+        jobs plus, for each job in service, how far its class's clock
+        has moved since it was admitted (its tag minus its demand).
+        """
+        dt = self.sim.now - self._last_update
+        served = self._work_completed
+        for job_class in self._heaviest_first:
+            clock = job_class.clock + job_class.rate * dt
+            for tag, _handle, demand, _priority, _event in job_class.tags:
+                served += clock - (tag - demand)
+        return served / self.speed
 
     @property
     def busy_time(self) -> float:
@@ -197,207 +175,90 @@ class ProcessorSharingPool(Station):
 
     # -- internals --------------------------------------------------------
 
-    def _settle_scan(self):
-        """Settle served work and scan the jobs in one pass.
+    def _new_class(self, weight: float) -> _Class:
+        job_class = self._classes[weight] = _Class(weight)
+        self._heaviest_first.append(job_class)
+        self._heaviest_first.sort(key=_WEIGHT, reverse=True)
+        return job_class
 
-        Performs exactly :meth:`_settle`'s arithmetic (same operations,
-        same order) while collecting the jobs it pushed to completion
-        and — in uniform mode — the minimum remaining work among the
-        survivors (the input to the next completion timer).  Returns
-        ``(finished, least)``; ``least`` is None in weighted mode or
-        when no job survives.
-        """
+    def _update(self, admit=None, demand=0.0, priority=0, event=None) -> None:
+        """Advance the clocks to now, admit a job into class ``admit``
+        (if given), complete due jobs, re-divide the capacity, arm the
+        next timer."""
         now = self.sim.now
-        dt = now - self._last_settle
+        dt = now - self._last_update
+        self._last_update = now
+        classes = self._heaviest_first
         finished = None
-        least = None
-        total_rate = 0.0
-        rate = self._uniform_rate
-        if rate is not None:
-            if dt == 0.0 and self._least_valid and not self._needs_scan:
-                # same-instant re-settle: zero work was served, nothing
-                # can have finished since the scan that filled the
-                # cache, so the pass would be the identity
-                return None, self._least_remaining
-            self._last_settle = now
-            for job in self._jobs.values():
-                remaining = job.remaining - rate * dt
-                if remaining < 0:
-                    remaining = 0.0
-                job.remaining = remaining
-                total_rate += rate
-                if remaining <= _EPSILON:
+        weight_sum = 0.0  # over the jobs left: sum of weight x jobs
+        for job_class in classes:
+            tags = job_class.tags
+            if tags:
+                job_class.clock = clock = job_class.clock + job_class.rate * dt
+                if tags[0][0] - clock <= _EPSILON:
                     if finished is None:
-                        finished = [job]
+                        finished = [heappop(tags)]
                     else:
-                        finished.append(job)
-                elif least is None or remaining < least:
-                    least = remaining
-            self._least_remaining = least
-            self._least_valid = True
-            self._needs_scan = False
-        else:
-            self._last_settle = now
-            self._least_valid = False
-            for job in self._jobs.values():
-                rate = job.rate
-                remaining = job.remaining - rate * dt
-                if remaining < 0:
-                    remaining = 0.0
-                job.remaining = remaining
-                total_rate += rate
-                if remaining <= _EPSILON:
-                    if finished is None:
-                        finished = [job]
-                    else:
-                        finished.append(job)
-        self._busy_core_time += (total_rate / self.speed) * dt
-        return finished, least
-
-    def _settle(self) -> None:
-        """Account for work served since the last settle point.
-
-        The metrics face of :meth:`_settle_scan`: any completions the
-        pass surfaces stay pending (exactly as before the fusion — the
-        next pool event's scan picks them up), so the fast path is
-        disabled until that scan happens.
-        """
-        finished, _ = self._settle_scan()
+                        finished.append(heappop(tags))
+                    while tags and tags[0][0] - clock <= _EPSILON:
+                        finished.append(heappop(tags))
+            if job_class is admit:
+                if not tags:
+                    job_class.clock = 0.0  # an idle class restarts its clock
+                heappush(tags, (
+                    job_class.clock + demand, next(self._handles), demand, priority, event
+                ))
+            weight_sum += job_class.weight * len(tags)
         if finished is not None:
-            self._needs_scan = True
+            if len(finished) > 1:
+                finished.sort(key=_HANDLE)  # submission order
+            per_class = self.per_class
+            fire = self._fire
+            for _tag, _handle, work, job_priority, job_event in finished:
+                self._work_completed += work
+                stats = per_class.get(job_priority)  # inlined Station._record
+                if stats is None:
+                    stats = per_class[job_priority] = ClassStats()
+                stats.requests += 1
+                stats.service_time += work
+                # inlined event.succeed(): known untriggered, no value
+                job_event._triggered = True
+                fire(job_event)
 
-    def _finish_jobs(self, finished: List[_Job]) -> None:
-        """Complete ``finished`` jobs and re-fill the freed capacity."""
-        jobs = self._jobs
-        per_class = self.per_class
-        fire = self._fire
-        for job in finished:
-            del jobs[job.handle]
-            if job.weight != 1.0:
-                self._weighted_jobs -= 1
-            demand = job.demand
-            self._work_completed += demand
-            priority = job.priority
-            stats = per_class.get(priority)  # inlined Station._record
-            if stats is None:
-                stats = per_class[priority] = ClassStats()
-            stats.requests += 1
-            stats.service_time += demand
-            # inlined job.event.succeed(): known untriggered, no value
-            event = job.event
-            event._triggered = True
-            fire(event)
-        if self._weighted_jobs == 0:
-            # inlined uniform water-fill over the survivors
-            n = len(jobs)
-            capacity = self._capacity
-            if n == 0 or capacity <= _EPSILON:
-                self._uniform_rate = 0.0
+        # weighted max-min water-fill, heaviest class first (a class whose
+        # share reaches one core is capped there and leaves the rest to
+        # the lighter ones), and in the same pass the earliest completion
+        capacity = self._capacity
+        per_weight = delay = None
+        for job_class in classes:
+            tags = job_class.tags
+            if not tags:
+                job_class.rate = 0.0
+                continue
+            if per_weight is not None:
+                rate = job_class.weight * per_weight
             else:
-                share = capacity / n
-                self._uniform_rate = self.speed if share >= self._speed_eps else share
-        else:
-            self._water_fill()
-
-    def _water_fill(self) -> None:
-        """Weighted max-min allocation with a per-job cap of one core."""
-        if self._weighted_jobs == 0:
-            # Uniform weights — the overwhelmingly common case.  Every
-            # job gets min(speed, capacity / n); the shared rate lives
-            # in one pool-level field, so no per-job stores are needed.
-            n = len(self._jobs)
-            capacity = self._capacity
-            if n == 0 or capacity <= _EPSILON:
-                self._uniform_rate = 0.0
-                return
-            share = capacity / n
-            self._uniform_rate = self.speed if share >= self._speed_eps else share
-            return
-        self._uniform_rate = None  # per-job rates own the allocation now
-        active = list(self._jobs.values())
-        for job in active:
-            job.rate = 0.0
-        capacity = self.cores * self.speed
-        while active and capacity > _EPSILON:
-            total_weight = sum(job.weight for job in active)
-            share_per_weight = capacity / total_weight
-            capped = [
-                job for job in active if job.weight * share_per_weight >= self.speed - _EPSILON
-            ]
-            if not capped:
-                for job in active:
-                    job.rate = job.weight * share_per_weight
-                return
-            for job in capped:
-                job.rate = self.speed
-                capacity -= self.speed
-            active = [job for job in active if job.rate == 0.0]
-
-    def _reallocate_and_arm(self) -> None:
-        self._water_fill()
-        self._complete_finished()
-        self._arm_timer()
-
-    def _complete_finished(self) -> None:
-        # collect lazily: most calls find nothing finished, so the
-        # common case allocates no list
-        finished = None
-        for job in self._jobs.values():
-            if job.remaining <= _EPSILON:
-                if finished is None:
-                    finished = [job]
+                share = capacity / weight_sum if capacity > _EPSILON else 0.0
+                if job_class.weight * share >= self._speed_eps:
+                    rate = self.speed
+                    capacity -= len(tags) * rate
+                    weight_sum -= len(tags) * job_class.weight
                 else:
-                    finished.append(job)
-        if finished is not None:
-            self._finish_jobs(finished)
+                    per_weight = share  # below the cap: so is every lighter class
+                    rate = job_class.weight * share
+            job_class.rate = rate
+            if rate > _EPSILON:
+                eta = (tags[0][0] - job_class.clock) / rate
+                if delay is None or eta < delay:
+                    delay = eta
 
-    def _arm_timer(self) -> None:
+        # one timer for it; the generation travels as the timer's value,
+        # so a superseded timer is recognized and ignored
         self._timer_generation = generation = self._timer_generation + 1
-        next_finish = None
-        rate = self._uniform_rate
-        if rate is not None:
-            # uniform: the next finisher is simply the min remaining —
-            # one division instead of one per job (exact: dividing by
-            # one positive rate is monotone)
-            least = None
-            for job in self._jobs.values():
-                remaining = job.remaining
-                if least is None or remaining < least:
-                    least = remaining
-            self._least_remaining = least  # full scan: refresh the cache
-            self._least_valid = True
-            if least is not None and rate > _EPSILON:
-                next_finish = least / rate
-        else:
-            self._least_valid = False  # weighted arm: cache unmaintained
-            for job in self._jobs.values():
-                if job.rate > _EPSILON:
-                    eta = job.remaining / job.rate
-                    if next_finish is None or eta < next_finish:
-                        next_finish = eta
-        if next_finish is None:
-            return
-        # The generation travels as the timer's value so arming needs no
-        # closure; a stale timer (superseded by a reallocation) is
-        # recognized and ignored in the shared callback.
-        timer = self.sim.timeout(max(0.0, next_finish), value=generation)
-        timer._cb = self._timer_callback
+        if delay is not None:
+            timer = self.sim.timeout(delay, generation)
+            timer._cb = self._timer_callback
 
     def _on_timer(self, event) -> None:
-        if event._value != self._timer_generation:
-            return  # superseded by a later reallocation
-        uniform_scan = self._uniform_rate is not None
-        finished, least = self._settle_scan()
-        if finished is not None:
-            self._finish_jobs(finished)
-        rate = self._uniform_rate
-        if rate is not None and uniform_scan:
-            # arm from the minimum the settle pass already found — the
-            # survivors' remainings are untouched by completion, so no
-            # second scan is needed
-            self._timer_generation = generation = self._timer_generation + 1
-            if least is not None and rate > _EPSILON:
-                timer = self.sim.timeout(max(0.0, least / rate), value=generation)
-                timer._cb = self._timer_callback
-        else:
-            self._arm_timer()
+        if event._value == self._timer_generation:  # else superseded
+            self._update()

@@ -8,6 +8,7 @@ Examples::
     python -m repro.experiments all --jobs 8
     python -m repro.experiments scenario show --grid 2
     python -m repro.experiments scenario run my_scenario.json
+    python -m repro.experiments equiv --against EQUIV_pool.json --jobs 2
 
 Figures and tables can be named positionally (``all`` expands to
 everything) or through the original ``--figure`` / ``--table`` flags.
@@ -27,6 +28,11 @@ file goes through :meth:`~repro.core.scenario.ScenarioSpec.from_json_dict`,
 which checks every field and lists every problem before anything runs
 (exit 2).  ``show`` output feeds back into ``fingerprint``/``run``
 unchanged, which is the round-trip CI pins for every grid and demo.
+
+The ``equiv`` subcommand is the replicated-seed equivalence gate
+(:mod:`repro.experiments.equiv`): ``--record`` writes a reference,
+``--against`` reruns its cells with the current code and exits 1 when
+a paired test rejects after Holm's correction.
 """
 
 from __future__ import annotations
@@ -361,12 +367,66 @@ def fuzz_main(argv: List[str]) -> int:
     return 0 if report.ok else 1
 
 
+def equiv_main(argv: List[str]) -> int:
+    """``equiv``: record a replicated-seed reference, or gate against one.
+
+    Exit status: 0 when recorded or when no test rejects, 1 when one
+    does, 2 on usage errors (an unreadable reference, a grid that no
+    longer has the recorded cells).
+    """
+    from repro.experiments import equiv
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments equiv",
+        description="Replicated-seed equivalence gate: paired per-seed "
+        "differences against a recorded reference, Holm-corrected.",
+    )
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", metavar="PATH", help="write a reference here")
+    mode.add_argument(
+        "--against", metavar="PATH",
+        help="rerun this reference's cells at its seeds and compare",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes (default 1); the result cache is never used",
+    )
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+
+    start = time.time()
+    if args.record:
+        reference = equiv.record(args.jobs)
+        with open(args.record, "w", encoding="utf-8") as handle:
+            handle.write(equiv.dumps(reference))
+        cells = sum(len(cells) for cells in reference["grids"].values())
+        print(f"[equiv] recorded {cells} cells x {reference['replicates']} seeds "
+              f"to {args.record} in {time.time() - start:.1f}s")
+        return 0
+    try:
+        with open(args.against, encoding="utf-8") as handle:
+            reference = json.load(handle)
+        candidate = equiv.rerun(reference, args.jobs)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {args.against}: {exc}", file=sys.stderr)
+        return 2
+    comparison = equiv.compare(reference["grids"], candidate)
+    print(equiv.render(comparison, args.against))
+    print(f"[equiv] {'passed' if comparison.passed else 'FAILED'} "
+          f"in {time.time() - start:.1f}s")
+    return 0 if comparison.passed else 1
+
+
 def main(argv: List[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "scenario":
         return scenario_main(argv[1:])
     if argv and argv[0] == "fuzz":
         return fuzz_main(argv[1:])
+    if argv and argv[0] == "equiv":
+        return equiv_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -378,7 +438,8 @@ def main(argv: List[str] | None = None) -> int:
         metavar="TARGET",
         help="figure/table ids to regenerate, or 'all' (same as --all); "
         "'scenario' starts the Scenario API subcommand (show / "
-        "fingerprint / run), and 'fuzz' the scenario fuzzer",
+        "fingerprint / run), 'fuzz' the scenario fuzzer, and 'equiv' "
+        "the replicated-seed equivalence gate",
     )
     parser.add_argument(
         "--figure",
@@ -441,7 +502,7 @@ def main(argv: List[str] | None = None) -> int:
                 + ", ".join(sorted(_FIGURES))
                 + "; tables: "
                 + ", ".join(sorted(_TABLES))
-                + "; or 'all' / 'scenario' / 'fuzz'",
+                + "; or 'all' / 'scenario' / 'fuzz' / 'equiv'",
                 file=sys.stderr,
             )
             return 2

@@ -1,9 +1,14 @@
 """Tests for the weighted processor-sharing CPU pool."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.dbms.cpu import ProcessorSharingPool
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def _finish_time(sim, event):
@@ -142,6 +147,28 @@ def test_invalid_arguments():
         cpu.execute(-1.0)
     with pytest.raises(ValueError):
         cpu.execute(1.0, weight=0.0)
+    # NaN passes `< 0` / `<= 0` checks; an infinite demand never completes
+    for demand in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cpu.execute(demand)
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cpu.execute(1.0, weight=weight)
+
+
+@pytest.mark.parametrize(
+    "demand, weight", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_rejected_job_leaves_the_pool_untouched(demand, weight):
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=2)
+    with pytest.raises(ValueError):
+        cpu.execute(demand, weight=weight)
+    # nothing was admitted: a later job runs alone, the clock stops
+    record = _finish_time(sim, cpu.execute(1.0))
+    sim.run(until=5.0)
+    assert record["t"] == pytest.approx(1.0)
+    assert cpu.active_jobs == 0
 
 
 def test_active_jobs_counter():
@@ -172,3 +199,193 @@ def test_many_jobs_conservation():
     sim.run()
     assert cpu.work_completed == pytest.approx(sum(demands))
     assert cpu.busy_core_time == pytest.approx(sum(demands))
+
+
+# -- set_weight ------------------------------------------------------------
+
+
+def test_set_weight_reshares_a_running_job():
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=1)
+    first = _finish_time(sim, cpu.execute(2.0))  # handle 1
+    second = _finish_time(sim, cpu.execute(2.0))  # handle 2
+
+    def reweight():
+        yield sim.timeout(1.0)
+        cpu.set_weight(1, 3.0)
+
+    sim.process(reweight())
+    sim.run()
+    # [0,1): both at 1/2, 1.5 left each; then 3/4 vs 1/4: the first
+    # finishes at 1 + 1.5/0.75 = 3, the second has 1.0 left, alone: 4
+    assert first["t"] == pytest.approx(3.0)
+    assert second["t"] == pytest.approx(4.0)
+    assert cpu.busy_core_time == pytest.approx(4.0)
+
+
+def test_set_weight_back_to_one_restores_equal_sharing():
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=1)
+    first = _finish_time(sim, cpu.execute(1.0, weight=4.0))
+    second = _finish_time(sim, cpu.execute(1.0))
+    cpu.set_weight(1, 1.0)
+    sim.run()
+    assert first["t"] == pytest.approx(2.0)
+    assert second["t"] == pytest.approx(2.0)
+
+
+def test_set_weight_rejects_unknown_and_finished_handles():
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=1)
+    with pytest.raises(SimulationError):
+        cpu.set_weight(1, 2.0)
+    cpu.execute(1.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        cpu.set_weight(1, 2.0)  # finished: no longer active
+
+
+def test_set_weight_to_the_same_weight_keeps_the_schedule():
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=2)
+    record = _finish_time(sim, cpu.execute(2.0, weight=4.0))
+
+    def reweight():
+        yield sim.timeout(0.5)
+        cpu.set_weight(1, 4.0)  # alone in its class: the class empties and refills
+
+    sim.process(reweight())
+    sim.run()
+    assert record["t"] == pytest.approx(2.0)
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_set_weight_rejects_bad_weights(weight):
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=1)
+    record = _finish_time(sim, cpu.execute(1.0))
+    with pytest.raises(ValueError):
+        cpu.set_weight(1, weight)
+    sim.run(until=5.0)
+    assert record["t"] == pytest.approx(1.0)
+
+
+# -- exact-arithmetic reference ----------------------------------------------
+
+
+def _reference_rates(weights, cores, speed):
+    """Weighted max-min shares of ``cores * speed``, one core per job at most."""
+    rates, active, capacity = {}, dict(weights), cores * speed
+    while active:
+        per_weight = capacity / sum(active.values())
+        capped = [h for h, w in active.items() if w * per_weight >= speed]
+        if not capped:
+            rates.update((h, w * per_weight) for h, w in active.items())
+            break
+        for handle in capped:
+            rates[handle] = speed
+            capacity -= speed
+            del active[handle]
+    return rates
+
+
+def _reference_schedule(cores, speed, arrivals, reweight):
+    """Exact completion times (Fractions) and order of a scripted run.
+
+    ``arrivals`` is ``[(time, demand, weight)]`` in time order; job
+    ``i`` gets handle ``i + 1``.  ``reweight`` is ``(time, handle,
+    weight)`` or None; it applies after the completions of its instant
+    and only to a job still running.
+    """
+    remaining, weights, done = {}, {}, {}
+    now, upcoming = Fraction(0), list(enumerate(arrivals, start=1))
+    while upcoming or remaining or reweight:
+        rates = _reference_rates(weights, cores, speed)
+        horizon = [now + remaining[h] / rates[h] for h in remaining if rates[h]]
+        horizon += [upcoming[0][1][0]] if upcoming else []
+        horizon += [reweight[0]] if reweight else []
+        step = min(horizon)
+        for handle in remaining:
+            remaining[handle] -= rates[handle] * (step - now)
+        now = step
+        for handle in sorted(h for h, left in remaining.items() if left == 0):
+            done[handle] = now
+            del remaining[handle], weights[handle]
+        while upcoming and upcoming[0][1][0] == now:
+            handle, (_time, demand, weight) = upcoming.pop(0)
+            remaining[handle], weights[handle] = demand, weight
+        if reweight and reweight[0] == now:
+            if reweight[1] in weights:
+                weights[reweight[1]] = reweight[2]
+            reweight = None
+    return done
+
+
+_QUARTERS = st.integers(min_value=1, max_value=12).map(lambda q: Fraction(q, 4))
+
+
+@st.composite
+def _scripts(draw):
+    cores = draw(st.integers(min_value=1, max_value=4))
+    speed = draw(st.sampled_from([Fraction(1), Fraction(2)]))
+    gaps = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8))
+    times = [Fraction(sum(gaps[: i + 1]), 4) for i in range(len(gaps))]
+    arrivals = [
+        (time, draw(_QUARTERS), Fraction(draw(st.sampled_from([1, 4, 20]))))
+        for time in times
+    ]
+    reweight = None
+    if draw(st.booleans()):
+        reweight = (
+            draw(st.integers(min_value=0, max_value=40).map(lambda q: Fraction(q, 4))),
+            draw(st.integers(min_value=1, max_value=len(arrivals))),
+            Fraction(draw(st.sampled_from([1, 4, 20]))),
+        )
+    return cores, speed, arrivals, reweight
+
+
+@given(script=_scripts())
+@settings(max_examples=150, deadline=None)
+def test_pool_matches_exact_max_min_schedule(script):
+    """The float pool computes the exact PS schedule up to rounding."""
+    cores, speed, arrivals, reweight = script
+    expected = _reference_schedule(cores, speed, arrivals, reweight)
+    if reweight is not None:
+        time, handle, _weight = reweight
+        # a job finishing at the reweight instant is ambiguous in float
+        assume(expected[handle] != time)
+        if not (arrivals[handle - 1][0] <= time < expected[handle]):
+            reweight = None  # not running then: the reference ignored it
+    sim = Simulator()
+    pool = ProcessorSharingPool(sim, cores=cores, speed=float(speed))
+    fired = []
+
+    def play_script():
+        steps = [
+            (t, "arrive", (handle, float(d), float(w)))
+            for handle, (t, d, w) in enumerate(arrivals, start=1)
+        ]
+        if reweight is not None:
+            # after arrivals of the same instant, as in the reference
+            steps.append((reweight[0], "reweight", reweight[1:]))
+        steps.sort(key=lambda step: (step[0], step[1] == "reweight"))
+        for time, kind, args in steps:
+            if float(time) > sim.now:
+                yield sim.timeout(float(time) - sim.now)
+            if kind == "reweight":
+                pool.set_weight(args[0], float(args[1]))
+                continue
+            handle, demand, weight = args
+            event = pool.execute(demand, weight)
+            event.add_callback(lambda e, h=handle: fired.append((h, sim.now)))
+
+    sim.process(play_script())
+    sim.run()
+    assert sorted(fired) == sorted(
+        (h, pytest.approx(float(t), rel=1e-9)) for h, t in expected.items()
+    )
+    # completions fire in time order, and same-instant ones in submission order
+    assert [h for h, _t in fired] == sorted(expected, key=lambda h: (expected[h], h))
+    assert pool.active_jobs == 0
+    total = float(sum(demand for _t, demand, _w in arrivals))
+    assert pool.work_completed == pytest.approx(total, rel=1e-9)
+    assert pool.busy_core_time * pool.speed == pytest.approx(pool.work_completed, rel=1e-9)

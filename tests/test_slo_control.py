@@ -109,19 +109,19 @@ class TestClusterSloController:
 #: sha256 of each cell's canonical outcome JSON (sort_keys, compact
 #: separators), recorded with CPython 3.11.
 PINNED_OUTCOME_DIGESTS = {
-    "xs-2x-slo-f0": "e279e370fdc4ce0448c3ea58e87afc98ac9e6f4f41204b20ea45009eb6757ad0",
-    "xs-2x-slo-f0.2": "8e0f9981a7429981064bdbc36e8b50771636117e0339ec01c18d5b4996fa626b",
-    "xs-2x-slo-f0.5": "bb545b17ea3da41332bee71d4e393ed840273f91051726895679605385d3d843",
-    "xs-4x-slo-f0": "beadc82150a19c041639ed3bc85cf4e97d356a3c925c1fb6d801827347ba30bc",
-    "xs-4x-slo-f0.2": "00b6030afc290316ad983cecc2d7c4a86d5377af60fb05f18a0b825be6e91218",
-    "xs-4x-slo-f0.5": "68bf30139605da701e802bb2f15a4e32d97f9b621a04a9b6b8d7210838bb2540",
+    "xs-2x-slo-f0": "67dcdc01de77a2faf6c85e576f236f89710fcf96fc3d16fc47a5bde457cf18a3",
+    "xs-2x-slo-f0.2": "f1d179938adf5f09305671bc16a0d36827a69e2ba0703d47658fe14a213ea0a8",
+    "xs-2x-slo-f0.5": "b58e0006cc08c1202d37444754d0acb8860c69e7913d618c08409e07b588b1cc",
+    "xs-4x-slo-f0": "585f4aff6fbf62ab2ead4fdbbda4ffe07a60806eb02132ed2b0fda69153ccba3",
+    "xs-4x-slo-f0.2": "7b4a46a7b36f9eaf00ee3d6b1abbfb0ad2518387a5755478652f4c7194eb5608",
+    "xs-4x-slo-f0.5": "f50887f781db8f37e7cfc86bb8c21848f782457cc6757a5ac1420404d6f47609",
     "xs-2x-slo-f0-unattainable":
-        "e82b73fafe864bfc796a15e6cf93caf91a0ef3887955f15ab0b6d3277c41cac8",
-    "slo-tv": "432495520644d7fe24c38ebfa2f36a3d14782e7dfed6f5c663edc1deab1db11c",
-    "per-class-slo-0.5": "8a87c8b8f8d4066d5cdf16a53be0877fa6b7204f8257a63f8ddadcef391cfc09",
-    "per-class-slo-0.15": "a4187912113697bcb33ce9a8b699d963d2fcafbaab631b7b5834f5337fd24dd2",
-    "per-class-slo-0.06": "24d087bea2220c8b1ba7e1a18b1c36971eda185a793ce545da0b50fc35d522d0",
-    "per-class-slo-0.001": "0fff8ee604c1491029bc0b8353fd770cd3f562ea8d33f9ae909007dab63b9be4",
+        "b6359d680e763fa60f5256d8621789cb9a3d8a5b7f1e0f6604cd26c0d9727bf8",
+    "slo-tv": "12332684cbaab69815af97386f9de924be30e036a76f4b67c2bfa31c1ac97e97",
+    "per-class-slo-0.5": "7750e0fce83a78b220c14f3dae0da50e25200bd6998cd324c16d224a3685c1da",
+    "per-class-slo-0.15": "9a1804124f047305addaa67aed7c8be54e544376ddc927bc4ba2ac0c313e4e1b",
+    "per-class-slo-0.06": "9793999316d717351ae8238e27408d80df13967958cf5d33b01c3312387ba6ab",
+    "per-class-slo-0.001": "291110e4f9daef37306aa6a4b2fcdac6cb87d6eeeaaffd754b33ab0eb0da7202",
 }
 
 
