@@ -18,15 +18,18 @@ dependence scenario data, and this module runs it:
   and releases every gate; on a prepare timeout, a participant abort,
   or a participant death the attempt aborts through the existing
   :meth:`~repro.dbms.engine.DatabaseEngine.abort` path (locks
-  released), and the transaction retries — via PR 9's resilience
-  backoff when that axis is present, else via the coordinator's own
-  deterministic exponential backoff.
+  released), and the transaction retries — through the resilience
+  gate when that axis is present, else on the coordinator's own
+  schedule.  Both paths run the one retry core of
+  :mod:`repro.core.resilience` (:class:`~repro.core.resilience.RetryLedger`
+  backoff with the ``RETRY_*`` constants, a
+  :class:`~repro.core.resilience.StarvationGuard` counting aborts).
 
 Determinism: the cross-shard pick and the participant window are pure
 functions of the transaction id (SplitMix64, no RNG draws), sibling
 tids come from a decrementing counter in submission order, and retry
-jitter for transaction ``tid`` is drawn from
-``random.Random(derive_seed(seed, "2pc", tid))`` — distributed runs
+jitter for transaction ``tid`` is drawn from the ledger's own
+``"2pc"`` stream — distributed runs
 are bit-identical for any ``--jobs N``, and a
 ``cross_shard_fraction=0`` run is bit-identical to the same scenario
 without the axis.
@@ -38,14 +41,12 @@ decision (or aborts under a commit decision) is recorded in
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.distributed_spec import DistributedSpec
-from repro.core.resilience import GOODPUT_STARVATION_LIMIT, GoodputStarved
+from repro.core.resilience import IfCurrent, RetryLedger, StarvationGuard
 from repro.dbms.transaction import Transaction, TxStatus
 from repro.sim.engine import Event, Simulator
-from repro.sim.random import derive_seed
 from repro.sim.station import HashRouting
 
 
@@ -61,14 +62,13 @@ RETRY_MAX_EXPONENT = 10
 RETRY_JITTER_FRACTION = 0.5
 
 
-class _DistributedTx:
+class _DistributedTx(RetryLedger):
     """One logical cross-shard transaction's 2PC bookkeeping."""
 
     __slots__ = (
-        "tx", "branches", "shards", "home_pos", "frontends", "outer",
-        "decided", "generation", "attempts", "prepared", "resolved",
-        "resolved_count", "relaunch_pending", "external_disposed",
-        "gates", "rng",
+        "branches", "shards", "home_pos", "frontends", "decided",
+        "prepared", "resolved", "resolved_count", "relaunch_pending",
+        "external_disposed", "gates",
     )
 
     def __init__(
@@ -78,16 +78,13 @@ class _DistributedTx:
         shards: Tuple[int, ...],
         home_pos: int,
     ):
-        self.tx = tx
+        super().__init__(tx)
         self.branches = branches
         self.shards = shards
         self.home_pos = home_pos
         self.frontends: List[Any] = [None] * len(branches)
-        self.outer: Optional[Event] = None
         #: None while undecided; "commit" / "abort" once decided.
         self.decided: Optional[str] = None
-        self.generation = 0
-        self.attempts = 0
         self.prepared: set = set()
         self.resolved: List[bool] = [False] * len(branches)
         self.resolved_count = 0
@@ -98,7 +95,6 @@ class _DistributedTx:
         #: itself and owns the disposition — don't fire the outer.
         self.external_disposed = False
         self.gates: Dict[int, Event] = {}
-        self.rng: Optional[random.Random] = None
 
 
 class TwoPhaseCoordinator:
@@ -121,7 +117,6 @@ class TwoPhaseCoordinator:
         self.router = None
         self.num_shards = 0
         self._frontends: List[Any] = []
-        self._fire = None
         self._external_retries = False
         #: branch tid → (logical tx, branch position); covers the home
         #: tid and every (negative) sibling tid.
@@ -138,9 +133,9 @@ class TwoPhaseCoordinator:
         self.aborts_by_cause: Dict[str, int] = {}
         self.prepare_timeouts = 0
         self.retries = 0
-        #: Consecutive abort decisions with no commit in between (the
-        #: goodput-starvation trigger, mirroring the resilience layer).
-        self.starved_streak = 0
+        self.starvation = StarvationGuard(
+            "2PC goodput starved", self._starvation_detail
+        )
         #: 2PC safety self-checks; the fuzzer's atomicity oracle
         #: asserts this stays empty.
         self.atomicity_violations: List[Dict[str, Any]] = []
@@ -156,7 +151,6 @@ class TwoPhaseCoordinator:
                 "distributed transactions need a sharded topology (shards > 1)"
             )
         self.sim = system.sim
-        self._fire = system.sim._fire_now
         self.router = system.router
         self.num_shards = len(system.shards)
         self._frontends = [shard.frontend for shard in system.shards]
@@ -273,7 +267,6 @@ class TwoPhaseCoordinator:
         ltx.gates.clear()
         ltx.resolved = [False] * len(ltx.branches)
         ltx.resolved_count = 0
-        generation = ltx.generation
         router = self.router
         for pos, branch in enumerate(ltx.branches):
             if ltx.decided == "abort":
@@ -283,18 +276,12 @@ class TwoPhaseCoordinator:
                 continue
             router.release(branch.tid)
             done = router.submit_to(branch, ltx.shards[pos])
-            done.add_callback(
-                lambda event, ltx=ltx, pos=pos, generation=generation:
-                    self._on_branch_done(ltx, pos, generation, event)
-            )
+            done.add_callback(IfCurrent(ltx, self._on_branch_done, ltx, pos))
         if ltx.decided == "abort":
             self._maybe_finish_abort(ltx)
             return
         timer = self.sim.timeout(self.spec.prepare_timeout_s)
-        timer.add_callback(
-            lambda _event, ltx=ltx, generation=generation:
-                self._on_prepare_timeout(ltx, generation)
-        )
+        timer.add_callback(IfCurrent(ltx, self._on_prepare_timeout, ltx))
 
     # -- engine hooks ---------------------------------------------------------
 
@@ -364,13 +351,10 @@ class TwoPhaseCoordinator:
     def _decide_commit(self, ltx: _DistributedTx) -> None:
         ltx.decided = "commit"
         self.commits += 1
-        self.starved_streak = 0
+        self.starvation.commit()
         gates, ltx.gates = ltx.gates, {}
         for gate in gates.values():
-            # inlined gate.succeed(): known untriggered
-            gate._triggered = True
-            gate._value = None
-            self._fire(gate)
+            gate.succeed()
 
     def _abort_attempt(
         self, ltx: _DistributedTx, cause: str,
@@ -382,7 +366,6 @@ class TwoPhaseCoordinator:
         ltx.gates.clear()  # parked branches resolve via their interrupts
         self.aborts += 1
         self.aborts_by_cause[cause] = self.aborts_by_cause.get(cause, 0) + 1
-        self.starved_streak += 1
         if resolved_pos is not None:
             self._mark_resolved(ltx, resolved_pos)
         for pos, branch in enumerate(ltx.branches):
@@ -391,9 +374,8 @@ class TwoPhaseCoordinator:
             frontend = ltx.frontends[pos]
             if frontend is None:
                 continue  # not yet submitted; _launch resolves it
-            if frontend.policy.remove(branch):
+            if frontend.withdraw(branch):
                 # still queued: never reached the engine
-                frontend.removed += 1
                 self._mark_resolved(ltx, pos)
                 continue
             # in flight (or parked at its gate): abort through the
@@ -401,19 +383,19 @@ class TwoPhaseCoordinator:
             # that finished this same instant resolves via its pending
             # callback instead — abort() returns False then.
             frontend.engine.abort(branch)
-        if self.starved_streak >= GOODPUT_STARVATION_LIMIT:
-            raise GoodputStarved(
-                f"2PC goodput starved at t={self.sim.now:.3f}: "
-                f"{self.starved_streak} consecutive cross-shard aborts "
-                f"without a commit (cross_shard={self.cross_shard} "
-                f"commits={self.commits} aborts={self.aborts}); raise "
-                "prepare_timeout_s, lower cross_shard_fraction, or give "
-                "the cluster more MPL headroom"
-            )
+        self.starvation.fail(self.sim.now)
         self._maybe_finish_abort(ltx)
 
-    def _on_prepare_timeout(self, ltx: _DistributedTx, generation: int) -> None:
-        if ltx.generation != generation or ltx.decided is not None:
+    def _starvation_detail(self) -> str:
+        return (
+            f"cross-shard aborts without a commit (cross_shard="
+            f"{self.cross_shard} commits={self.commits} aborts="
+            f"{self.aborts}); raise prepare_timeout_s, lower "
+            "cross_shard_fraction, or give the cluster more MPL headroom"
+        )
+
+    def _on_prepare_timeout(self, ltx: _DistributedTx) -> None:
+        if ltx.decided is not None:
             return
         self.prepare_timeouts += 1
         if self.spec.abort_on_prepare_timeout:
@@ -426,42 +408,25 @@ class TwoPhaseCoordinator:
             ltx.resolved[pos] = True
             ltx.resolved_count += 1
 
-    def _on_branch_done(
-        self, ltx: _DistributedTx, pos: int, generation: int, event: Event
-    ) -> None:
-        if ltx.generation != generation:
-            return  # stale attempt
-        branch: Transaction = event.value
+    def _on_branch_done(self, ltx: _DistributedTx, pos: int) -> None:
+        branch = ltx.branches[pos]
         committed = branch.status is TxStatus.COMMITTED
-        if ltx.decided is None:
-            if not committed:
-                # external abort (a resilience deadline) reached a
-                # branch before any 2PC decision: abort the attempt —
-                # and rescind its prepare vote, or a later sibling
-                # prepare would decide commit over a dead participant
-                self._abort_attempt(ltx, "branch_abort", resolved_pos=pos)
-                return
-            # a branch must park at the prepare gate until a decision
-            # exists; a commit before one is a coordinator bug
-            self.atomicity_violations.append({
-                "t": self.sim.now,
-                "tid": ltx.tx.tid,
-                "branch_tid": branch.tid,
-                "decided": None,
-                "status": branch.status.name,
-            })
-        elif committed != (ltx.decided == "commit"):
-            self.atomicity_violations.append({
-                "t": self.sim.now,
-                "tid": ltx.tx.tid,
-                "branch_tid": branch.tid,
-                "decided": ltx.decided,
-                "status": branch.status.name,
-            })
+        if ltx.decided is None and not committed:
+            # external abort (a resilience deadline) reached a branch
+            # before any 2PC decision: abort the attempt — and rescind
+            # its prepare vote, or a later sibling prepare would decide
+            # commit over a dead participant
+            self._abort_attempt(ltx, "branch_abort", resolved_pos=pos)
+            return
+        if committed != (ltx.decided == "commit"):
+            # a branch ends the way the decision says, and parks at the
+            # prepare gate until one exists: a commit before it is a
+            # coordinator bug
+            self._flag_violation(ltx, branch)
         self._mark_resolved(ltx, pos)
         if ltx.decided == "commit":
             if pos == ltx.home_pos:
-                self._fire_outer(ltx)
+                ltx.fire_outer()
             if ltx.resolved_count == len(ltx.branches):
                 self._finish_commit(ltx)
             return
@@ -470,14 +435,14 @@ class TwoPhaseCoordinator:
     def _finish_commit(self, ltx: _DistributedTx) -> None:
         for branch in ltx.branches:
             if branch.status is not TxStatus.COMMITTED:
-                self.atomicity_violations.append({
-                    "t": self.sim.now,
-                    "tid": ltx.tx.tid,
-                    "branch_tid": branch.tid,
-                    "decided": "commit",
-                    "status": branch.status.name,
-                })
+                self._flag_violation(ltx, branch)
         self._live.pop(ltx.tx.tid, None)
+
+    def _flag_violation(self, ltx: _DistributedTx, branch: Transaction) -> None:
+        self.atomicity_violations.append({
+            "t": self.sim.now, "tid": ltx.tx.tid, "branch_tid": branch.tid,
+            "decided": ltx.decided, "status": branch.status.name,
+        })
 
     def _maybe_finish_abort(self, ltx: _DistributedTx) -> None:
         if ltx.decided != "abort" or ltx.resolved_count < len(ltx.branches):
@@ -491,35 +456,18 @@ class TwoPhaseCoordinator:
             # reads as a timeout — unless resilience itself removed the
             # home branch from a queue and already disposed the attempt
             if not ltx.external_disposed:
-                self._fire_outer(ltx)
+                ltx.fire_outer()
             return
-        # internal retries: deterministic exponential backoff + jitter
         self.retries += 1
-        exponent = min(ltx.attempts - 1, RETRY_MAX_EXPONENT)
-        delay = RETRY_BASE_BACKOFF_S * RETRY_BACKOFF_MULTIPLIER ** exponent
-        if ltx.rng is None:
-            ltx.rng = random.Random(derive_seed(self.seed, "2pc", ltx.tx.tid))
-        delay *= 1.0 + RETRY_JITTER_FRACTION * ltx.rng.random()
-        generation = ltx.generation
-        timer = self.sim.timeout(delay)
-        timer.add_callback(
-            lambda _event, ltx=ltx, generation=generation:
-                self._relaunch(ltx, generation)
+        delay = ltx.backoff(
+            self.seed, "2pc", RETRY_BASE_BACKOFF_S, RETRY_BACKOFF_MULTIPLIER,
+            RETRY_JITTER_FRACTION, cap=RETRY_MAX_EXPONENT,
         )
+        self.sim.timeout(delay).add_callback(IfCurrent(ltx, self._relaunch, ltx))
 
-    def _relaunch(self, ltx: _DistributedTx, generation: int) -> None:
-        if ltx.generation != generation or ltx.decided != "abort":
-            return
-        self._launch(ltx)
-
-    def _fire_outer(self, ltx: _DistributedTx) -> None:
-        outer, ltx.outer = ltx.outer, None
-        if outer is None:
-            return
-        # inlined outer.succeed(tx): known untriggered
-        outer._triggered = True
-        outer._value = ltx.tx
-        self._fire(outer)
+    def _relaunch(self, ltx: _DistributedTx) -> None:
+        if ltx.decided == "abort":
+            self._launch(ltx)
 
     # -- external notifications ----------------------------------------------
 

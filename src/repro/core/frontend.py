@@ -55,9 +55,8 @@ class ExternalScheduler:
         self._in_service = 0
         self.dispatched = 0
         self.completed = 0
-        #: Queued transactions the resilience layer pulled back out
-        #: (deadline expiry in queue, load shedding) — keeps the
-        #: routed == completed + in_service + queued + removed
+        #: Queued transactions pulled back out by :meth:`withdraw` —
+        #: keeps the routed == completed + in_service + queued + removed
         #: conservation law checkable under retries.
         self.removed = 0
         #: The installed :class:`~repro.core.resilience.ResilienceRuntime`
@@ -68,7 +67,6 @@ class ExternalScheduler:
         #: (None outside distributed scenarios).
         self._distributed = None
         self._on_complete_cb = self._on_complete  # one bound method, reused
-        self._fire = sim._fire_now  # same-instant completion lane
 
     # -- configuration -----------------------------------------------------
 
@@ -121,6 +119,14 @@ class ExternalScheduler:
             self._distributed.on_submitted(tx, self)
         if self._resilience is not None:
             self._resilience.on_submitted(tx, self)
+
+    def withdraw(self, tx: Transaction) -> bool:
+        """Pull ``tx`` back out of the queue (deadline expiry, load
+        shedding, a 2PC abort); False once it was dispatched."""
+        if not self.policy.remove(tx):
+            return False
+        self.removed += 1
+        return True
 
     def drain_queue(self) -> list:
         """Remove and return every queued (undispatched) transaction.
@@ -182,7 +188,4 @@ class ExternalScheduler:
         tx._completion_event = None
         self._dispatch()
         if done is not None:
-            # inlined done.succeed(tx): known untriggered
-            done._triggered = True
-            done._value = tx
-            self._fire(done)
+            done.succeed(tx)

@@ -20,9 +20,12 @@ closed loop scenario data, and this module runs it:
   and accounts every admitted transaction into exactly one bucket:
   completed, timed out, shed, or still in flight.
 
-Determinism: backoff jitter for transaction ``tid`` is drawn from
-``random.Random(derive_seed(seed, "resilience", tid))`` — its own
-stream, untouched by engine draws — and shedding victims are chosen by
+One retry core serves this gate and the 2PC coordinator: a
+:class:`RetryLedger` per transaction (its seeded backoff, stale-timer
+generations, outer event) and a :class:`StarvationGuard` per runtime.
+Determinism: backoff jitter for transaction ``tid`` is drawn from its
+own stream (``derive_seed`` of the run seed, ``"resilience"`` and
+``tid``), untouched by engine draws, and shedding victims are chosen by
 admission sequence number, so resilient runs stay bit-identical for
 any ``--jobs N``.
 
@@ -36,7 +39,7 @@ aborted ones included) and goodput.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.resilience_spec import ResilienceSpec
 from repro.dbms.transaction import Transaction, TxStatus
@@ -44,24 +47,108 @@ from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.random import derive_seed
 
 
-#: Consecutive terminal non-commit dispositions (timeouts + sheds with
-#: not a single commit in between) after which the runtime refuses to
-#: keep simulating: a completion-counted measurement window can never
-#: fill once steady-state goodput is zero, so the run would otherwise
-#: simply never terminate (open arrivals keep the agenda alive forever).
+#: Consecutive failed attempts (timeouts, sheds, 2PC aborts) with not a
+#: single commit in between after which a runtime refuses to keep
+#: simulating: a completion-counted measurement window can never fill
+#: once steady-state goodput is zero, so the run would otherwise simply
+#: never terminate (open arrivals keep the agenda alive forever).
 GOODPUT_STARVATION_LIMIT = 2000
 
 
 class GoodputStarved(SimulationError):
     """Steady-state goodput hit zero; the completion target is unreachable.
 
-    Raised by :class:`ResilienceRuntime` once
-    :data:`GOODPUT_STARVATION_LIMIT` consecutive admissions were
-    disposed without a single commit — the signature of a saturated
-    retry storm (e.g. zero backoff against a deadline shorter than the
-    achievable response time).  Deterministic: the trigger is an event
-    count on the simulated timeline, never wall-clock.
+    Raised by a runtime's :class:`StarvationGuard` (the resilience
+    gate's or the 2PC coordinator's) once
+    :data:`GOODPUT_STARVATION_LIMIT` consecutive attempts failed
+    without a single commit — the signature of a saturated retry storm
+    (e.g. zero backoff against a deadline shorter than the achievable
+    response time).  Deterministic: the trigger is an event count on
+    the simulated timeline, never wall-clock.
     """
+
+
+class StarvationGuard:
+    """Counts consecutive failed attempts (a commit resets the count);
+    ``fail`` raises :class:`GoodputStarved` at the limit, the message
+    led by ``label`` and finished by the owning layer's ``describe()``."""
+
+    __slots__ = ("streak", "_label", "_describe")
+
+    def __init__(self, label: str, describe: Callable[[], str]):
+        self.streak = 0
+        self._label = label
+        self._describe = describe
+
+    def commit(self) -> None:
+        self.streak = 0
+
+    def fail(self, now: float) -> None:
+        self.streak += 1
+        if self.streak >= GOODPUT_STARVATION_LIMIT:
+            raise GoodputStarved(
+                f"{self._label} at t={now:.3f}: {self.streak} consecutive "
+                f"{self._describe()}"
+            )
+
+
+class IfCurrent:
+    """Event callback running ``callback(*args)`` unless ``ledger`` moved
+    on to a later generation since it was armed (a stale timer or
+    attempt).  A slotted object: a closure here measured slower."""
+
+    __slots__ = ("ledger", "generation", "callback", "args")
+
+    def __init__(self, ledger: "RetryLedger", callback: Callable[..., None], *args: Any):
+        self.ledger = ledger
+        self.generation = ledger.generation
+        self.callback = callback
+        self.args = args
+
+    def __call__(self, _event: Event) -> None:
+        if self.ledger.generation == self.generation:
+            self.callback(*self.args)
+
+
+class RetryLedger:
+    """One logical transaction's retry state: the attempt count, the
+    generation every attempt and disposition bumps (see :class:`IfCurrent`)
+    and ``outer``, the event the caller waits on, fired once."""
+
+    __slots__ = ("tx", "outer", "attempts", "generation", "rng")
+
+    def __init__(self, tx: Transaction, outer: Optional[Event] = None):
+        self.tx = tx
+        self.outer = outer
+        self.attempts = 0
+        self.generation = 0
+        self.rng: Optional[random.Random] = None
+
+    def fire_outer(self) -> None:
+        """Fire the outer event with ``tx``; later calls are no-ops."""
+        outer, self.outer = self.outer, None
+        if outer is not None:
+            outer.succeed(self.tx)
+
+    def backoff(
+        self, seed: int, stream: str, base: float, multiplier: float,
+        jitter: float, cap: Optional[int] = None,
+    ) -> float:
+        """The delay before retrying attempt number ``attempts``.
+
+        ``base * multiplier ** min(attempts - 1, cap) * (1 + jitter * u)``
+        with ``u`` drawn from the transaction's own stream, seeded by
+        ``derive_seed`` from ``seed``, ``stream`` and the tid (no draw at
+        zero jitter).
+        """
+        exponent = self.attempts - 1 if cap is None else min(self.attempts - 1, cap)
+        u = 0.0
+        if jitter > 0.0:
+            if self.rng is None:
+                self.rng = random.Random(derive_seed(seed, stream, self.tx.tid))
+            u = self.rng.random()
+        return base * multiplier ** exponent * (1.0 + jitter * u)
+
 
 #: Circuit-breaker states (the classic three-state machine).
 BREAKER_CLOSED = "closed"
@@ -156,22 +243,15 @@ class ShardBreaker:
         }
 
 
-class _TxState:
+class _TxState(RetryLedger):
     """One admitted transaction's resilience bookkeeping."""
 
-    __slots__ = (
-        "tx", "outer", "attempts", "generation", "admitted_at",
-        "frontend", "rng", "done", "seq", "disposition",
-    )
+    __slots__ = ("admitted_at", "frontend", "done", "seq", "disposition")
 
     def __init__(self, tx: Transaction, outer: Optional[Event]):
-        self.tx = tx
-        self.outer = outer
-        self.attempts = 0
-        self.generation = 0
+        super().__init__(tx, outer)
         self.admitted_at = 0.0
         self.frontend = None  # the owning shard's ExternalScheduler
-        self.rng: Optional[random.Random] = None
         self.done = False
         self.seq = 0
         self.disposition: Optional[str] = None
@@ -195,7 +275,6 @@ class ResilienceRuntime:
         self.inner = None  # router or single-engine frontend
         self.breakers: Optional[List[ShardBreaker]] = None
         self._is_cluster = False
-        self._fire = None
         self._shard_of: Dict[int, int] = {}
         self._state: Dict[int, _TxState] = {}
         self._seq = 0
@@ -204,9 +283,9 @@ class ResilienceRuntime:
         self.completed = 0
         self.timed_out = 0
         self.shed = 0
-        #: Terminal non-commit dispositions since the last commit (the
-        #: goodput-starvation trigger; see :class:`GoodputStarved`).
-        self.starved_streak = 0
+        self.starvation = StarvationGuard(
+            "goodput starved", self._starvation_detail
+        )
         # attempt-level counters (a tx can time out on every attempt)
         self.attempts_resolved = 0
         self.timeout_events = 0
@@ -227,7 +306,6 @@ class ResilienceRuntime:
         from repro.core.cluster import ClusteredSystem
 
         self.sim = system.sim
-        self._fire = system.sim._fire_now
         if isinstance(system, ClusteredSystem):
             self._is_cluster = True
             self.inner = system.router
@@ -277,19 +355,13 @@ class ResilienceRuntime:
             # is a deliberate re-route
             self.inner.release(tx.tid)
         attempt = self.inner.submit(tx)
-        if st.done or st.generation != generation:
+        if st.generation != generation:
             return  # shed synchronously during admission
-        attempt.add_callback(
-            lambda event, st=st, generation=generation:
-                self._on_attempt_complete(st, generation)
-        )
+        attempt.add_callback(IfCurrent(st, self._on_attempt_complete, st))
         deadline = self.spec.deadline_for(tx.priority)
         if deadline is not None:
             timer = self.sim.timeout(deadline)
-            timer.add_callback(
-                lambda _event, st=st, generation=generation:
-                    self._on_deadline(st, generation)
-            )
+            timer.add_callback(IfCurrent(st, self._on_deadline, st))
 
     def on_submitted(self, tx: Transaction, frontend) -> None:
         """Frontend hook: ``tx`` just entered ``frontend`` (submit/adopt).
@@ -306,9 +378,7 @@ class ResilienceRuntime:
 
     # -- resolution ----------------------------------------------------------
 
-    def _on_attempt_complete(self, st: _TxState, generation: int) -> None:
-        if st.done or st.generation != generation:
-            return
+    def _on_attempt_complete(self, st: _TxState) -> None:
         tx = st.tx
         now = self.sim.now
         self.attempts_resolved += 1
@@ -323,21 +393,14 @@ class ResilienceRuntime:
         st.done = True
         st.disposition = "completed"
         self.completed += 1
-        self.starved_streak = 0
+        self.starvation.commit()
         self._bump("completed", tx.priority)
-        self._fire_outer(st)
+        st.fire_outer()
 
-    def _on_deadline(self, st: _TxState, generation: int) -> None:
-        if st.done or st.generation != generation:
-            return
-        tx = st.tx
+    def _on_deadline(self, st: _TxState) -> None:
         frontend = st.frontend
-        if frontend is not None and frontend.policy.remove(tx):
+        if frontend is not None and self._withdraw(frontend, st.tx):
             # expired while still queued: never reached the engine
-            frontend.removed += 1
-            distributed = getattr(frontend, "_distributed", None)
-            if distributed is not None:
-                distributed.on_external_removed(tx)
             now = self.sim.now
             self._observe(st, now - st.admitted_at, True)
             self._register_timeout(st, now)
@@ -347,7 +410,7 @@ class ResilienceRuntime:
         # resolves the attempt (a process that finished this same
         # instant resolves as a commit instead — the abort is a no-op)
         if frontend is not None:
-            frontend.engine.abort(tx)
+            frontend.engine.abort(st.tx)
 
     def _register_timeout(self, st: _TxState, now: float) -> None:
         self.timeout_events += 1
@@ -357,51 +420,38 @@ class ResilienceRuntime:
         """A failed attempt (timeout or shed): retry or dispose."""
         st.generation += 1  # invalidate this attempt's pending timers
         tx = st.tx
-        if st.attempts <= self.spec.max_attempts:
+        spec = self.spec
+        if st.attempts <= spec.max_attempts:
             self.retries += 1
             self._bump("retries", tx.priority)
             self.events.append((self.sim.now, "retry", tx.priority))
-            delay = self.spec.base_backoff_s * (
-                self.spec.backoff_multiplier ** (st.attempts - 1)
+            delay = st.backoff(
+                self.seed, "resilience", spec.base_backoff_s,
+                spec.backoff_multiplier, spec.jitter_fraction,
             )
-            if self.spec.jitter_fraction > 0.0:
-                if st.rng is None:
-                    st.rng = random.Random(
-                        derive_seed(self.seed, "resilience", tx.tid)
-                    )
-                delay *= 1.0 + self.spec.jitter_fraction * st.rng.random()
-            generation = st.generation
-            timer = self.sim.timeout(delay)
-            timer.add_callback(
-                lambda _event, st=st, generation=generation:
-                    self._retry(st, generation)
-            )
-            return
-        st.done = True
-        kind = "shed" if st.disposition == "shedding" else "timed_out"
-        st.disposition = kind
-        if kind == "shed":
-            self.shed += 1
-            self._bump("shed", tx.priority)
+            self.sim.timeout(delay).add_callback(IfCurrent(st, self._retry, st))
         else:
-            self.timed_out += 1
-            self._bump("timed_out", tx.priority)
-        self._fire_outer(st)
-        self.starved_streak += 1
-        if self.starved_streak >= GOODPUT_STARVATION_LIMIT:
-            raise GoodputStarved(
-                f"goodput starved at t={self.sim.now:.3f}: "
-                f"{self.starved_streak} consecutive admissions disposed "
-                f"without a commit (admitted={self.admitted} "
-                f"completed={self.completed} timed_out={self.timed_out} "
-                f"shed={self.shed}); a completion-counted measurement "
-                "window cannot fill — raise the deadline, add backoff, "
-                "or shed earlier"
-            )
+            st.done = True
+            kind = "shed" if st.disposition == "shedding" else "timed_out"
+            st.disposition = kind
+            if kind == "shed":
+                self.shed += 1
+            else:
+                self.timed_out += 1
+            self._bump(kind, tx.priority)
+            st.fire_outer()
+        self.starvation.fail(self.sim.now)
 
-    def _retry(self, st: _TxState, generation: int) -> None:
-        if st.done or st.generation != generation:
-            return
+    def _starvation_detail(self) -> str:
+        return (
+            f"failed attempts without a commit (admitted={self.admitted} "
+            f"completed={self.completed} timed_out={self.timed_out} "
+            f"shed={self.shed}); a completion-counted measurement "
+            "window cannot fill — raise the deadline, add backoff, "
+            "or shed earlier"
+        )
+
+    def _retry(self, st: _TxState) -> None:
         st.disposition = None
         self._admit(st)
 
@@ -413,18 +463,23 @@ class ResilienceRuntime:
             return
         while frontend.queue_length > cap:
             victim = self._pick_victim(frontend)
-            if victim is None or not frontend.policy.remove(victim):
+            if victim is None or not self._withdraw(frontend, victim):
                 return
-            frontend.removed += 1
-            distributed = getattr(frontend, "_distributed", None)
-            if distributed is not None:
-                distributed.on_external_removed(victim)
             st = self._state[victim.tid]
             now = self.sim.now
             self.shed_events += 1
             self.events.append((now, "shed", victim.priority))
             st.disposition = "shedding"  # tells _fail which bucket
             self._fail(st)
+
+    def _withdraw(self, frontend, tx: Transaction) -> bool:
+        """Pull queued ``tx`` out of ``frontend``; the 2PC coordinator
+        hears of it (a branch removed from a queue never completes)."""
+        if not frontend.withdraw(tx):
+            return False
+        if frontend._distributed is not None:
+            frontend._distributed.on_external_removed(tx)
+        return True
 
     def _pick_victim(self, frontend) -> Optional[Transaction]:
         # 2PC sibling branches are not admissions and carry no _TxState
@@ -457,15 +512,6 @@ class ResilienceRuntime:
     def _bump(self, counter: str, priority: int) -> None:
         per_class = self.per_class[counter]
         per_class[priority] = per_class.get(priority, 0) + 1
-
-    def _fire_outer(self, st: _TxState) -> None:
-        outer, st.outer = st.outer, None
-        if outer is None:
-            return
-        # inlined outer.succeed(tx): known untriggered
-        outer._triggered = True
-        outer._value = st.tx
-        self._fire(outer)
 
     # -- accounting views ----------------------------------------------------
 

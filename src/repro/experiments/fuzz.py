@@ -182,7 +182,11 @@ FUZZ_DOMAINS: Dict[Tuple[type, str], Any] = {
     (FaultEvent, "shard"): range(4),
     (ResilienceSpec, "deadline_s"): (1.0, 2.0, 5.0),
     (ResilienceSpec, "high_deadline_s"): (2.0, 5.0),
-    (ResilienceSpec, "max_attempts"): range(4),
+    # 64: a retry budget long enough for a storm to starve goodput.
+    # Doubled small budgets keep rng.choice's draws aligned with the
+    # former range(4): every seed walks as before, except that one
+    # draw of 3 in two now yields 64.
+    (ResilienceSpec, "max_attempts"): (0, 0, 1, 1, 2, 2, 3, 64),
     (ResilienceSpec, "base_backoff_s"): (0.0, 0.01, 0.05),
     (ResilienceSpec, "backoff_multiplier"): (1.0, 2.0),
     (ResilienceSpec, "queue_cap"): (8, 16, 32),

@@ -272,10 +272,3 @@ class MplPsQueue:
     def ps_reference(self) -> float:
         """M/G/1-PS mean response time (the MPL → ∞ limit)."""
         return self.service_mean / (1.0 - self.load)
-
-    def fifo_reference(self) -> float:
-        """M/G/1-FIFO (Pollaczek–Khinchine) mean response time (MPL = 1)."""
-        waiting = (
-            self.arrival_rate * self.service_second_moment / (2.0 * (1.0 - self.load))
-        )
-        return self.service_mean + waiting

@@ -17,8 +17,9 @@ Hot consumers (the disk array and the WAL) do not call
 :class:`BlockSampler`, which pre-draws whole blocks via
 :meth:`Distribution.sample_block` and serves them one at a time.  A
 block of ``n`` variates advances the underlying stream exactly as
-``n`` individual ``sample`` calls would — the specialized block
-implementations hoist parameter lookups, never the arithmetic — so as
+``n`` individual ``sample`` calls would — the two specialized block
+implementations (:class:`Exponential`, :class:`LogNormal`) hoist
+parameter lookups, never the arithmetic — so as
 long as a stream has a single consumer (the engine's seed-derivation
 rule), results are bit-identical to unbuffered sampling.
 """
@@ -108,9 +109,6 @@ class Deterministic(Distribution):
     def sample(self, rng: _random.Random) -> float:
         return self.value
 
-    def sample_block(self, rng: _random.Random, n: int) -> List[float]:
-        return [self.value] * n
-
     @property
     def mean(self) -> float:
         return self.value
@@ -166,11 +164,6 @@ class Uniform(Distribution):
     def sample(self, rng: _random.Random) -> float:
         return rng.uniform(self.low, self.high)
 
-    def sample_block(self, rng: _random.Random, n: int) -> List[float]:
-        uniform = rng.uniform
-        low, high = self.low, self.high
-        return [uniform(low, high) for _ in range(n)]
-
     @property
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
@@ -197,18 +190,6 @@ class Erlang(Distribution):
         for _ in range(self.k):
             total += rng.expovariate(1.0 / phase_mean)
         return total
-
-    def sample_block(self, rng: _random.Random, n: int) -> List[float]:
-        expovariate = rng.expovariate
-        rate = 1.0 / (self._mean / self.k)
-        k_range = range(self.k)
-        out = []
-        for _ in range(n):
-            total = 0.0
-            for _ in k_range:
-                total += expovariate(rate)
-            out.append(total)
-        return out
 
     @property
     def mean(self) -> float:
@@ -313,12 +294,6 @@ class Pareto(Distribution):
     def sample(self, rng: _random.Random) -> float:
         u = rng.random()
         return self._scale * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
-
-    def sample_block(self, rng: _random.Random, n: int) -> List[float]:
-        random = rng.random
-        scale = self._scale
-        exponent = -1.0 / self.alpha
-        return [scale * ((1.0 - random()) ** exponent - 1.0) for _ in range(n)]
 
     @property
     def mean(self) -> float:

@@ -230,15 +230,10 @@ class TestAtomicitySelfCheck:
         assert coordinator.atomicity_violations[0]["status"] == "ABORTED"
 
     def test_branch_commit_under_abort_decision_is_flagged(self):
-        import types
-
         coordinator = self._coordinator()
         ltx = self._ltx(["COMMITTED", "COMMITTED"])
         ltx.decided = "abort"
-        ltx.generation = 1
-        coordinator._on_branch_done(
-            ltx, 0, 1, types.SimpleNamespace(value=ltx.branches[0])
-        )
+        coordinator._on_branch_done(ltx, 0)
         assert len(coordinator.atomicity_violations) == 1
         assert coordinator.atomicity_violations[0]["decided"] == "abort"
 

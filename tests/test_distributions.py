@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.distributions as distributions
 from repro.sim.distributions import (
+    BlockSampler,
     Deterministic,
+    Distribution,
     Empirical,
     Erlang,
     Exponential,
@@ -222,6 +225,42 @@ class TestScaled:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             Exponential(1.0).scaled(0.0)
+
+
+#: One instance of every Distribution subclass; the coverage test below
+#: keeps the list complete.
+_EVERY_DISTRIBUTION = [
+    Deterministic(2.0),
+    Exponential(1.5),
+    Uniform(0.5, 2.0),
+    Erlang(3, 1.0),
+    Hyperexponential([0.3, 0.7], [0.5, 4.0]),
+    Pareto(2.5, 1.0),
+    LogNormal(1.0, 2.0),
+    Empirical([0.5, 1.0, 4.0]),
+    Mixture([Exponential(1.0), Erlang(2, 3.0)], weights=[1.0, 2.0]),
+    Exponential(2.0).scaled(3.0),
+]
+
+
+class TestBlockSampler:
+    def test_every_distribution_subclass_is_covered(self):
+        subclasses = {
+            cls for cls in vars(distributions).values()
+            if isinstance(cls, type) and issubclass(cls, Distribution)
+            and cls is not Distribution
+        }
+        assert subclasses == {type(dist) for dist in _EVERY_DISTRIBUTION}
+
+    @pytest.mark.parametrize(
+        "dist", _EVERY_DISTRIBUTION, ids=lambda dist: type(dist).__name__
+    )
+    def test_serves_the_per_call_sequence_across_blocks(self, dist):
+        sampler = BlockSampler(dist, random.Random(7), block_size=4)
+        served = [sampler() for _ in range(11)]
+        rng = random.Random(7)
+        assert served == [dist.sample(rng) for _ in range(11)]
+        assert sampler.pending == 1  # three blocks of 4 drawn, 11 served
 
 
 def test_moments_to_scv():

@@ -49,6 +49,20 @@ def test_mpl_limits_concurrency():
     assert frontend.completed == 10
 
 
+def test_withdraw_pulls_back_only_queued_work():
+    sim, _engine, frontend, _ = _system(mpl=1)
+    running, queued = _tx(1), _tx(2)
+    frontend.submit(running)
+    frontend.submit(queued)
+    assert frontend.withdraw(queued) is True
+    assert (frontend.queue_length, frontend.removed) == (0, 1)
+    # dispatched work stays with the engine and is not counted
+    assert frontend.withdraw(running) is False
+    assert frontend.removed == 1
+    sim.run()
+    assert frontend.completed == 1
+
+
 def test_unlimited_mpl_dispatches_everything():
     sim, _engine, frontend, _ = _system(mpl=None)
     for tid in range(10):

@@ -11,6 +11,7 @@ goodput gap.
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,12 @@ from repro.core.resilience import (
     BREAKER_OPEN,
     GOODPUT_STARVATION_LIMIT,
     GoodputStarved,
+    IfCurrent,
+    ResilienceRuntime,
     ResilienceSpec,
+    RetryLedger,
     ShardBreaker,
+    StarvationGuard,
 )
 from repro.core.scenario import (
     MeasurementSpec,
@@ -41,6 +46,7 @@ from repro.core.scenario import (
 )
 from repro.dbms.transaction import Priority, Transaction, TxStatus
 from repro.experiments import figures
+from repro.sim.random import derive_seed
 
 # the PR 8 pins: the resilience axis must not move any resilience-off
 # digest (fingerprint omission at None is the compatibility mechanism)
@@ -597,6 +603,28 @@ class TestGoodputStarvation:
 
         assert check_scenario(self._starving_spec()) is None
 
+    def test_a_large_retry_budget_still_starves(self):
+        """Every failed attempt counts, retried or not: a storm whose
+        retry budget outlasts any horizon still trips the guard.  A
+        guard counting only terminal dispositions returns here."""
+        from repro.core.cluster import build_system
+
+        spec = _resilient_spec(
+            ResilienceSpec(
+                deadline_s=0.004, max_attempts=5000, base_backoff_s=0.0,
+                backoff_multiplier=1.0,
+            ),
+            rate=200.0, transactions=50, seed=7,
+        )
+        system = build_system(spec.build_config())
+        ResilienceRuntime(spec.resilience, seed=spec.seed).install(system)
+        system.source.start()
+        with pytest.raises(
+            GoodputStarved,
+            match=f"{GOODPUT_STARVATION_LIMIT} consecutive failed attempts",
+        ):
+            system.sim.run(until=0.6)
+
     def test_commits_reset_the_streak(self):
         spec = _resilient_spec(
             ResilienceSpec(deadline_s=0.5, max_attempts=1,
@@ -607,7 +635,103 @@ class TestGoodputStarvation:
         runtime = system.resilience
         # the gate may lag the collector by the stop-boundary record
         assert runtime.completed >= 119
-        assert runtime.starved_streak == 0
+        assert runtime.starvation.streak == 0
+
+
+class TestRetryCore:
+    """The backoff, ledger and guard the gate and the 2PC coordinator share."""
+
+    def _ledger(self, attempts, tid=42):
+        ledger = RetryLedger(_tx(tid))
+        ledger.attempts = attempts
+        return ledger
+
+    def test_resilience_backoff_has_no_exponent_cap(self):
+        delays = [
+            self._ledger(attempts).backoff(1, "resilience", 0.01, 3.0, 0.0)
+            for attempts in (1, 2, 3, 12, 30)
+        ]
+        assert delays == [
+            0.01, 0.01 * 3.0, 0.01 * 9.0, 0.01 * 3.0 ** 11, 0.01 * 3.0 ** 29,
+        ]
+
+    def test_2pc_backoff_caps_the_exponent_at_ten(self):
+        from repro.core.distributed import (
+            RETRY_BACKOFF_MULTIPLIER,
+            RETRY_BASE_BACKOFF_S,
+            RETRY_MAX_EXPONENT,
+        )
+
+        assert RETRY_MAX_EXPONENT == 10
+
+        def unjittered(attempts):
+            return self._ledger(attempts).backoff(
+                1, "2pc", RETRY_BASE_BACKOFF_S, RETRY_BACKOFF_MULTIPLIER,
+                0.0, cap=RETRY_MAX_EXPONENT,
+            )
+
+        assert [unjittered(a) for a in (1, 2, 11)] == [0.01, 0.02, 0.01 * 2.0 ** 10]
+        assert unjittered(12) == unjittered(11) == unjittered(40)
+
+    def test_jitter_is_drawn_from_the_per_tid_stream(self):
+        ledger = self._ledger(3, tid=42)
+        stream = random.Random(derive_seed(7, "2pc", 42))
+        for _ in range(3):
+            delay = ledger.backoff(7, "2pc", 0.01, 2.0, 0.5, cap=10)
+            assert delay == 0.01 * 2.0 ** 2 * (1.0 + 0.5 * stream.random())
+        # another tid, or another layer's stream name, draws apart
+        first = self._ledger(3, tid=42).backoff(7, "2pc", 0.01, 2.0, 0.5)
+        assert self._ledger(3, tid=43).backoff(7, "2pc", 0.01, 2.0, 0.5) != first
+        assert self._ledger(3, tid=42).backoff(7, "resilience", 0.01, 2.0, 0.5) != first
+
+    def test_zero_jitter_draws_nothing(self):
+        ledger = self._ledger(2)
+        ledger.backoff(7, "resilience", 0.01, 2.0, 0.0)
+        assert ledger.rng is None
+
+    def test_guard_raises_at_exactly_the_limit(self):
+        guard = StarvationGuard("goodput starved", lambda: "failed attempts")
+        for _ in range(GOODPUT_STARVATION_LIMIT - 1):
+            guard.fail(1.0)
+        with pytest.raises(GoodputStarved) as info:
+            guard.fail(1.0)
+        assert str(info.value) == (
+            f"goodput starved at t=1.000: {GOODPUT_STARVATION_LIMIT} "
+            "consecutive failed attempts"
+        )
+
+    def test_a_commit_resets_the_guard(self):
+        guard = StarvationGuard("goodput starved", lambda: "failed attempts")
+        for _ in range(GOODPUT_STARVATION_LIMIT - 1):
+            guard.fail(0.0)
+        guard.commit()
+        assert guard.streak == 0
+        for _ in range(GOODPUT_STARVATION_LIMIT - 1):
+            guard.fail(0.0)
+        assert guard.streak == GOODPUT_STARVATION_LIMIT - 1
+
+    def test_fire_outer_fires_once(self):
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        ledger = RetryLedger(_tx(1), sim.event())
+        outer = ledger.outer
+        ledger.fire_outer()
+        ledger.fire_outer()  # a no-op, not a double fire
+        sim.run()
+        assert outer.processed and outer.value is ledger.tx
+
+    def test_stale_generation_callbacks_are_dropped(self):
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        ledger = RetryLedger(_tx(1))
+        calls = []
+        sim.timeout(1.0).add_callback(IfCurrent(ledger, calls.append, "stale"))
+        ledger.generation += 1
+        sim.timeout(2.0).add_callback(IfCurrent(ledger, calls.append, "current"))
+        sim.run()
+        assert calls == ["current"]
 
 
 class TestResilienceInvariants:
