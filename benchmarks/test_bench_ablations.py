@@ -5,9 +5,9 @@
 * external queue policy (FIFO vs priority vs SJF) at the same MPL.
 """
 
-from repro.core.controller import Baseline, MplController, Thresholds
-from repro.core.simulation import SimulatedSystem
-from repro.experiments.runner import run_setup, setup_config
+from repro.core.scenario import FeedbackMpl, MeasurementSpec, ScenarioSpec, WorkloadRef
+from repro.experiments.parallel import run_grid, run_grid_outcomes
+from repro.experiments.runner import scenario_for
 from repro.queueing.throughput_model import ThroughputModel
 from repro.workloads.setups import get_setup
 
@@ -49,22 +49,19 @@ def test_adaptive_vs_constant_step(once):
     when the model start is far from the optimum."""
 
     def compare():
-        setup = get_setup(12)
-        baseline_run = SimulatedSystem(setup_config(setup, mpl=None)).run(1000)
-        baseline = Baseline(
-            throughput=baseline_run.throughput,
-            mean_response_time=baseline_run.mean_response_time,
-        )
-        results = {}
-        for label, adaptive in (("adaptive", True), ("constant", False)):
-            system = SimulatedSystem(setup_config(setup, mpl=30))
-            controller = MplController(
-                system, baseline=baseline, thresholds=Thresholds(),
-                initial_mpl=30, window=100, adaptive=adaptive,
-                max_iterations=30,
+        # both loops share one no-MPL baseline cell (1000 transactions)
+        adaptive, constant = run_grid_outcomes([
+            ScenarioSpec(
+                workload=WorkloadRef(setup_id=12),
+                control=FeedbackMpl(
+                    initial_mpl=30, window=100, adaptive=adaptive,
+                    baseline_transactions=1000,
+                ),
+                measurement=MeasurementSpec(transactions=1),
             )
-            results[label] = controller.tune()
-        return results
+            for adaptive in (True, False)
+        ])
+        return {"adaptive": adaptive.control, "constant": constant.control}
 
     results = once(compare)
     print()
@@ -79,14 +76,14 @@ def test_external_policy_ablation(once):
     priority favours the high class, SJF favours the overall mean."""
 
     def compare():
-        setup = get_setup(1)
-        rows = {}
-        for policy in ("fifo", "priority", "sjf"):
-            rows[policy] = run_setup(
-                setup, mpl=5, policy=policy, transactions=900,
+        policies = ("fifo", "priority", "sjf")
+        return dict(zip(policies, run_grid([
+            scenario_for(
+                get_setup(1), mpl=5, policy=policy, transactions=900,
                 high_priority_fraction=0.1, seed=13,
             )
-        return rows
+            for policy in policies
+        ])))
 
     rows = once(compare)
     print()

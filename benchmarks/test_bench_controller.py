@@ -8,7 +8,7 @@ model jump-start buys over a naive start.
 from repro.core.controller import Baseline, MplController, Thresholds
 from repro.core.simulation import SimulatedSystem
 from repro.experiments.figures import controller_convergence
-from repro.experiments.runner import setup_config
+from repro.experiments.runner import scenario_for
 from repro.workloads.setups import get_setup
 
 
@@ -33,7 +33,7 @@ def test_jump_start_ablation(once):
     def ablation():
         setup = get_setup(11)
         baseline_run = SimulatedSystem(
-            setup_config(setup, mpl=None)
+            scenario_for(setup, mpl=None).build_config()
         ).run(transactions=1000)
         baseline = Baseline(
             throughput=baseline_run.throughput,
@@ -41,7 +41,7 @@ def test_jump_start_ablation(once):
         )
         outcomes = {}
         for label, start in (("model start", 11), ("naive start", 100)):
-            system = SimulatedSystem(setup_config(setup, mpl=start))
+            system = SimulatedSystem(scenario_for(setup, mpl=start).build_config())
             controller = MplController(
                 system, baseline=baseline, thresholds=Thresholds(),
                 initial_mpl=start, window=100,

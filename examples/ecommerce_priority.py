@@ -8,9 +8,10 @@ highest-priority-first, and compare against the untouched system.
 Run with:  python examples/ecommerce_priority.py
 """
 
-from repro import SystemConfig, Thresholds, get_setup
-from repro.core.tuner import MplTuner
-from repro.priority.evaluation import evaluate_external_prioritization
+from repro import get_setup
+from repro.experiments.parallel import run_grid, run_grid_outcomes
+from repro.experiments.runner import scenario_for, tuning_scenario
+from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
 
 
 def main() -> None:
@@ -18,30 +19,26 @@ def main() -> None:
     print(f"Scenario: {setup.describe()}, 10% of transactions are VIPs")
     print()
 
-    base_config = SystemConfig(
-        workload=setup.workload,
-        hardware=setup.hardware,
-        isolation=setup.isolation,
-        seed=7,
-    )
-
     print("Step 1 - tune the MPL (queueing models + feedback controller)...")
-    tuner = MplTuner(
-        base_config,
-        thresholds=Thresholds(max_throughput_loss=0.05),
-        baseline_transactions=800,
-    )
-    tuning = tuner.tune()
+    [tuning] = run_grid_outcomes([
+        tuning_scenario(setup, max_throughput_loss=0.05, transactions=800, seed=7)
+    ])
+    report = tuning.control
     print(
-        f"  model suggested MPL {tuning.initial_mpl}; controller settled on "
-        f"{tuning.final_mpl} after {tuning.report.iterations} iterations"
+        f"  model suggested MPL {report.trajectory[0].mpl}; controller settled on "
+        f"{report.final_mpl} after {report.iterations} iterations"
     )
     print()
 
     print("Step 2 - run with priority dispatch at the tuned MPL...")
-    outcome = evaluate_external_prioritization(
-        setup, mpl=tuning.final_mpl, transactions=2000, seed=7
-    )
+    no_prio, prioritized = run_grid([
+        scenario_for(setup, transactions=2000, seed=7),
+        scenario_for(
+            setup, mpl=report.final_mpl, transactions=2000, seed=7,
+            policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
+        ),
+    ])
+    outcome = outcome_from_runs("VIP", report.final_mpl, prioritized, no_prio)
     print(f"  VIP mean response time : {outcome.high:7.2f} s")
     print(f"  standard response time : {outcome.low:7.2f} s")
     print(f"  no-prioritization ref. : {outcome.no_prio:7.2f} s")

@@ -40,7 +40,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "PartlyOpenArrivals", "PiecewiseRate", "SinusoidRate",
     ),
     "repro.core.cluster": (
-        "ClusteredSystem", "ShardedExternalScheduler", "build_system", "run_cluster",
+        "ClusteredSystem", "ShardedExternalScheduler", "build_system",
     ),
     "repro.core.cluster_config": ("ClusterConfig", "split_mpl"),
     "repro.core.control_types": ("ControllerReport", "Thresholds"),

@@ -66,7 +66,7 @@ from repro.core.simulation import (
     build_engine_stack,
 )
 from repro.core.sources import ArrivalProcess
-from repro.core.system import RunResult, SystemConfig
+from repro.core.system import SystemConfig
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.transaction import Transaction, TxStatus
 from repro.metrics.collector import MetricsCollector
@@ -841,8 +841,3 @@ def build_system(config: AnyConfig) -> MeasuredSystem:
     if isinstance(config, ScenarioSpec):
         return build_system(config.build_config())
     raise TypeError(f"cannot build a system from {type(config).__name__}")
-
-
-def run_cluster(config: ClusterConfig, transactions: int = 2000) -> RunResult:
-    """Convenience: build a cluster from ``config`` and run it once."""
-    return ClusteredSystem(config).run(transactions=transactions)

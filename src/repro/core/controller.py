@@ -65,8 +65,8 @@ class MplController:
         Acceptable penalties.
     initial_mpl:
         Starting MPL — ideally the queueing models' prediction (see
-        :class:`~repro.core.tuner.MplTuner`); a poor start still
-        converges, just more slowly.
+        :meth:`~repro.core.scenario.FeedbackMpl.tune_engine`); a poor
+        start still converges, just more slowly.
     window:
         Minimum completed transactions per observation (paper: ≈ 100).
     step:

@@ -119,7 +119,3 @@ class FaultSpec:
     def fingerprint(self) -> str:
         """Content digest of the whole timeline."""
         return content_digest(canonical_jsonable(self), {})
-
-    def event_fingerprints(self) -> Tuple[str, ...]:
-        """Per-event digests (each event is individually addressable)."""
-        return tuple(event.fingerprint() for event in self.events)

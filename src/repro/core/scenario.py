@@ -292,9 +292,10 @@ class FeedbackMpl(ControlSpec):
     """The paper's §4 loop: queueing-model jump-start + feedback control.
 
     ``initial_mpl=None`` jump-starts from the queueing models (§4.1 /
-    §4.2) using the measured baseline, exactly like
-    :class:`~repro.core.tuner.MplTuner` (single-engine topologies
-    only — a sharded scenario must pin ``initial_mpl`` explicitly).
+    §4.2) using the measured baseline (single-engine topologies only —
+    a sharded scenario must pin ``initial_mpl`` explicitly).  The
+    single-engine loop, :meth:`tune_engine`, is the one body
+    :class:`~repro.core.tuner.MplTuner` also runs.
     The no-MPL baseline the penalties are measured against is the run
     of :meth:`baseline_spec`: the unlimited twin of the same scenario
     (same workload, arrivals, topology, seed and warm-up), run for
@@ -379,23 +380,25 @@ class FeedbackMpl(ControlSpec):
             distributed=None,
         )
 
+    def reference(self, baseline: Optional[RunResult]) -> Baseline:
+        """The no-MPL reference: the explicit pair, else ``baseline``'s."""
+        explicit = self.explicit_baseline()
+        if explicit is not None:
+            return explicit
+        return Baseline(
+            throughput=baseline.throughput,
+            mean_response_time=baseline.mean_response_time,
+        )
+
     def apply(self, system, scenario, baseline=None):
         from repro.core.cluster import ClusteredSystem
-        from repro.core.controller import MplController
-        from repro.core.tuner import model_jump_start
 
-        reference = self.explicit_baseline()
-        if reference is None:
-            if baseline is None:
-                baseline = execute_scenario(self.baseline_spec(scenario)).result
-            reference = Baseline(
-                throughput=baseline.throughput,
-                mean_response_time=baseline.mean_response_time,
-            )
+        if baseline is None and self.baseline_throughput is None:
+            baseline = execute_scenario(self.baseline_spec(scenario)).result
         if isinstance(system, ClusteredSystem):
             # initial_mpl is validated non-None for sharded scenarios
             reports = system.tune_shards(
-                reference,
+                self.reference(baseline),
                 self.thresholds(),
                 initial_mpl=self.initial_mpl,
                 window=self.window,
@@ -404,25 +407,45 @@ class FeedbackMpl(ControlSpec):
                 check_response_time=scenario.is_open,
             )
             return ShardReports(tuple(reports))
+        return self.tune_engine(system, baseline, scenario.is_open).report
+
+    def tune_engine(self, system, baseline, is_open):
+        """The single-engine loop on a live system; a ``TuningResult``.
+
+        Starts at ``initial_mpl``, or else at the larger of the §4.1 /
+        §4.2 model starts for ``baseline`` (capped at the client
+        population), then runs the §4.3 controller.  ``is_open``
+        decides whether the §4.2 model and the response-time check
+        apply.
+        """
+        from repro.core.controller import MplController
+        from repro.core.tuner import TuningResult, model_jump_start
+
+        jump: Dict[str, int] = {}
         initial = self.initial_mpl
         if initial is None:
             jump = model_jump_start(
-                system.config, baseline, self.thresholds(),
-                is_open=scenario.is_open,
+                system.config, baseline, self.thresholds(), is_open=is_open
             )
             cap = max(1, system.config.num_clients)
             initial = min(max(jump["throughput"], jump["response_time"]), cap)
         controller = MplController(
             system,
-            reference,
+            self.reference(baseline),
             self.thresholds(),
             initial_mpl=initial,
             window=self.window,
             step=self.step,
             adaptive=self.adaptive,
-            check_response_time=scenario.is_open,
+            check_response_time=is_open,
         )
-        return controller.tune()
+        return TuningResult(
+            baseline=baseline,
+            model_mpl_throughput=jump.get("throughput"),
+            model_mpl_response_time=jump.get("response_time"),
+            initial_mpl=initial,
+            report=controller.tune(),
+        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -200,8 +200,3 @@ class SimulatedSystem(MeasuredSystem):
 
     def _utilization_snapshot(self, elapsed: float) -> Dict[str, float]:
         return self.engine.utilization_snapshot(elapsed)
-
-
-def run_system(config: SystemConfig, transactions: int = 2000) -> RunResult:
-    """Convenience: build a system from ``config`` and run it once."""
-    return SimulatedSystem(config).run(transactions=transactions)

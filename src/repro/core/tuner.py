@@ -23,17 +23,22 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.core.control_types import Baseline, ControllerReport, Thresholds
+from repro.core.control_types import ControllerReport, Thresholds
 from repro.core.system import RunResult, SystemConfig
 
 
 @dataclasses.dataclass(frozen=True)
 class TuningResult:
-    """Everything the tuner learned."""
+    """Everything one single-engine tuning learned.
 
-    baseline: RunResult
-    model_mpl_throughput: int
-    model_mpl_response_time: int
+    ``baseline`` is None when the loop was given a pre-measured
+    reference, and the ``model_mpl_*`` starts are None when it began
+    at a pinned ``initial_mpl`` instead of the models' jump-start.
+    """
+
+    baseline: Optional[RunResult]
+    model_mpl_throughput: Optional[int]
+    model_mpl_response_time: Optional[int]
     initial_mpl: int
     report: ControllerReport
 
@@ -72,21 +77,16 @@ def model_jump_start(
     config: SystemConfig,
     baseline: RunResult,
     thresholds: Thresholds,
-    is_open: Optional[bool] = None,
+    is_open: bool,
 ) -> Dict[str, int]:
     """The queueing models' starting MPLs for a measured baseline.
 
     The §4.1 throughput model always applies; the §4.2 response-time
     model only for open systems (in a closed system the mean response
-    time follows throughput by Little's law, §3.2).  ``is_open``
-    identifies the arrival regime; the default (None) falls back to
-    the legacy ``config.arrival_rate`` test, while the scenario layer
-    passes its own regime notion so open arrival *specs*
-    (``OpenArrivals``, modulated, trace replay) jump-start identically
-    to the equivalent ``arrival_rate`` spelling.  Shared by
-    :class:`MplTuner` and the scenario layer's ``FeedbackMpl`` control
-    spec, so "jump-start from the models" means the same thing on both
-    paths.
+    time follows throughput by Little's law, §3.2).  ``is_open`` is
+    the arrival regime as :attr:`~repro.core.scenario.ScenarioSpec.is_open`
+    decides it, so every open spelling (``arrival_rate``,
+    ``OpenArrivals``, modulated, trace replay) jump-starts alike.
     """
     hardware = config.hardware
     counts = {
@@ -97,8 +97,6 @@ def model_jump_start(
     mpl_throughput = model_initial_mpl_throughput(
         baseline.utilizations, counts, thresholds.max_throughput_loss
     )
-    if is_open is None:
-        is_open = config.arrival_rate is not None
     mpl_response = 1
     if is_open:
         _demand_mean, demand_scv = config.workload.demand_moments(
@@ -158,6 +156,12 @@ def scaled_baseline_transactions(config: SystemConfig, transactions: int) -> int
 class MplTuner:
     """End-to-end MPL tuning for a system configuration.
 
+    For a config that is not a scenario: it measures the no-MPL
+    baseline itself, then runs the single-engine loop of
+    :class:`~repro.core.scenario.FeedbackMpl` (model jump-start, start
+    cap, :class:`~repro.core.controller.MplController`), the body every
+    tuned figure runs.
+
     Parameters
     ----------
     config:
@@ -176,59 +180,33 @@ class MplTuner:
         baseline_transactions: int = 1500,
         window: int = 100,
     ):
-        self.config = config
+        self.config = dataclasses.replace(config, mpl=None)
         self.thresholds = thresholds or Thresholds()
         self.baseline_transactions = baseline_transactions
         self.window = window
 
-    def measure_baseline(self) -> RunResult:
-        """Run the system with no MPL limit and measure it.
-
-        The run length scales with the workload's demand C² (see
-        :func:`scaled_baseline_transactions`).
-        """
-        transactions = scaled_baseline_transactions(
-            self.config, self.baseline_transactions
-        )
-        from repro.core.simulation import SimulatedSystem
-
-        config = dataclasses.replace(self.config, mpl=None)
-        system = SimulatedSystem(config)
-        return system.run(transactions=transactions)
-
     def tune(self) -> TuningResult:
-        """Measure the baseline, jump-start from the models, run the loop."""
-        from repro.core.controller import MplController
+        """Measure the no-MPL baseline, then jump-start and run the loop.
+
+        The baseline's run length scales with the workload's demand C²
+        (see :func:`scaled_baseline_transactions`).
+        """
+        from repro.core.arrivals import ClosedArrivals
+        from repro.core.scenario import FeedbackMpl
         from repro.core.simulation import SimulatedSystem
 
-        baseline = self.measure_baseline()
-        jump_start = model_jump_start(self.config, baseline, self.thresholds)
-        # An MPL above the client population is meaningless in a closed
-        # system, so both the start and the search space are capped.
-        max_mpl = max(1, self.config.num_clients)
-        initial = min(
-            max(jump_start["throughput"], jump_start["response_time"]), max_mpl
+        baseline = SimulatedSystem(self.config).run(
+            transactions=scaled_baseline_transactions(
+                self.config, self.baseline_transactions
+            )
         )
-        config = dataclasses.replace(self.config, mpl=initial)
-        system = SimulatedSystem(config)
-        controller = MplController(
-            system,
-            baseline=Baseline(
-                throughput=baseline.throughput,
-                mean_response_time=baseline.mean_response_time,
-            ),
-            thresholds=self.thresholds,
-            initial_mpl=initial,
+        control = FeedbackMpl(
+            max_throughput_loss=self.thresholds.max_throughput_loss,
+            max_response_time_increase=self.thresholds.max_response_time_increase,
             window=self.window,
-            max_mpl=max_mpl,
-            # closed systems: RT follows throughput (Little's law)
-            check_response_time=self.config.arrival_rate is not None,
         )
-        report = controller.tune()
-        return TuningResult(
-            baseline=baseline,
-            model_mpl_throughput=jump_start["throughput"],
-            model_mpl_response_time=jump_start["response_time"],
-            initial_mpl=initial,
-            report=report,
+        return control.tune_engine(
+            SimulatedSystem(self.config),
+            baseline,
+            is_open=not isinstance(self.config.arrival_spec(), ClosedArrivals),
         )

@@ -114,18 +114,6 @@ class HardwareConfig:
         effective_mb = self.CACHE_EFFICIENCY * max(self.bufferpool_mb, file_cache_mb)
         return max(1, int(effective_mb * 1024) // self.page_kb)
 
-    def with_hardware(
-        self,
-        num_cpus: Optional[int] = None,
-        num_disks: Optional[int] = None,
-    ) -> "HardwareConfig":
-        """A copy with a different CPU and/or disk count."""
-        return dataclasses.replace(
-            self,
-            num_cpus=self.num_cpus if num_cpus is None else num_cpus,
-            num_disks=self.num_disks if num_disks is None else num_disks,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class InternalPolicy:

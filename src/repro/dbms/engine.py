@@ -183,10 +183,6 @@ class DatabaseEngine:
         """Probability a page touch becomes a physical read."""
         return 1.0 - self.bufferpool.hit_probability
 
-    def estimated_demand(self, tx: Transaction) -> float:
-        """Expected total service demand of ``tx`` (CPU + I/O seconds)."""
-        return tx.demand_total(self.disk_service_mean, self.miss_probability)
-
     def utilization_snapshot(self, elapsed: float) -> Dict[str, float]:
         """Per-server-station utilizations over ``elapsed`` seconds."""
         return {

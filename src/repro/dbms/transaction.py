@@ -140,11 +140,3 @@ class Transaction:
         if self.dispatch_time is None:
             return None
         return self.dispatch_time - self.arrival_time
-
-    def demand_total(self, disk_service_mean: float, miss_probability: float) -> float:
-        """Rough total service demand (CPU + expected physical I/O).
-
-        Used for the C² variability statistics of §3.2 and by
-        size-aware external policies.
-        """
-        return self.cpu_demand + self.page_accesses * miss_probability * disk_service_mean

@@ -13,6 +13,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "figure4", "figure5", "figure7", "figure10", "figure11", "figure12", "figure13",
         "section32_response_time",
     ),
-    "repro.experiments.runner": ("mpl_sweep", "run_setup", "tuning_scenario"),
+    "repro.experiments.runner": ("tuning_scenario",),
     "repro.experiments.tables": ("table1", "table2", "variability_table"),
 })

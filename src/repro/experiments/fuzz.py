@@ -683,9 +683,10 @@ def oracle_jobs_invariance(ctx: OracleContext) -> None:
     """The ParallelRunner at --jobs 2 must reproduce the direct run."""
     if not ctx.check_jobs:
         return
-    from repro.experiments.runner import scenario_results
+    from repro.experiments.parallel import ParallelRunner
 
-    result = scenario_results([ctx.spec], jobs=2, cache_dir=ctx.cache_dir)[0]
+    runner = ParallelRunner(jobs=2, cache_dir=ctx.cache_dir)
+    result = runner.run([ctx.spec])[0]
     direct = ctx.outcome.result
     if json.dumps(result.to_json_dict(), sort_keys=True) != json.dumps(
         direct.to_json_dict(), sort_keys=True

@@ -72,9 +72,3 @@ def ascii_chart(
     lines.append(" " * 12 + legend)
     return "\n".join(lines)
 
-
-def format_seconds(value: float) -> str:
-    """Human-friendly seconds with millisecond precision below 1 s."""
-    if value < 1.0:
-        return f"{value * 1000:.0f} ms"
-    return f"{value:.2f} s"

@@ -1,8 +1,9 @@
-"""Shared machinery for running Table 2 setups.
+"""Scenario builders for runs of Table 2 setups.
 
-Every figure reproduction boils down to: describe a run of a setup as
-a :class:`~repro.core.scenario.ScenarioSpec` (:func:`scenario_for`),
-submit a grid of them to the active runner, and collect
+Every experiment boils down to: describe a run of a setup as a
+:class:`~repro.core.scenario.ScenarioSpec` (:func:`scenario_for`),
+submit a grid of them to the active runner
+(:func:`~repro.experiments.parallel.run_grid`), and collect
 :class:`~repro.core.system.RunResult` rows (or whole
 :class:`~repro.core.scenario.ScenarioOutcome` values, for figures that
 read a run's control report or optional blocks).  The paper's tuner
@@ -15,7 +16,7 @@ cached and fanned out like any other grid cell.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.arrivals import ArrivalSpec
 from repro.core.scenario import (
@@ -26,51 +27,9 @@ from repro.core.scenario import (
     TopologySpec,
     WorkloadRef,
 )
-from repro.core.system import RunResult, SystemConfig
 from repro.core.tuner import scaled_baseline_transactions
 from repro.dbms.config import InternalPolicy
-from repro.experiments.parallel import ParallelRunner, run_grid
-from repro.workloads.setups import Setup, get_setup
-
-
-def scenario_results(
-    specs: Sequence[ScenarioSpec],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> List[RunResult]:
-    """Run scenario specs through a dedicated :class:`ParallelRunner`.
-
-    The scenario fuzzer's ``--jobs N`` invariance oracle goes through
-    here: a fresh runner (not the process-global one) so the worker
-    pool size is exactly what the oracle asked for, with the same
-    content-addressed result cache any other grid shares.
-    """
-    return ParallelRunner(jobs=jobs, cache_dir=cache_dir).run(list(specs))
-
-
-def setup_config(
-    setup: Setup,
-    mpl: Optional[int] = None,
-    policy: str = "fifo",
-    internal: Optional[InternalPolicy] = None,
-    high_priority_fraction: float = 0.0,
-    arrival_rate: Optional[float] = None,
-    seed: int = 11,
-    arrival: Optional[ArrivalSpec] = None,
-) -> SystemConfig:
-    """A :class:`SystemConfig` for one Table 2 setup."""
-    return SystemConfig(
-        workload=setup.workload,
-        hardware=setup.hardware,
-        isolation=setup.isolation,
-        internal=internal,
-        mpl=mpl,
-        policy=policy,
-        high_priority_fraction=high_priority_fraction,
-        arrival_rate=arrival_rate,
-        seed=seed,
-        arrival=arrival,
-    )
+from repro.workloads.setups import Setup
 
 
 def scenario_for(
@@ -89,9 +48,11 @@ def scenario_for(
     warmup_fraction: float = 0.2,
     tag: str = "",
 ) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` equivalent of a :func:`run_setup` call.
+    """One run of a Table 2 setup at a fixed MPL, as a scenario.
 
-    Topology knobs land in a :class:`TopologySpec`; a static-control,
+    Run it with :func:`~repro.experiments.parallel.run_grid` (or build
+    its live system from :meth:`ScenarioSpec.build_config`).  Topology
+    knobs land in a :class:`TopologySpec`; a static-control,
     single-shard scenario keeps the pre-scenario cache key (pinned by
     the golden fingerprint corpus).
     """
@@ -114,73 +75,6 @@ def scenario_for(
     )
 
 
-def run_setup(
-    setup: Setup,
-    mpl: Optional[int] = None,
-    transactions: int = 1500,
-    seed: int = 11,
-    policy: str = "fifo",
-    internal: Optional[InternalPolicy] = None,
-    high_priority_fraction: float = 0.0,
-    arrival_rate: Optional[float] = None,
-    arrival: Optional[ArrivalSpec] = None,
-) -> RunResult:
-    """Run one setup at one MPL and return its measurements.
-
-    Canonical Table 2 setups go through the active
-    :class:`~repro.experiments.parallel.ParallelRunner` (and hence its
-    result cache); ad-hoc :class:`Setup` objects that don't match their
-    setup id run directly, since a :class:`WorkloadRef` only names a
-    canonical setup.
-    """
-    spec = scenario_for(
-        setup,
-        mpl=mpl,
-        transactions=transactions,
-        seed=seed,
-        policy=policy,
-        internal=internal,
-        high_priority_fraction=high_priority_fraction,
-        arrival_rate=arrival_rate,
-        arrival=arrival,
-    )
-    try:
-        canonical = get_setup(setup.setup_id) == setup
-    except KeyError:
-        canonical = False
-    if not canonical:
-        config = setup_config(
-            setup,
-            mpl=mpl,
-            policy=policy,
-            internal=internal,
-            high_priority_fraction=high_priority_fraction,
-            arrival_rate=arrival_rate,
-            seed=seed,
-            arrival=arrival,
-        )
-        from repro.core.simulation import run_system
-
-        return run_system(config, transactions)
-    return run_grid([spec])[0]
-
-
-def mpl_sweep(
-    setup: Setup,
-    mpls: Sequence[Optional[int]],
-    transactions: int = 1500,
-    seed: int = 11,
-    arrival_rate: Optional[float] = None,
-) -> List[Tuple[Optional[int], RunResult]]:
-    """Run a setup across MPL values (common seed = paired comparison)."""
-    grid = [
-        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed,
-                     arrival_rate=arrival_rate)
-        for mpl in mpls
-    ]
-    return list(zip(mpls, run_grid(grid)))
-
-
 def tuning_scenario(
     setup: Setup,
     max_throughput_loss: float = 0.05,
@@ -193,7 +87,7 @@ def tuning_scenario(
 
     A :class:`FeedbackMpl` scenario jump-started from the queueing
     models, whose no-MPL baseline runs ``transactions`` scaled by the
-    demand C² exactly as :class:`~repro.core.tuner.MplTuner` sizes it.
+    demand C² (:func:`~repro.core.tuner.scaled_baseline_transactions`).
     Its measurement window is a single transaction: the outcome's
     ``result.mpl`` is the tuned MPL and its ``control`` the
     :class:`~repro.core.control_types.ControllerReport`, so a grid of
@@ -208,7 +102,7 @@ def tuning_scenario(
             max_response_time_increase=max_response_time_increase,
             window=window,
             baseline_transactions=scaled_baseline_transactions(
-                setup_config(setup), transactions
+                scenario_for(setup).build_config(), transactions
             ),
         ),
         measurement=MeasurementSpec(transactions=1),

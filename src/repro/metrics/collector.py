@@ -10,7 +10,7 @@ measurement intervals.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.dbms.transaction import Transaction
 from repro.metrics import stats
@@ -97,10 +97,6 @@ class MetricsCollector:
             raise ValueError(f"warmup must be non-negative, got {warmup!r}")
         return self.records[warmup:]
 
-    def completed_after(self, time: float) -> List[TransactionRecord]:
-        """Records of transactions completing strictly after ``time``."""
-        return [r for r in self.records if r.completion_time > time]
-
     # -- aggregate statistics ---------------------------------------------------
 
     def throughput(self, warmup: int = 0) -> float:
@@ -127,21 +123,9 @@ class MetricsCollector:
         """C² of post-warmup response times."""
         return stats.scv([r.response_time for r in self.completed(warmup)])
 
-    def per_class_response_times(self, warmup: int = 0) -> Dict[int, float]:
-        """Mean response time keyed by priority class."""
-        grouped: Dict[int, List[float]] = {}
-        for record in self.completed(warmup):
-            grouped.setdefault(record.priority, []).append(record.response_time)
-        return {prio: stats.mean(times) for prio, times in grouped.items()}
-
     def restart_rate(self, warmup: int = 0) -> float:
         """Mean restarts (deadlock/preemption retries) per transaction."""
         records = self.completed(warmup)
         if not records:
             return 0.0
         return sum(r.restarts for r in records) / len(records)
-
-    def reset(self) -> None:
-        """Drop all records (used between controller observation windows)."""
-        self.records.clear()
-        self.arrivals = 0

@@ -1,13 +1,15 @@
-"""Prioritization experiments: external vs internal scheduling (§5).
+"""Prioritization outcomes: external vs internal scheduling (§5).
 
-The helpers here run paired experiments under common random numbers:
-
-* :func:`evaluate_external_prioritization` — priority-ordered external
-  queue at a given MPL, against the same system with no priorities
-  and no MPL (the paper's "No Prio" reference in Figure 11).
-* :func:`evaluate_internal_prioritization` — no MPL limit, but the
-  DBMS internals prioritize: POW lock scheduling for lock-bound
-  workloads, weighted CPU shares for CPU-bound ones (§5.2–5.3).
+A §5 experiment is a pair of scenario cells run under common random
+numbers: the prioritized run and the untouched reference (same seed,
+no priorities, no MPL: the paper's "No Prio").  External
+prioritization dispatches the external queue highest-priority-first
+at a (tuned) MPL; internal prioritization sets no MPL limit and lets
+the DBMS internals prioritize: POW lock scheduling for lock-bound
+workloads, weighted CPU shares for CPU-bound ones (§5.2–5.3).
+Figures 11–13 run both cells through the scenario runner;
+:func:`outcome_from_runs` turns the pair into a
+:class:`PrioritizationOutcome`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.core.system import RunResult, SystemConfig
-from repro.dbms.config import InternalPolicy
-from repro.workloads.setups import Setup
+from repro.core.system import RunResult
 
 #: The paper's §5 assignment: 10% of transactions are high priority.
 HIGH_PRIORITY_FRACTION = 0.10
@@ -92,68 +92,3 @@ def outcome_from_runs(
         no_prio_throughput=no_prio.throughput,
     )
 
-
-def _base_config(setup: Setup, seed: int) -> SystemConfig:
-    return SystemConfig(
-        workload=setup.workload,
-        hardware=setup.hardware,
-        isolation=setup.isolation,
-        seed=seed,
-    )
-
-
-def _no_prio_reference(setup: Setup, seed: int, transactions: int) -> RunResult:
-    from repro.core.simulation import run_system
-
-    config = dataclasses.replace(
-        _base_config(setup, seed), mpl=None, policy="fifo",
-        high_priority_fraction=0.0,
-    )
-    return run_system(config, transactions)
-
-
-def evaluate_external_prioritization(
-    setup: Setup,
-    mpl: Optional[int],
-    transactions: int = 1500,
-    seed: int = 11,
-    label: str = "",
-    no_prio: Optional[RunResult] = None,
-) -> PrioritizationOutcome:
-    """External priority scheduling at a fixed MPL vs the stock system."""
-    from repro.core.simulation import run_system
-
-    if no_prio is None:
-        no_prio = _no_prio_reference(setup, seed, transactions)
-    config = dataclasses.replace(
-        _base_config(setup, seed),
-        mpl=mpl,
-        policy="priority",
-        high_priority_fraction=HIGH_PRIORITY_FRACTION,
-    )
-    result = run_system(config, transactions)
-    return outcome_from_runs(label or f"ext mpl={mpl}", mpl, result, no_prio)
-
-
-def evaluate_internal_prioritization(
-    setup: Setup,
-    internal: InternalPolicy,
-    transactions: int = 1500,
-    seed: int = 11,
-    label: str = "internal",
-    no_prio: Optional[RunResult] = None,
-) -> PrioritizationOutcome:
-    """Internal prioritization (POW locks or CPU weights), no MPL limit."""
-    from repro.core.simulation import run_system
-
-    if no_prio is None:
-        no_prio = _no_prio_reference(setup, seed, transactions)
-    config = dataclasses.replace(
-        _base_config(setup, seed),
-        mpl=None,
-        policy="fifo",
-        internal=internal,
-        high_priority_fraction=HIGH_PRIORITY_FRACTION,
-    )
-    result = run_system(config, transactions)
-    return outcome_from_runs(label, None, result, no_prio)

@@ -20,7 +20,6 @@ from repro.core.cluster import (
     ClusteredSystem,
     ShardedExternalScheduler,
     build_system,
-    run_cluster,
     split_mpl,
 )
 from repro.core.arrivals import OpenArrivals, PartlyOpenArrivals
@@ -272,10 +271,11 @@ class TestClusteredRuns:
         assert {"shard0/cpu", "shard3/cpu"} <= set(result.utilizations)
 
     def test_run_cluster_convenience(self):
-        result = run_cluster(
-            ClusterConfig.scale_out(_base(mpl=4, arrival_rate=30.0), 2),
-            transactions=150,
+        system = build_system(
+            ClusterConfig.scale_out(_base(mpl=4, arrival_rate=30.0), 2)
         )
+        assert isinstance(system, ClusteredSystem)
+        result = system.run(transactions=150)
         assert result.throughput > 0
 
     def test_jobs_invariance_and_cache_round_trip(self, tmp_path):

@@ -28,13 +28,6 @@ class TestHardwareConfig:
         floor = int(0.75 * 1024 * 1024) // 4
         assert config.cache_pages == floor
 
-    def test_with_hardware_copies(self):
-        base = HardwareConfig(num_cpus=1, num_disks=1)
-        varied = base.with_hardware(num_cpus=2, num_disks=4)
-        assert (varied.num_cpus, varied.num_disks) == (2, 4)
-        assert base.num_cpus == 1  # frozen original untouched
-        assert varied.memory_mb == base.memory_mb
-
     @pytest.mark.parametrize(
         "kwargs",
         [

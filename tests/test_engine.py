@@ -147,14 +147,6 @@ def test_io_bound_transaction_uses_disks():
     assert engine.disks.requests_served > 0
 
 
-def test_estimated_demand():
-    sim = Simulator()
-    engine = _engine(sim)
-    tx = _tx(1, cpu=0.010, pages=100)
-    expected = 0.010 + 100 * engine.miss_probability * engine.disk_service_mean
-    assert engine.estimated_demand(tx) == pytest.approx(expected)
-
-
 def test_utilization_snapshot_keys():
     sim = Simulator()
     engine = _engine(sim)

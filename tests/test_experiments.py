@@ -4,7 +4,8 @@ import pytest
 
 from repro.experiments import figures, report, tables
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.runner import mpl_sweep, run_setup
+from repro.experiments.parallel import run_grid
+from repro.experiments.runner import scenario_for
 from repro.workloads.setups import get_setup
 
 
@@ -20,21 +21,21 @@ class TestReport:
     def test_ascii_chart_empty(self):
         assert report.ascii_chart([], [], title="empty") == "empty"
 
-    def test_format_seconds(self):
-        assert report.format_seconds(0.5) == "500 ms"
-        assert report.format_seconds(2.0) == "2.00 s"
-
 
 class TestRunner:
     def test_run_setup_returns_result(self):
-        result = run_setup(get_setup(1), mpl=5, transactions=300)
+        [result] = run_grid([scenario_for(get_setup(1), mpl=5, transactions=300)])
         assert result.throughput > 0
 
     def test_mpl_sweep_shapes(self):
-        sweep = mpl_sweep(get_setup(1), [2, 10], transactions=300)
+        """An MPL sweep is a grid: one result per cell, in grid order."""
+        sweep = run_grid([
+            scenario_for(get_setup(1), mpl=mpl, transactions=300)
+            for mpl in (2, 10)
+        ])
         assert len(sweep) == 2
-        assert sweep[0][0] == 2 and sweep[1][0] == 10
-        assert sweep[1][1].throughput > sweep[0][1].throughput
+        assert sweep[0].mpl == 2 and sweep[1].mpl == 10
+        assert sweep[1].throughput > sweep[0].throughput
 
 
 class TestAnalyticFigures:

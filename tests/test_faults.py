@@ -134,9 +134,6 @@ class TestFaultFingerprints:
         forward = FaultSpec(events=(kill, restore))
         backward = FaultSpec(events=(restore, kill))
         assert forward.fingerprint() != backward.fingerprint()
-        assert forward.event_fingerprints() == (
-            kill.fingerprint(), restore.fingerprint(),
-        )
 
 
 def _decode(payload, hint):

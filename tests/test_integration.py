@@ -5,57 +5,77 @@ import pytest
 from repro.core.simulation import SimulatedSystem
 from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig, InternalPolicy
-from repro.experiments.runner import run_setup
+from repro.experiments.parallel import run_grid
+from repro.experiments.runner import scenario_for
+from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
 from repro.queueing.mpl_ps_queue import MplPsQueue
 from repro.workloads.setups import get_setup
 from repro.workloads.synthetic import synthetic_workload
+
+
+def run_cell(setup_id, mpl, transactions):
+    """One closed run of a Table 2 setup (seed 9), through the runner."""
+    [result] = run_grid([scenario_for(
+        get_setup(setup_id), mpl=mpl, transactions=transactions, seed=9
+    )])
+    return result
+
+
+def prioritized(setup_id, transactions, seed, **prio):
+    """A §5 experiment: the prioritized cell and its "No Prio" twin."""
+    setup = get_setup(setup_id)
+    no_prio, result = run_grid([
+        scenario_for(setup, transactions=transactions, seed=seed),
+        scenario_for(
+            setup, transactions=transactions, seed=seed,
+            high_priority_fraction=HIGH_PRIORITY_FRACTION, **prio,
+        ),
+    ])
+    return outcome_from_runs("", prio.get("mpl"), result, no_prio)
 
 
 class TestThroughputPhenomena:
     """§3.1: what the MPL does to throughput."""
 
     def test_throughput_rises_then_saturates_with_mpl(self):
-        setup = get_setup(1)
-        low = run_setup(setup, mpl=1, transactions=500, seed=9).throughput
-        mid = run_setup(setup, mpl=5, transactions=500, seed=9).throughput
-        high = run_setup(setup, mpl=20, transactions=500, seed=9).throughput
+        low = run_cell(1, mpl=1, transactions=500).throughput
+        mid = run_cell(1, mpl=5, transactions=500).throughput
+        high = run_cell(1, mpl=20, transactions=500).throughput
         assert low < mid
         assert mid == pytest.approx(high, rel=0.10)
 
     def test_two_cpus_need_higher_mpl(self):
         """Figure 2: the 2-CPU machine keeps gaining beyond the 1-CPU
         saturation point."""
-        one = get_setup(1)
-        two = get_setup(2)
         gain_one = (
-            run_setup(one, mpl=10, transactions=500, seed=9).throughput
-            / run_setup(one, mpl=3, transactions=500, seed=9).throughput
+            run_cell(1, mpl=10, transactions=500).throughput
+            / run_cell(1, mpl=3, transactions=500).throughput
         )
         gain_two = (
-            run_setup(two, mpl=10, transactions=500, seed=9).throughput
-            / run_setup(two, mpl=3, transactions=500, seed=9).throughput
+            run_cell(2, mpl=10, transactions=500).throughput
+            / run_cell(2, mpl=3, transactions=500).throughput
         )
         assert gain_two > gain_one
 
     def test_more_disks_more_throughput_at_high_mpl(self):
         """Figure 3: the I/O workload scales with the disk count."""
-        one_disk = run_setup(get_setup(5), mpl=20, transactions=300, seed=9)
-        four_disks = run_setup(get_setup(8), mpl=20, transactions=300, seed=9)
+        one_disk = run_cell(5, mpl=20, transactions=300)
+        four_disks = run_cell(8, mpl=20, transactions=300)
         assert four_disks.throughput > 2.5 * one_disk.throughput
 
     def test_mpl_to_saturate_grows_with_disks(self):
         """Figure 3: one disk saturates by MPL 2; four disks do not."""
-        one_low = run_setup(get_setup(5), mpl=2, transactions=300, seed=9)
-        one_high = run_setup(get_setup(5), mpl=16, transactions=300, seed=9)
-        four_low = run_setup(get_setup(8), mpl=2, transactions=300, seed=9)
-        four_high = run_setup(get_setup(8), mpl=16, transactions=300, seed=9)
+        one_low = run_cell(5, mpl=2, transactions=300)
+        one_high = run_cell(5, mpl=16, transactions=300)
+        four_low = run_cell(8, mpl=2, transactions=300)
+        four_high = run_cell(8, mpl=16, transactions=300)
         assert one_low.throughput >= 0.85 * one_high.throughput
         assert four_low.throughput < 0.6 * four_high.throughput
 
     def test_uncommitted_read_outperforms_rr_at_high_concurrency(self):
         """Figure 5: less locking -> flatter curve at high MPL."""
-        rr = run_setup(get_setup(15), mpl=None, transactions=700, seed=9)
-        ur = run_setup(get_setup(16), mpl=None, transactions=700, seed=9)
+        rr = run_cell(15, mpl=None, transactions=700)
+        ur = run_cell(16, mpl=None, transactions=700)
         assert ur.throughput >= rr.throughput
 
 
@@ -107,11 +127,7 @@ class TestPrioritizationPhenomena:
     """§5: external prioritization at a tuned MPL."""
 
     def test_high_priority_wins_big_low_suffers_little(self):
-        from repro.priority.evaluation import evaluate_external_prioritization
-
-        outcome = evaluate_external_prioritization(
-            get_setup(1), mpl=5, transactions=1200, seed=7
-        )
+        outcome = prioritized(1, 1200, seed=7, mpl=5, policy="priority")
         assert outcome.differentiation > 4.0
         assert outcome.low_penalty < 1.5
         assert outcome.throughput_loss < 0.15
@@ -119,17 +135,8 @@ class TestPrioritizationPhenomena:
     def test_internal_and_external_comparable(self):
         """Figure 12's message: POW and external-at-tuned-MPL are in
         the same differentiation ballpark."""
-        from repro.priority.evaluation import (
-            evaluate_external_prioritization,
-            evaluate_internal_prioritization,
-        )
-
-        external = evaluate_external_prioritization(
-            get_setup(1), mpl=5, transactions=1000, seed=7
-        )
-        internal = evaluate_internal_prioritization(
-            get_setup(1), InternalPolicy.pow_locks(), transactions=1000, seed=7
-        )
+        external = prioritized(1, 1000, seed=7, mpl=5, policy="priority")
+        internal = prioritized(1, 1000, seed=7, internal=InternalPolicy.pow_locks())
         assert internal.differentiation > 2.0
         assert external.differentiation > 2.0
         ratio = external.differentiation / internal.differentiation
@@ -152,18 +159,15 @@ class TestPrioritizationPhenomena:
 
 class TestIsolationAndInternalPolicies:
     def test_ur_reduces_lock_waiting(self):
-        rr = run_setup(get_setup(13), mpl=20, transactions=600, seed=9)
-        ur = run_setup(get_setup(14), mpl=20, transactions=600, seed=9)
+        rr = run_cell(13, mpl=20, transactions=600)
+        ur = run_cell(14, mpl=20, transactions=600)
         assert ur.mean_lock_wait <= rr.mean_lock_wait
 
     def test_pow_preemptions_happen_under_contention(self):
-        from repro.core.simulation import SimulatedSystem
-        from repro.experiments.runner import setup_config
-
-        config = setup_config(
+        config = scenario_for(
             get_setup(1), mpl=None, internal=InternalPolicy.pow_locks(),
             high_priority_fraction=0.1, seed=9,
-        )
+        ).build_config()
         system = SimulatedSystem(config)
         system.run(transactions=800)
         assert system.engine.lockmgr.preemptions > 0

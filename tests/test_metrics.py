@@ -100,14 +100,6 @@ class TestCollector:
         collector.on_completion(_completed_tx(3, 0.0, 0.0, 5.0, Priority.LOW))
         assert collector.mean_response_time(priority=Priority.HIGH) == 1.0
         assert collector.mean_response_time(priority=Priority.LOW) == 4.0
-        per_class = collector.per_class_response_times()
-        assert per_class == {Priority.HIGH: 1.0, Priority.LOW: 4.0}
-
-    def test_completed_after(self):
-        collector = MetricsCollector()
-        for tid in range(4):
-            collector.on_completion(_completed_tx(tid, 0.0, 0.0, float(tid)))
-        assert len(collector.completed_after(1.5)) == 2
 
     def test_restart_rate(self):
         collector = MetricsCollector()
@@ -116,15 +108,6 @@ class TestCollector:
         collector.on_completion(tx)
         collector.on_completion(_completed_tx(2, 0.0, 0.0, 2.0))
         assert collector.restart_rate() == pytest.approx(1.0)
-
-    def test_reset(self):
-        collector = MetricsCollector()
-        collector.on_arrival(Transaction(tid=1, type_name="t", cpu_demand=0,
-                                         page_accesses=0))
-        collector.on_completion(_completed_tx(1, 0.0, 0.0, 1.0))
-        collector.reset()
-        assert collector.arrivals == 0
-        assert collector.records == []
 
     def test_empty_collector_safe(self):
         collector = MetricsCollector()

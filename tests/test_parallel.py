@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.scenario import execute_scenario
 from repro.core.system import RunResult, canonical_jsonable
 from repro.experiments import figures
 from repro.experiments.__main__ import main as cli_main
@@ -16,7 +17,7 @@ from repro.experiments.parallel import (
     run_grid,
     using_runner,
 )
-from repro.experiments.runner import run_setup, scenario_for
+from repro.experiments.runner import scenario_for
 from repro.sim.random import derive_seed, replicate_seeds
 from repro.workloads.setups import get_setup
 
@@ -40,7 +41,7 @@ class TestDeterminism:
 
     def test_matches_direct_simulation(self):
         spec = scenario_for(get_setup(1), mpl=5, transactions=150, seed=3)
-        direct = run_setup(get_setup(1), mpl=5, transactions=150, seed=3)
+        direct = execute_scenario(spec).result
         pooled = ParallelRunner(jobs=2).run([spec, spec])
         assert pooled[0].to_json_dict() == direct.to_json_dict()
 
@@ -115,7 +116,9 @@ class TestFingerprints:
 
 class TestRunResultSerialization:
     def test_round_trip(self):
-        result = run_setup(get_setup(1), mpl=4, transactions=150, seed=2)
+        [result] = run_grid([
+            scenario_for(get_setup(1), mpl=4, transactions=150, seed=2)
+        ])
         rebuilt = RunResult.from_json_dict(
             json.loads(json.dumps(result.to_json_dict()))
         )
@@ -129,10 +132,10 @@ class TestRunResultSerialization:
         a non-numeric key would make ``from_json_dict`` raise and turn
         every cache lookup into a silent miss.
         """
-        result = run_setup(
+        [result] = run_grid([scenario_for(
             get_setup(1), mpl=4, transactions=150, seed=2,
             policy="priority", high_priority_fraction=0.2,
-        )
+        )])
         payload = result.to_json_dict()
         assert payload["response_time_by_class"]
         for field in ("response_time_by_class", "count_by_class"):
@@ -149,13 +152,16 @@ class TestActiveRunner:
         assert runner.stats.executed == 4
 
     def test_figures_hit_cache_through_run_setup(self, tmp_path):
+        """A figure's grid, submitted again, is served from the cache."""
         runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
+        grid = [scenario_for(get_setup(1), mpl=3, transactions=90, seed=4)]
         with using_runner(runner):
-            run_setup(get_setup(1), mpl=3, transactions=90, seed=4)
+            [cold] = run_grid(grid)
             assert runner.stats.executed == 1
-            run_setup(get_setup(1), mpl=3, transactions=90, seed=4)
+            [warm] = run_grid(grid)
             assert runner.stats.cache_hits == 1
             assert runner.stats.executed == 0
+        assert warm.to_json_dict() == cold.to_json_dict()
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,30 @@ import pytest
 
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
+from repro.experiments.parallel import run_grid
+from repro.experiments.runner import scenario_for
 from repro.priority.assignment import PriorityAssignment
-from repro.priority.evaluation import (
-    evaluate_external_prioritization,
-    evaluate_internal_prioritization,
-)
+from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
 from repro.workloads.setups import get_setup
+
+
+def prioritized(setup_id, transactions, seed, **prio):
+    """A §5 experiment as two cells: the prioritized run and its
+    untouched "No Prio" reference (same seed, no priorities, no MPL)."""
+    setup = get_setup(setup_id)
+    no_prio, result = run_grid([
+        scenario_for(setup, transactions=transactions, seed=seed),
+        scenario_for(
+            setup, transactions=transactions, seed=seed,
+            high_priority_fraction=HIGH_PRIORITY_FRACTION, **prio,
+        ),
+    ])
+    return outcome_from_runs("", prio.get("mpl"), result, no_prio)
+
+
+def external(mpl, transactions, seed=4):
+    """External prioritization of setup 1: priority dispatch at ``mpl``."""
+    return prioritized(1, transactions, seed, mpl=mpl, policy="priority")
 
 
 class TestPriorityAssignment:
@@ -43,46 +61,32 @@ class TestPriorityAssignment:
 
 class TestExternalPrioritization:
     def test_low_mpl_differentiates_strongly(self):
-        outcome = evaluate_external_prioritization(
-            get_setup(1), mpl=5, transactions=900, seed=4
-        )
+        outcome = external(mpl=5, transactions=900)
         assert outcome.high < outcome.low
         assert outcome.differentiation > 3.0
         # low-priority suffering stays bounded (paper: ~1.15-1.4x)
         assert outcome.low_penalty < 2.0
 
     def test_unlimited_mpl_removes_differentiation(self):
-        outcome = evaluate_external_prioritization(
-            get_setup(1), mpl=None, transactions=900, seed=4
-        )
+        outcome = external(mpl=None, transactions=900)
         assert outcome.differentiation < 2.0
 
     def test_lower_mpl_gives_more_differentiation(self):
-        tight = evaluate_external_prioritization(
-            get_setup(1), mpl=4, transactions=900, seed=4
-        )
-        loose = evaluate_external_prioritization(
-            get_setup(1), mpl=30, transactions=900, seed=4
-        )
+        tight = external(mpl=4, transactions=900)
+        loose = external(mpl=30, transactions=900)
         assert tight.differentiation > loose.differentiation
 
 
 class TestInternalPrioritization:
     def test_pow_locks_differentiate_on_lock_bound_setup(self):
-        outcome = evaluate_internal_prioritization(
-            get_setup(1), InternalPolicy.pow_locks(), transactions=900, seed=4
-        )
+        outcome = prioritized(1, 900, seed=4, internal=InternalPolicy.pow_locks())
         assert outcome.differentiation > 2.0
 
     def test_cpu_weights_differentiate_on_cpu_bound_setup(self):
-        outcome = evaluate_internal_prioritization(
-            get_setup(3), InternalPolicy.cpu_priorities(), transactions=500, seed=4
-        )
+        outcome = prioritized(3, 500, seed=4, internal=InternalPolicy.cpu_priorities())
         assert outcome.high < outcome.low
 
     def test_outcome_metrics_consistent(self):
-        outcome = evaluate_internal_prioritization(
-            get_setup(1), InternalPolicy.pow_locks(), transactions=600, seed=4
-        )
+        outcome = prioritized(1, 600, seed=4, internal=InternalPolicy.pow_locks())
         assert outcome.overall_penalty > 0
         assert 0.0 <= outcome.throughput_loss < 1.0

@@ -546,13 +546,11 @@ class TestResilienceDeterminism:
         )
 
     def test_jobs_2_reproduces_the_in_process_run(self, tmp_path):
-        from repro.experiments.runner import scenario_results
+        from repro.experiments.parallel import ParallelRunner
 
         spec = self._spec()
         direct = run_scenario(spec)[1].result
-        parallel = scenario_results(
-            [spec], jobs=2, cache_dir=str(tmp_path)
-        )[0]
+        parallel = ParallelRunner(jobs=2, cache_dir=str(tmp_path)).run([spec])[0]
         assert json.dumps(parallel.to_json_dict(), sort_keys=True) == (
             json.dumps(direct.to_json_dict(), sort_keys=True)
         )

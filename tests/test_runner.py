@@ -7,25 +7,27 @@ from repro.core.simulation import SimulatedSystem
 from repro.dbms.config import InternalPolicy, IsolationLevel
 from repro.experiments import figures
 from repro.experiments.parallel import ParallelRunner, run_grid, using_runner
-from repro.experiments.runner import setup_config, tuning_scenario
+from repro.experiments.runner import scenario_for, tuning_scenario
 from repro.workloads.setups import get_setup
 
 
 class TestSetupConfig:
     def test_carries_setup_pieces(self):
         setup = get_setup(14)  # UR isolation
-        config = setup_config(setup, mpl=7, policy="priority")
+        config = scenario_for(setup, mpl=7, policy="priority").build_config()
         assert config.isolation is IsolationLevel.UR
         assert config.mpl == 7
         assert config.policy == "priority"
         assert config.hardware == setup.hardware
 
     def test_internal_policy_forwarded(self):
-        config = setup_config(get_setup(1), internal=InternalPolicy.pow_locks())
+        config = scenario_for(
+            get_setup(1), internal=InternalPolicy.pow_locks()
+        ).build_config()
         assert config.internal.lock_scheduling.value == "pow"
 
     def test_open_mode(self):
-        config = setup_config(get_setup(1), arrival_rate=25.0)
+        config = scenario_for(get_setup(1), arrival_rate=25.0).build_config()
         assert config.arrival_rate == 25.0
 
 

@@ -630,12 +630,15 @@ class TestFeedbackScenario:
             arrival_rate=40.0, control=StaticMpl(None),
             measurement=MeasurementSpec(transactions=400), seed=5,
         )).result
-        legacy_cfg = ScenarioSpec(arrival_rate=40.0).build_config()
-        spec_cfg = ScenarioSpec(arrival=OpenArrivals(rate=40.0)).build_config()
+        legacy = ScenarioSpec(arrival_rate=40.0)
+        spelled = ScenarioSpec(arrival=OpenArrivals(rate=40.0))
+        assert legacy.is_open and spelled.is_open
         thresholds = Thresholds()
         assert model_jump_start(
-            legacy_cfg, reference, thresholds
-        ) == model_jump_start(spec_cfg, reference, thresholds, is_open=True)
+            legacy.build_config(), reference, thresholds, is_open=legacy.is_open
+        ) == model_jump_start(
+            spelled.build_config(), reference, thresholds, is_open=spelled.is_open
+        )
 
     def test_feedback_on_cluster_tunes_each_shard(self):
         spec = ScenarioSpec(

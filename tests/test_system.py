@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulation import SimulatedSystem, run_system
+from repro.core.simulation import SimulatedSystem
 from repro.core.system import RunResult, SystemConfig
 from repro.dbms.config import HardwareConfig
 from repro.dbms.transaction import Priority
@@ -30,7 +30,7 @@ def test_closed_run_completes_requested_transactions():
 
 
 def test_closed_saturated_throughput_matches_capacity():
-    result = run_system(_config(mpl=10), transactions=800)
+    result = SimulatedSystem(_config(mpl=10)).run(transactions=800)
     # 10ms exponential demands on one CPU: ~100 tx/s at saturation
     assert result.throughput == pytest.approx(100.0, rel=0.1)
 

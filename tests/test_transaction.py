@@ -38,12 +38,6 @@ def test_validation():
         _tx(page_accesses=-1)
 
 
-def test_demand_total():
-    tx = _tx(cpu_demand=0.010, page_accesses=10)
-    # 10 touches, 50% miss, 8ms per read -> 40ms I/O
-    assert tx.demand_total(0.008, 0.5) == pytest.approx(0.050)
-
-
 def test_priority_ordering():
     assert Priority.HIGH > Priority.LOW
     assert int(Priority.HIGH) == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.arrivals import OpenArrivals
 from repro.core.controller import Thresholds
 from repro.core.scenario import execute_scenario
 from repro.core.system import SystemConfig
@@ -11,7 +12,7 @@ from repro.core.tuner import (
     model_initial_mpl_throughput,
 )
 from repro.dbms.config import HardwareConfig
-from repro.experiments.runner import setup_config, tuning_scenario
+from repro.experiments.runner import scenario_for, tuning_scenario
 from repro.workloads.setups import get_setup
 from repro.workloads.synthetic import synthetic_workload
 
@@ -83,7 +84,35 @@ class TestTuningScenarioParity:
     @pytest.mark.parametrize("setup_id", [1, 11])
     def test_same_trajectory_and_final_mpl(self, setup_id):
         setup = get_setup(setup_id)
-        tuning = MplTuner(setup_config(setup), baseline_transactions=300).tune()
+        tuning = MplTuner(
+            scenario_for(setup).build_config(), baseline_transactions=300
+        ).tune()
         outcome = execute_scenario(tuning_scenario(setup, transactions=300))
         assert outcome.control == tuning.report
         assert outcome.result.mpl == tuning.final_mpl
+
+
+class TestOpenRegime:
+    """Every open spelling of the arrivals is tuned as an open system."""
+
+    def _config(self, **arrivals):
+        return SystemConfig(
+            workload=synthetic_workload("s", demand_mean_ms=20.0, scv=15.0),
+            hardware=HardwareConfig(num_cpus=1, num_disks=1, memory_mb=3072,
+                                    bufferpool_mb=1024),
+            seed=5,
+            **arrivals,
+        )
+
+    def test_open_arrival_spec_tunes_like_arrival_rate(self):
+        by_rate = MplTuner(
+            self._config(arrival_rate=40.0), baseline_transactions=400
+        ).tune()
+        by_spec = MplTuner(
+            self._config(arrival=OpenArrivals(rate=40.0)), baseline_transactions=400
+        ).tune()
+        # the §4.2 model ran: C² = 15 needs more than one slot
+        assert by_rate.model_mpl_response_time > 1
+        assert by_spec.model_mpl_response_time == by_rate.model_mpl_response_time
+        assert by_spec.initial_mpl == by_rate.initial_mpl
+        assert by_spec.final_mpl == by_rate.final_mpl
