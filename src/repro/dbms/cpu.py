@@ -19,8 +19,12 @@ Every pool event (an admission, the completion timer, a weight change)
 advances the clocks, completes each job whose tag is within 1e-9 of its
 clock (same-instant completions in submission order), re-divides the
 capacity over the classes by weighted max-min water-filling with a cap
-of one core per job, and arms one timer for the earliest
-(tag - V) / rate.  That is O(classes + log jobs) per event, the same
+of one core per job, and points the pool's one live timer at the
+earliest (tag - V) / rate: the timer moves in place when it is the
+agenda's earliest entry (:meth:`Agenda.retime`); otherwise it is
+disarmed, so the run loop pops it without a call, and a fresh one is
+armed.  A superseded timer never fires a callback.  That is
+O(classes + log jobs) per event, the same
 code for one class and for several.  The schedule is exact PS up to
 float rounding, not time-sliced; a class's clock restarts from zero
 whenever the class empties, so its tags stay small.  Busy time is not
@@ -83,8 +87,9 @@ class ProcessorSharingPool(Station):
         self._heaviest_first: List[_Class] = []  # the same classes, by weight
         self._handles = itertools.count(1)
         self._last_update = sim.now
-        self._timer_generation = 0
+        self._timer = None  # the one live completion timer, if armed
         self._timer_callback = self._on_timer  # no per-arm closure
+        self._retime = sim._agenda.retime
         self._fire = sim._fire_now  # same-instant completion lane
         self._work_completed = 0.0
 
@@ -252,13 +257,20 @@ class ProcessorSharingPool(Station):
                 if delay is None or eta < delay:
                     delay = eta
 
-        # one timer for it; the generation travels as the timer's value,
-        # so a superseded timer is recognized and ignored
-        self._timer_generation = generation = self._timer_generation + 1
-        if delay is not None:
-            timer = self.sim.timeout(delay, generation)
+        # one live timer for it: moved in place when it is the agenda's
+        # earliest entry, else disarmed (the run loop pops it uncalled)
+        # and replaced by a fresh one
+        timer = self._timer
+        if delay is None:
+            if timer is not None:
+                timer._cb = None
+                self._timer = None
+        elif timer is None or not self._retime(timer, now + delay):
+            if timer is not None:
+                timer._cb = None
+            self._timer = timer = self.sim.timeout(delay)
             timer._cb = self._timer_callback
 
     def _on_timer(self, event) -> None:
-        if event._value == self._timer_generation:  # else superseded
-            self._update()
+        self._timer = None  # unreferenced, so the fired timer recycles
+        self._update()

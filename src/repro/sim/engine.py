@@ -132,6 +132,23 @@ class Agenda:
             self._sequence = sequence
             dq.clear()
 
+    def retime(self, event: "Event", when: float) -> bool:
+        """Move ``event``, the heap's earliest entry, to time ``when``.
+
+        One ``heapreplace`` with a fresh sequence number: the agenda
+        ends up exactly as if the old entry had been dropped and
+        ``schedule(event, when)`` called.  Refuses — returns False and
+        changes nothing — when ``event`` is not the heap head, or when
+        ``when`` is not in the future (``schedule`` would route the
+        current instant to the FIFO).
+        """
+        heap = self._heap
+        if not heap or heap[0][2] is not event or when <= self._now:
+            return False
+        self._sequence = sequence = self._sequence + 1
+        heapq.heapreplace(heap, (when, sequence, event))
+        return True
+
     def peek(self) -> float:
         """Time of the earliest entry, or ``inf`` when empty."""
         if self._dq:

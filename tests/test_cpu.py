@@ -201,6 +201,57 @@ def test_many_jobs_conservation():
     assert cpu.busy_core_time == pytest.approx(sum(demands))
 
 
+def _armed_timers(sim, cpu):
+    agenda = sim._agenda
+    entries = [entry[2] for entry in agenda._heap] + list(agenda._dq)
+    return [event for event in entries if event._cb == cpu._timer_callback]
+
+
+def test_pool_keeps_one_live_timer_and_superseded_ones_never_fire():
+    """Every admission re-arms the timer; only the live one calls back."""
+    sim = Simulator()
+    cpu = ProcessorSharingPool(sim, cores=2)
+    callbacks = []
+    retimes = {True: 0, False: 0}
+    on_timer, retime = cpu._timer_callback, cpu._retime
+
+    def timer_spy(event):
+        assert event is cpu._timer  # never a superseded timer
+        callbacks.append(sim.now)
+        on_timer(event)
+
+    def retime_spy(event, when):
+        moved = retime(event, when)
+        retimes[moved] += 1
+        return moved
+
+    cpu._timer_callback, cpu._retime = timer_spy, retime_spy
+    finished = []
+
+    def job(delay, bursts):
+        yield sim.timeout(delay)
+        for demand in bursts:
+            yield cpu.execute(demand)
+            finished.append(sim.now)
+            assert len(_armed_timers(sim, cpu)) <= 1
+
+    # back-to-back bursts re-arm a timer that is the agenda's head (moved
+    # in place); delayed arrivals re-arm one that is not (disarmed)
+    jobs = [
+        (0.0, (0.3, 0.2, 0.5)), (0.0, (0.25, 0.4)),
+        (0.1, (0.6, 0.1, 0.15)), (0.35, (0.05, 0.7)),
+    ]
+    for delay, bursts in jobs:
+        sim.process(job(delay, bursts))
+    sim.run()
+    assert retimes[True] > 0 and retimes[False] > 0
+    # one callback per completion instant, each through the live timer
+    assert callbacks == sorted(set(finished))
+    assert cpu.active_jobs == 0 and cpu._timer is None
+    assert cpu.work_completed == pytest.approx(sum(sum(b) for _, b in jobs))
+    assert sim.timeout_reuses > 0  # fired and disarmed timers recycle
+
+
 # -- set_weight ------------------------------------------------------------
 
 

@@ -215,6 +215,39 @@ class TestAgenda:
         assert len(agenda) == 2
         assert bool(agenda)
 
+    def test_retime_moves_the_head_with_a_fresh_sequence(self):
+        sim = Simulator()
+        order = []
+        events = {}
+        for name, when in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+            events[name] = event = Event(sim)
+            event.add_callback(lambda e, name=name: order.append((sim.now, name)))
+            sim._agenda.schedule(event, when)
+        assert sim._agenda.retime(events["a"], 3.0)
+        assert len(sim._agenda) == 3  # moved, not duplicated
+        sim.run()
+        # a now ties with c and is younger, as if scheduled afresh
+        assert order == [(2.0, "b"), (3.0, "c"), (3.0, "a")]
+
+    def test_retime_refuses_the_current_instant(self):
+        sim = Simulator()
+        event = Event(sim)
+        sim._agenda.schedule(event, 5.0)
+        heap = list(sim._agenda._heap)
+        assert not sim._agenda.retime(event, 0.0)  # == now
+        assert sim._agenda._heap == heap and not sim._agenda._dq
+
+    def test_retime_refuses_an_event_that_is_not_the_head(self):
+        sim = Simulator()
+        head, later, loose = Event(sim), Event(sim), Event(sim)
+        sim._agenda.schedule(head, 1.0)
+        sim._agenda.schedule(later, 2.0)
+        heap = list(sim._agenda._heap)
+        assert not sim._agenda.retime(later, 4.0)
+        assert not sim._agenda.retime(loose, 4.0)  # not scheduled at all
+        assert sim._agenda._heap == heap
+        assert not Agenda().retime(head, 4.0)  # empty heap
+
     @settings(max_examples=80, deadline=None)
     @given(
         roots=st.lists(
