@@ -306,8 +306,16 @@ class DatabaseEngine:
 
     # -- POW preemption --------------------------------------------------------
 
-    def _preempt(self, victim: Transaction) -> None:
+    def _preempt(self, victim: Transaction) -> bool:
+        """Interrupt ``victim`` for POW; whether an eviction was made.
+
+        Two high-priority requests at one instant can both find the
+        victim blocked before the first interrupt lands; the second
+        must not throw again — it would land during the restart
+        backoff, where only a deadline is caught.
+        """
         process = self._active.get(victim.tid)
-        if process is None or not process.is_alive:
-            return
+        if process is None or not process.is_alive or process.interrupt_pending:
+            return False
         process.interrupt(PreemptionError(f"tx {victim.tid} preempted (POW)"))
+        return True

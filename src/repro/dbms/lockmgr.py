@@ -92,7 +92,9 @@ class LockManager(Station):
     preempt:
         Callback ``preempt(tx)`` invoked when POW decides to evict a
         low-priority holder; the engine aborts and restarts that
-        transaction.  Required when ``policy`` is POW.
+        transaction.  It returns whether it evicted (False when an
+        eviction is already in flight); :attr:`preemptions` counts the
+        evictions made.  Required when ``policy`` is POW.
     """
 
     is_server = False
@@ -101,7 +103,7 @@ class LockManager(Station):
         self,
         sim: Simulator,
         policy: LockSchedulingPolicy = LockSchedulingPolicy.FIFO,
-        preempt: Optional[Callable[[Transaction], None]] = None,
+        preempt: Optional[Callable[[Transaction], bool]] = None,
     ):
         if policy is LockSchedulingPolicy.POW and preempt is None:
             raise ValueError("POW policy requires a preempt callback")
@@ -351,9 +353,9 @@ class LockManager(Station):
             if holder is None or holder.priority >= request.tx.priority:
                 continue
             if tid in self._waiting:  # holder is itself stuck at another queue
-                self.preemptions += 1
                 assert self._preempt is not None
-                self._preempt(holder)
+                if self._preempt(holder):
+                    self.preemptions += 1
 
     # -- housekeeping ---------------------------------------------------------
 

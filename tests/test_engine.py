@@ -134,6 +134,38 @@ def test_deadlock_restarts_and_eventually_commits():
     assert engine.lockmgr.holders_of(1) == {}
 
 
+def test_pow_preempts_a_blocked_holder_once_for_same_instant_requests():
+    """Two high-priority requests at one instant evict the holder once.
+
+    X holds item 3; L holds item 1 and blocks on item 3.  H1 and H2
+    both request item 1 at t=1, before the first eviction lands: a
+    second interrupt would hit L during its restart backoff.
+    """
+    sim = Simulator()
+    engine = _engine(sim, internal=InternalPolicy.pow_locks())
+    x = _tx(1, cpu=2.0, locks=[(3, True)])
+    low = _tx(2, cpu=0.020, locks=[(1, True), (3, True)])
+    highs = [
+        _tx(tid, cpu=0.010, locks=[(1, True)], priority=Priority.HIGH)
+        for tid in (3, 4)
+    ]
+    engine.execute(x)
+    engine.execute(low)
+
+    def arrive():
+        yield sim.timeout(1.0)
+        assert engine.lockmgr.is_waiting(low)
+        for high in highs:
+            engine.execute(high)
+
+    sim.process(arrive())
+    sim.run()
+    assert engine.committed == 4
+    assert low.restarts == 1 and engine.restarts == 1
+    assert engine.lockmgr.preemptions == 1  # evictions made, not attempted
+    assert all(high.completion_time < 1.1 for high in highs)
+
+
 def test_io_bound_transaction_uses_disks():
     sim = Simulator()
     hardware = HardwareConfig(num_cpus=1, num_disks=1, memory_mb=512,

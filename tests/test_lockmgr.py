@@ -217,6 +217,7 @@ def test_pow_preempts_blocked_low_priority_holder():
     def preempt(tx):
         preempted.append(tx.tid)
         lockmgr.abort(tx)
+        return True  # evicted
 
     lockmgr = LockManager(sim, policy=LockSchedulingPolicy.POW, preempt=preempt)
     blocker = _tx(1, Priority.LOW)
@@ -257,6 +258,7 @@ def test_pow_does_not_preempt_running_holder():
     def preempt(tx):
         preempted.append(tx.tid)
         lockmgr.abort(tx)
+        return True  # evicted
 
     lockmgr = LockManager(sim, policy=LockSchedulingPolicy.POW, preempt=preempt)
     holder = _tx(1, Priority.LOW)
