@@ -256,6 +256,7 @@ class DatabaseEngine:
 
         # hot-loop locals: one lookup per attempt instead of per yield
         acquire = self.lockmgr.acquire
+        done = self.sim.done  # a zero-wait grant: nothing to wait for
         execute = self.cpu.execute
         submit = self.disks.submit
         priority = tx.priority
@@ -265,7 +266,9 @@ class DatabaseEngine:
             while lock_index < num_locks and lock_schedule[lock_index] <= segment:
                 item, exclusive = locks[lock_index]
                 lock_index += 1
-                yield acquire(tx, item, exclusive)
+                grant = acquire(tx, item, exclusive)
+                if grant is not done:
+                    yield grant
             if cpu_slice > 0:
                 yield execute(cpu_slice, weight, priority)
             if segment < misses:

@@ -122,6 +122,7 @@ class LockManager(Station):
         # changing the container would silently reorder contended runs.
         self._held: Dict[int, Set[int]] = {}
         self._seq = itertools.count()
+        self._done = sim.done  # what a zero-wait grant returns
         # statistics
         self.deadlocks = 0
         self.preemptions = 0
@@ -133,7 +134,12 @@ class LockManager(Station):
     def acquire(self, tx: Transaction, item: int, exclusive: bool) -> Event:
         """Request ``item`` in the given mode; fires when granted.
 
-        The event fails with :class:`DeadlockError` when granting would
+        A new or re-entrant lock is granted on the spot and the result
+        is :attr:`Simulator.done`, already processed: a caller may skip
+        the yield (``if grant is not sim.done``), and yielding it
+        resumes at once without an agenda entry.  Otherwise the result
+        is a fresh event that fires when the queued request is granted,
+        or fails with :class:`DeadlockError` when granting would
         deadlock.  Grants are strict two-phase: locks stay held until
         :meth:`release_all`.
         """
@@ -157,13 +163,13 @@ class LockManager(Station):
             if stats is None:
                 stats = self.per_class[priority] = ClassStats()
             stats.requests += 1
-            return self.sim.fired()
+            return self._done
 
         held_mode = lock.holders.get(tx.tid)
         if held_mode is not None:
             if held_mode or not exclusive:
                 self._record(tx.priority)
-                return self.sim.fired()  # re-entrant: strong-enough mode held
+                return self._done  # re-entrant: strong-enough mode held
             upgrade = True
         else:
             upgrade = False

@@ -36,6 +36,9 @@ millions of events, almost all of which have exactly one waiter:
   directly (no per-step closures, no per-interrupt closures) and
   schedules itself without intermediate helper events beyond the
   initial bootstrap.
+* **Zero-wait grants** — :attr:`Simulator.done` is one shared,
+  already-processed event; a waiter that yields it resumes in the same
+  step, with no agenda entry.
 
 None of this changes observable semantics: event ordering, values and
 callback sequencing are identical to the straightforward
@@ -407,26 +410,34 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome (the only
-        stepping path: resumes, failures and interrupts all land here)."""
+        stepping path: resumes, failures and interrupts all land here).
+
+        A yielded event that is already processed (such as
+        :attr:`Simulator.done`) resumes the generator again in the same
+        step — a loop, so a long run of them cannot exhaust the stack.
+        """
         self._waiting_on = None
-        value = event._value
-        try:
-            if event._ok or not isinstance(value, BaseException):
-                target = self._generator.send(value)
-            else:
-                target = self._generator.throw(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an Event"
-            )
+        generator = self._generator
+        while True:
+            value = event._value
+            try:
+                if event._ok or not isinstance(value, BaseException):
+                    target = generator.send(value)
+                else:
+                    target = generator.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}, expected an Event"
+                )
+            if not target._processed:
+                break
+            event = target
         self._waiting_on = target
         # inlined add_callback: the single-waiter case is ~all of them
-        if target._processed:
-            self._resume(target)
-        elif target._cb is None:
+        if target._cb is None:
             target._cb = self._bound_resume
         else:
             target.add_callback(self._bound_resume)
@@ -473,6 +484,13 @@ class Simulator:
         self._fire_now = self._agenda._dq.append
         self._timeout_pool: list = []
         self._event_pool: list = []  # recycled plain Events (see run())
+        #: One shared, already-processed event: what a zero-wait grant
+        #: (an uncontended lock) hands back.  Yielding it resumes the
+        #: process in the same step and adds no agenda entry;
+        #: ``add_callback`` runs at once, ``succeed``/``fail`` raise.
+        #: It is never scheduled, so it never reaches a free list.
+        self.done = done = Event(self)
+        done._triggered = done._processed = True
         #: Timeout events served from the free list (introspection/tests).
         self.timeout_reuses = 0
 
@@ -498,9 +516,10 @@ class Simulator:
     def fired(self, value: Any = None) -> Event:
         """An event already scheduled to fire at the current instant.
 
-        Equivalent to ``event().succeed(value)`` in one hop — the
-        shape every zero-wait grant (an uncontended lock, an empty
-        admission check) hands back to its waiter.  Serves from the
+        Equivalent to ``event().succeed(value)`` in one hop — for a
+        grant that must still cost its waiter one same-instant step (a
+        zero-demand CPU burst, an empty admission check; an
+        uncontended lock hands back :attr:`done` instead).  Serves from the
         plain-event free list the run loop maintains (same
         refcount-proof recycling as timeouts).
         """

@@ -389,6 +389,71 @@ def test_fired_preserves_scheduling_order_with_succeed():
     assert order == ["succeed", "fired"]
 
 
+# -- Simulator.done: the shared zero-wait event ---------------------------------
+
+
+def test_done_is_processed_and_cannot_fire_again():
+    sim = Simulator()
+    done = sim.done
+    assert done.triggered and done.processed and done.ok and done.value is None
+    with pytest.raises(SimulationError):
+        done.succeed()
+    with pytest.raises(SimulationError):
+        done.fail(ValueError("x"))
+    assert done.processed and done.value is None
+    assert Simulator().done is not done  # one per simulator
+
+
+def test_add_callback_on_done_runs_at_once():
+    sim = Simulator()
+    seen = []
+    sim.done.add_callback(seen.append)
+    assert seen == [sim.done]
+    assert sim.done._cb is None and sim.done.callbacks is None
+
+
+def test_yielding_done_resumes_in_the_same_step_without_an_agenda_entry():
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("first:before")
+        entries = len(sim._agenda)
+        value = yield sim.done
+        assert len(sim._agenda) == entries and value is None
+        order.append("first:after")
+
+    def second():
+        order.append("second")
+        yield sim.timeout(1.0)
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    # a scheduled zero-delay event would have let `second` run in between
+    assert order == ["first:before", "first:after", "second"]
+
+
+def test_done_never_reaches_a_free_list():
+    sim = Simulator()
+
+    def proc():
+        for _ in range(5000):  # a long run resumes in a loop, not by recursion
+            yield sim.done
+        for _ in range(20):
+            yield sim.event().succeed()
+            yield sim.timeout(0.1)
+
+    process = sim.process(proc())
+    sim.run()
+    assert process.processed and process.ok
+    assert sim._event_pool and sim.timeout_reuses > 0  # the free lists did fill
+    assert all(event is not sim.done for event in sim._event_pool)
+    assert all(event is not sim.done for event in sim._timeout_pool)
+    assert sim.event() is not sim.done
+    assert sim.done.processed and sim.done.triggered
+
+
 # -- Timeout identity through the free list -----------------------------------
 
 

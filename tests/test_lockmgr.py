@@ -102,6 +102,21 @@ def test_reentrant_grant():
     assert done == [0.0]
 
 
+def test_zero_wait_grants_return_done_without_an_agenda_entry():
+    sim = Simulator()
+    lockmgr = LockManager(sim)
+    t1, t2 = _tx(1), _tx(2)
+    entries = len(sim._agenda)
+    assert lockmgr.acquire(t1, 7, True) is sim.done  # new lock
+    assert lockmgr.acquire(t1, 7, True) is sim.done  # re-entrant
+    assert lockmgr.acquire(t1, 7, False) is sim.done  # weaker mode held
+    assert lockmgr.acquire(t2, 8, False) is sim.done  # another new lock
+    assert len(sim._agenda) == entries
+    assert lockmgr.per_class[Priority.LOW].requests == 4
+    blocked = lockmgr.acquire(t2, 7, False)  # a real wait still gets an event
+    assert blocked is not sim.done and not blocked.triggered
+
+
 def test_upgrade_waits_for_other_readers():
     sim = Simulator()
     lockmgr = LockManager(sim)
