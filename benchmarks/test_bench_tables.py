@@ -4,8 +4,6 @@ Paper bands: C^2 is 1.0-1.5 for TPC-C, ~15 for TPC-W, ~2 for the
 commercial traces.
 """
 
-import re
-
 from repro.experiments.tables import table1, table2, variability_table
 
 

@@ -23,12 +23,12 @@ of one core per job, and points the pool's one live timer at the
 earliest (tag - V) / rate: the timer moves in place when it is the
 agenda's earliest entry (:meth:`Agenda.retime`); otherwise it is
 disarmed, so the run loop pops it without a call, and a fresh one is
-armed.  A superseded timer never fires a callback.  That is
-O(classes + log jobs) per event, the same
-code for one class and for several.  The schedule is exact PS up to
-float rounding, not time-sliced; a class's clock restarts from zero
-whenever the class empties, so its tags stay small.  Busy time is not
-integrated per event but read off the clocks (:attr:`busy_core_time`).
+armed.  A superseded timer never fires a callback.  That is O(classes
++ log jobs) per event, the same code for one class and for several.
+The schedule is exact PS up to float rounding, not time-sliced; a
+class's clock restarts from zero whenever the class empties, so its
+tags stay small.  Busy time is not integrated per event but read off
+the clocks (:attr:`busy_core_time`).
 """
 
 from __future__ import annotations
@@ -261,13 +261,12 @@ class ProcessorSharingPool(Station):
         # earliest entry, else disarmed (the run loop pops it uncalled)
         # and replaced by a fresh one
         timer = self._timer
-        if delay is None:
-            if timer is not None:
-                timer._cb = None
-                self._timer = None
-        elif timer is None or not self._retime(timer, now + delay):
-            if timer is not None:
-                timer._cb = None
+        if timer is not None:
+            if delay is not None and self._retime(timer, now + delay):
+                return
+            timer._cb = None
+            self._timer = None
+        if delay is not None:
             self._timer = timer = self.sim.timeout(delay)
             timer._cb = self._timer_callback
 

@@ -10,7 +10,7 @@ simulated hardware.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 class Priority(enum.IntEnum):

@@ -3,9 +3,10 @@
 Covers the corners the drain loop introduced: ``run(until=)`` landing
 exactly on an event timestamp, the timeout free-list boundary,
 interrupting a process that is blocked inside a same-timestamp batch,
-empty-agenda ``peek()``, the :class:`Agenda` lanes, the (time,
-insertion) firing order of :meth:`Simulator.run` under every stop
-condition, and in-kernel :class:`KernelHooks` counting.
+empty-agenda ``peek()``, the :class:`Agenda` lanes and its
+``retime``, the (time, insertion) firing order of :meth:`Simulator.run`
+under every stop condition, in-kernel :class:`KernelHooks` counting,
+and the shared zero-wait event :attr:`Simulator.done`.
 """
 
 import pytest
