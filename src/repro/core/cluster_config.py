@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.arrivals import ArrivalSpec
-from repro.core.system import SystemConfig, canonical_jsonable, content_digest
+from repro.core.system import SystemConfig, content_digest
 from repro.sim.random import derive_seed
 
 
@@ -204,10 +204,6 @@ class ClusterConfig:
 
     # -- fingerprinting ------------------------------------------------------
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Canonical JSON-encodable view (see :func:`canonical_jsonable`)."""
-        return canonical_jsonable(self)
-
     def fingerprint(self, **extra: Any) -> str:
         """Content hash of this cluster (plus run parameters).
 
@@ -218,7 +214,7 @@ class ClusterConfig:
         """
         if len(self.shards) == 1 and self.replicas_per_shard == 0:
             return self.shards[0].fingerprint(**extra)
-        return content_digest(self.to_jsonable(), extra)
+        return content_digest(self, extra)
 
 
 AnyConfig = Union[SystemConfig, ClusterConfig]

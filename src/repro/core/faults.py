@@ -28,7 +28,7 @@ import dataclasses
 from typing import Dict, Tuple
 
 from repro.core.spec_codec import UNIONS, check_fields, spec_field
-from repro.core.system import canonical_jsonable, content_digest
+from repro.core.system import content_digest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +47,7 @@ class FaultEvent:
 
     def fingerprint(self) -> str:
         """Content digest of this single event (class name included)."""
-        return content_digest(canonical_jsonable(self), {})
+        return content_digest(self, {})
 
     def describe(self) -> str:
         return f"t={self.at:g}s {self.kind} shard {self.shard}"
@@ -118,4 +118,4 @@ class FaultSpec:
 
     def fingerprint(self) -> str:
         """Content digest of the whole timeline."""
-        return content_digest(canonical_jsonable(self), {})
+        return content_digest(self, {})

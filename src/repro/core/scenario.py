@@ -94,7 +94,6 @@ from repro.core.spec_codec import ScenarioValidationError, check_fields, spec_fi
 from repro.core.system import (
     RunResult,
     SystemConfig,
-    canonical_jsonable,
     content_digest,
 )
 from repro.dbms.config import (
@@ -128,7 +127,7 @@ def component_fingerprint(spec: Any) -> str:
     fingerprint iff that axis is identical, regardless of every other
     axis.
     """
-    return content_digest(canonical_jsonable(spec), {})
+    return content_digest(spec, {})
 
 
 # -- the axes ------------------------------------------------------------------
@@ -173,10 +172,10 @@ class WorkloadRef:
 
             setup = get_setup(self.setup_id)
             return setup.workload, setup.hardware, setup.isolation
-        from repro.workloads.traces import get_trace, trace_workload
+        from repro.workloads.traces import get_trace
 
         trace = get_trace(self.trace, self.trace_transactions, self.trace_seed)
-        return trace_workload(trace), HardwareConfig(), IsolationLevel.RR
+        return trace.workload, HardwareConfig(), IsolationLevel.RR
 
 
 @dataclasses.dataclass(frozen=True)
@@ -832,17 +831,17 @@ class ScenarioSpec:
             "warmup_fraction": self.measurement.warmup_fraction,
         }
         if not isinstance(self.control, StaticMpl):
-            extra["control"] = canonical_jsonable(self.control)
+            extra["control"] = self.control
         if self.measurement.metrics != ("standard",):
             extra["metrics"] = list(self.measurement.metrics)
         if self.measurement.timeline_bucket_s != 1.0:
             extra["timeline_bucket_s"] = self.measurement.timeline_bucket_s
         if self.faults is not None:
-            extra["faults"] = canonical_jsonable(self.faults)
+            extra["faults"] = self.faults
         if self.resilience is not None:
-            extra["resilience"] = canonical_jsonable(self.resilience)
+            extra["resilience"] = self.resilience
         if self.distributed is not None:
-            extra["distributed"] = canonical_jsonable(self.distributed)
+            extra["distributed"] = self.distributed
         return self.build_config().fingerprint(**extra)
 
     def component_fingerprints(self) -> Dict[str, str]:

@@ -2,7 +2,7 @@
 
 :class:`SystemConfig` describes one engine behind the external
 scheduler and content-hashes into the result cache's key
-(:func:`canonical_jsonable`, :func:`content_digest`); a
+(:func:`canonical_json`, :func:`content_digest`); a
 :class:`RunResult` is a run's post-warmup measurements.  Both are pure
 data: the system that runs a config lives in
 :mod:`repro.core.simulation`.
@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
-from typing import Any, Dict, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.arrivals import (
     ArrivalSpec,
@@ -27,15 +27,19 @@ from repro.dbms.transaction import Priority
 from repro.workloads.spec import WorkloadSpec
 
 
-def canonical_jsonable(value: Any) -> Any:
-    """A deterministic, JSON-encodable view of a config object graph.
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of a config object graph.
 
     Dataclasses and plain objects become ``{"__class__": name, ...}``
-    maps, enums their values, dicts get string keys (sorted by
-    :func:`json.dumps` at hash time).  The encoding is *canonical* —
-    two structurally equal configs encode identically regardless of
-    construction order — which is what makes content-addressed result
-    caching sound.  It is not meant to round-trip back into objects.
+    objects, enums their values, dicts get string keys, tuples are
+    lists, and every object's keys are sorted; the text has no
+    whitespace and escapes non-ASCII characters, floats as
+    ``float.__repr__`` with ``NaN``/``Infinity``, exactly as
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` would
+    spell that view.  The encoding is *canonical* — two structurally
+    equal configs encode identically regardless of construction order —
+    which is what makes content-addressed result caching sound.  It is
+    not meant to round-trip back into objects.
 
     A dataclass may declare ``FINGERPRINT_OMIT_DEFAULTS`` (a set of
     field names): those fields are left out of the encoding while they
@@ -43,50 +47,179 @@ def canonical_jsonable(value: Any) -> Any:
     go there, so every pre-existing config keeps its exact content hash
     — and hence its cache entries — while non-default values of the
     new field still change the hash as they must.
+
+    One walk writes the text: each dataclass type's field plan (sorted
+    keys, their encoded text, the omitted defaults) is built on first
+    sight, and a :class:`~repro.workloads.spec.WorkloadSpec`'s text is
+    kept on the instance, because the workload is most of a config's
+    text and the registry's instances are shared by every cell.  That
+    is sound: the class is frozen, and ``dataclasses.replace`` builds a
+    new instance that encodes afresh.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        omit = getattr(type(value), "FINGERPRINT_OMIT_DEFAULTS", ())
-        fields = {}
-        for f in dataclasses.fields(value):
-            field_value = getattr(value, f.name)
-            if f.name in omit and field_value == f.default:
-                continue
-            fields[f.name] = canonical_jsonable(field_value)
-        return {"__class__": type(value).__name__, **fields}
-    if isinstance(value, dict):
-        # enum keys encode by value so the encoding is stable across
-        # Python versions (IntEnum.__str__ changed in 3.11)
-        return {
-            str(k.value if isinstance(k, enum.Enum) else k): canonical_jsonable(v)
-            for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [canonical_jsonable(v) for v in value]
-    # Distributions and other plain parameter objects: class name plus
-    # their instance attributes (floats/ints/lists, possibly nested).
-    state = getattr(value, "__dict__", None)
-    if state is not None:
-        return {
-            "__class__": type(value).__name__,
-            **{k: canonical_jsonable(v) for k, v in sorted(state.items())},
-        }
-    raise TypeError(f"cannot canonically encode {type(value).__name__}: {value!r}")
+    parts: List[str] = []
+    _write(value, parts.append)
+    return "".join(parts)
 
 
-def content_digest(config_payload: Any, extra: Dict[str, Any]) -> str:
-    """The canonical sha256 over a config payload + run parameters.
+def content_digest(config: Any, extra: Dict[str, Any]) -> str:
+    """The canonical sha256 over a config + run parameters.
 
     The single hashing recipe behind every content-addressed cache key
     (:meth:`SystemConfig.fingerprint`,
-    :meth:`~repro.core.cluster_config.ClusterConfig.fingerprint`).
+    :meth:`~repro.core.cluster_config.ClusterConfig.fingerprint`): the
+    hash of ``{"config": config, "extra": extra}``'s canonical JSON.
     """
-    payload = {"config": config_payload, "extra": canonical_jsonable(extra)}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    text = canonical_json({"config": config, "extra": extra})
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_Out = Callable[[str], None]
+#: Appends one value's canonical JSON text through ``out``.
+_Writer = Callable[[Any, _Out], None]
+
+#: JSON's spelling of the floats whose ``float.__repr__`` it does not use.
+_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Instance attribute keeping a :class:`WorkloadSpec`'s canonical text.
+_WORKLOAD_TEXT = "_canonical_json"
+
+
+def _write(value: Any, out: _Out) -> None:
+    cls = type(value)
+    (_WRITERS.get(cls) or _writer_for(cls))(value, out)
+
+
+def _write_float(value: float, out: _Out) -> None:
+    text = float.__repr__(value)
+    out(_FLOAT_SPELLING.get(text, text))
+
+
+def _write_sequence(value: Any, out: _Out) -> None:
+    sep = "["
+    for item in value:
+        out(sep)
+        _write(item, out)
+        sep = ","
+    out("]" if sep == "," else "[]")
+
+
+def _write_members(members: Dict[str, Any], out: _Out) -> None:
+    """A JSON object with ``members``' keys in sorted order."""
+    sep = "{"
+    for key in sorted(members):
+        out(sep)
+        out(encode_basestring_ascii(key))
+        out(":")
+        _write(members[key], out)
+        sep = ","
+    out("}" if sep == "," else "{}")
+
+
+def _write_dict(value: Dict[Any, Any], out: _Out) -> None:
+    # enum keys encode by value so the encoding is stable across
+    # Python versions (IntEnum.__str__ changed in 3.11)
+    _write_members(
+        {str(k.value if isinstance(k, enum.Enum) else k): v for k, v in value.items()},
+        out,
+    )
+
+
+def _write_object(value: Any, out: _Out) -> None:
+    # Distributions and other plain parameter objects: class name plus
+    # their instance attributes (floats/ints/lists, possibly nested).
+    state = getattr(value, "__dict__", None)
+    if state is None:
+        raise TypeError(f"cannot canonically encode {type(value).__name__}: {value!r}")
+    _write_members({"__class__": type(value).__name__, **state}, out)
+
+
+def _dataclass_writer(cls: type) -> _Writer:
+    """``cls``'s field plan, compiled into the writer of its instances.
+
+    The plan lists the members in key order, ``__class__`` among them,
+    each as (field name or None for the class, encoded key, whether the
+    field is omitted at its default, that default).
+    """
+    omit = getattr(cls, "FINGERPRINT_OMIT_DEFAULTS", ())
+    class_text = encode_basestring_ascii(cls.__name__)
+    members = [("__class__", None, False, None)] + [
+        (f.name, f.name, f.name in omit, f.default) for f in dataclasses.fields(cls)
+    ]
+    plan = [
+        (name, encode_basestring_ascii(key) + ":", omits, default)
+        for key, name, omits, default in sorted(members, key=lambda member: member[0])
+    ]
+
+    def write(value: Any, out: _Out) -> None:
+        sep = "{"
+        for name, key, omits, default in plan:
+            if name is None:
+                out(sep)
+                out(key)
+                out(class_text)
+            else:
+                field_value = getattr(value, name)
+                if omits and field_value == default:
+                    continue
+                out(sep)
+                out(key)
+                _write(field_value, out)
+            sep = ","
+        out("}")
+
+    if not issubclass(cls, WorkloadSpec):
+        return write
+
+    def write_workload(value: Any, out: _Out) -> None:
+        text = value.__dict__.get(_WORKLOAD_TEXT)
+        if text is None:
+            parts: List[str] = []
+            write(value, parts.append)
+            text = "".join(parts)
+            # not a dataclass field: equality, hashing and fields() ignore it
+            object.__setattr__(value, _WORKLOAD_TEXT, text)
+        out(text)
+
+    return write_workload
+
+
+def _writer_for(cls: type) -> _Writer:
+    """Pick (and remember) the writer of ``cls``'s instances.
+
+    The order is the encoding's: subclasses of ``bool``/``int``/
+    ``float``/``str`` (``IntEnum``, str enums) encode as those, other
+    enums as their value, then dataclasses, dicts, lists and tuples,
+    and plain objects by their attributes.
+    """
+    for base in (bool, int, float, str):
+        if issubclass(cls, base):
+            writer = _WRITERS[base]
+            break
+    else:
+        if issubclass(cls, enum.Enum):
+            writer = lambda value, out: _write(value.value, out)  # noqa: E731
+        elif dataclasses.is_dataclass(cls):
+            writer = _dataclass_writer(cls)
+        elif issubclass(cls, dict):
+            writer = _write_dict
+        elif issubclass(cls, (list, tuple)):
+            writer = _write_sequence
+        else:
+            writer = _write_object
+    _WRITERS[cls] = writer
+    return writer
+
+
+_WRITERS: Dict[type, _Writer] = {
+    type(None): lambda value, out: out("null"),
+    bool: lambda value, out: out("true" if value else "false"),
+    int: lambda value, out: out(int.__repr__(value)),
+    float: _write_float,
+    str: lambda value, out: out(encode_basestring_ascii(value)),
+    list: _write_sequence,
+    tuple: _write_sequence,
+    dict: _write_dict,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,17 +278,13 @@ class SystemConfig:
             return fraction_high_assigner(self.high_priority_fraction)
         return None
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Canonical JSON-encodable view (see :func:`canonical_jsonable`)."""
-        return canonical_jsonable(self)
-
     def fingerprint(self, **extra: Any) -> str:
         """Content hash of this config (plus run parameters in ``extra``).
 
         Two configs share a fingerprint iff they describe the same
         simulation — the cache key of the parallel experiment runner.
         """
-        return content_digest(self.to_jsonable(), extra)
+        return content_digest(self, extra)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -123,7 +123,7 @@ class Exponential(Distribution):
 
     # NB: no derived attributes — a Distribution's ``__dict__`` is part
     # of the canonical config encoding, so every instance attribute is
-    # fingerprint-relevant (see repro.core.system.canonical_jsonable).
+    # fingerprint-relevant (see repro.core.system.canonical_json).
 
     def __init__(self, mean: float):
         if mean <= 0:

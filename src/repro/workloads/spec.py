@@ -110,7 +110,8 @@ class WorkloadSpec:
             raise ValueError("hot_set_size and item_space must be positive")
         # Sampling hot-path constants (frozen dataclass, so set via
         # object.__setattr__; not dataclass fields, so fingerprints and
-        # equality are untouched).
+        # equality are untouched).  repro.core.system.canonical_json
+        # keeps the spec's canonical text the same way, on first use.
         object.__setattr__(self, "_total_weight", sum(t.weight for t in self.types))
         object.__setattr__(self, "_hot_bits", self.hot_set_size.bit_length())
         object.__setattr__(self, "_item_bits", self.item_space.bit_length())

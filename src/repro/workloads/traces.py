@@ -83,6 +83,16 @@ class Trace:
             )
         return hasher.hexdigest()
 
+    @functools.cached_property
+    def workload(self) -> WorkloadSpec:
+        """This trace's :func:`trace_workload`, built once per trace.
+
+        Traces are shared through :func:`get_trace`'s memo, so every
+        cell naming one resolves to this one workload instance, and its
+        canonical text (part of each cell's cache key) is encoded once.
+        """
+        return trace_workload(self)
+
 
 def _generate_trace(
     name: str,

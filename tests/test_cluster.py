@@ -34,7 +34,7 @@ from repro.core.scenario import (
     execute_scenario,
 )
 from repro.core.simulation import SimulatedSystem
-from repro.core.system import SystemConfig
+from repro.core.system import SystemConfig, canonical_json
 from repro.experiments import figures
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import scenario_for
@@ -145,8 +145,8 @@ class TestClusterConfig:
     def test_jsonable_round_trips_through_json(self):
         import json
 
-        payload = ClusterConfig.scale_out(_base(), 2).to_jsonable()
-        assert json.loads(json.dumps(payload))["__class__"] == "ClusterConfig"
+        payload = canonical_json(ClusterConfig.scale_out(_base(), 2))
+        assert json.loads(payload)["__class__"] == "ClusterConfig"
 
     def test_validation(self):
         with pytest.raises(ValueError):

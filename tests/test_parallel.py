@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.scenario import execute_scenario
-from repro.core.system import RunResult, canonical_jsonable
+from repro.core.system import RunResult, canonical_json
 from repro.experiments import figures
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.parallel import (
@@ -110,7 +110,7 @@ class TestFingerprints:
 
     def test_canonical_jsonable_roundtrips_to_json(self):
         spec = scenario_for(get_setup(1), mpl=5, transactions=300)
-        blob = json.dumps(canonical_jsonable(spec.build_config()), sort_keys=True)
+        blob = canonical_json(spec.build_config())
         assert "W_CPU-inventory" in blob
 
 

@@ -1,14 +1,13 @@
 """Tests for the workload generators and the Table 1/2 catalog."""
 
 import hashlib
-import json
 import os
 import random
 
 import pytest
 
 from repro.core.arrivals import TraceArrivals
-from repro.core.system import canonical_jsonable
+from repro.core.system import canonical_json
 from repro.dbms.config import IsolationLevel
 from repro.metrics import stats
 from repro.sim.distributions import Deterministic, Exponential
@@ -262,7 +261,7 @@ class TestFileTraces:
         with open(FIXTURE_CSV, "rb") as fh:
             expected = hashlib.sha256(fh.read()).hexdigest()
         spec = TraceArrivals(trace_name=f"file:{FIXTURE_CSV}")
-        assert expected in json.dumps(canonical_jsonable(spec))
+        assert expected in canonical_json(spec)
 
     def test_rejects_decreasing_timestamps(self, tmp_path):
         path = tmp_path / "bad.csv"
