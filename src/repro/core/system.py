@@ -94,6 +94,10 @@ def _write_float(value: float, out: _Out) -> None:
     out(_FLOAT_SPELLING.get(text, text))
 
 
+def _write_enum(value: enum.Enum, out: _Out) -> None:
+    _write(value.value, out)
+
+
 def _write_sequence(value: Any, out: _Out) -> None:
     sep = "["
     for item in value:
@@ -197,7 +201,7 @@ def _writer_for(cls: type) -> _Writer:
             break
     else:
         if issubclass(cls, enum.Enum):
-            writer = lambda value, out: _write(value.value, out)  # noqa: E731
+            writer = _write_enum
         elif dataclasses.is_dataclass(cls):
             writer = _dataclass_writer(cls)
         elif issubclass(cls, dict):

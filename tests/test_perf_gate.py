@@ -30,14 +30,15 @@ def _write_runs(results_dir, skip=(), **overrides):
     """One run record per recorded workload, at the recorded values.
 
     ``overrides`` maps a field to its value for every written run:
-    ``us_per_tx_ratio`` scales the recorded ``us_per_tx``,
-    ``cold_warm`` sets ``cold_s / warm_s``, ``failed`` the failed cells.
+    ``us_per_tx_ratio`` and ``warm_s_ratio`` scale the recorded
+    ``us_per_tx`` and ``warm_s``, ``cold_warm`` sets ``cold_s / warm_s``,
+    ``failed`` the failed cells.
     """
     os.makedirs(results_dir, exist_ok=True)
     for workload, entry in RECORD["workloads"].items():
         if workload in skip:
             continue
-        cold_s = 2.5
+        warm_s = entry["warm_s"] * overrides.get("warm_s_ratio", 1.0)
         run = {
             "workload": workload,
             "seed": entry["seed"],
@@ -49,8 +50,8 @@ def _write_runs(results_dir, skip=(), **overrides):
                     "value": entry["us_per_tx"] * overrides.get("us_per_tx_ratio", 1.0),
                     "unit": "us",
                 },
-                "cold_s": {"value": cold_s, "unit": "s"},
-                "warm_s": {"value": cold_s / overrides.get("cold_warm", 300.0), "unit": "s"},
+                "cold_s": {"value": warm_s * overrides.get("cold_warm", 300.0), "unit": "s"},
+                "warm_s": {"value": warm_s, "unit": "s"},
             },
         }
         path = perf_gate.result_path(str(results_dir), workload, entry["seed"])
@@ -71,6 +72,9 @@ def test_checked_in_record_gates_closed_cpu_and_cluster_faults():
         assert len(entry["runs"]) >= 3
         assert entry["us_per_tx"] == statistics.median(entry["runs"])
         assert entry["commit"] and entry["host"]
+        assert len(entry["warm_s_runs"]) >= 5
+        assert entry["warm_s"] == statistics.median(entry["warm_s_runs"])
+        assert entry["warm_s_commit"] and entry["warm_s_host"]
 
 
 def test_passes_at_the_recorded_values(tmp_path, capsys):
@@ -88,6 +92,18 @@ def test_us_per_tx_above_twice_the_record_fails(tmp_path, capsys, ratio, status)
         for workload in RECORD["workloads"]:
             assert f"{workload}: us_per_tx" in err
         assert "2.01x the record's" in err
+
+
+@pytest.mark.parametrize("ratio, status", [(2.0, 0), (2.01, 1)])
+def test_warm_s_above_twice_the_record_fails(tmp_path, capsys, ratio, status):
+    _write_runs(tmp_path, warm_s_ratio=ratio)
+    assert _gate(tmp_path) == status
+    if status:
+        err = capsys.readouterr().err
+        for workload in RECORD["workloads"]:
+            assert f"{workload}: warm_s" in err
+        assert "2.01x the record's" in err
+        assert "us_per_tx" not in err
 
 
 def test_a_failed_cell_fails(tmp_path, capsys):

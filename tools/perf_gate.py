@@ -10,7 +10,8 @@ RECORD defaults to ``PERF_RECORD.json`` and RESULTS_DIR to
 ``.perfbench-out/results``, where perfbench writes one
 ``<workload>-seed<N>-trace0.json`` per run.  A recorded workload fails
 the gate when its run failed a cell, when its host-scaled ``us_per_tx``
-is more than ``MAX_US_PER_TX_RATIO`` times the record's, when its
+(µs per committed transaction) or ``warm_s`` (seconds per cache-served
+pass) is more than ``MAX_RECORD_RATIO`` times the record's, when its
 cache-served pass is less than ``MIN_COLD_WARM_RATIO`` times faster
 than its cold pass, or when it has no result.  Exit status: 0 when
 every recorded workload passes, 1 otherwise, with one line per failure
@@ -24,9 +25,11 @@ import os
 import sys
 from typing import Any, Dict, List, Sequence
 
-#: A run may cost at most this many times the recorded host-scaled
-#: µs per committed transaction.
-MAX_US_PER_TX_RATIO = 2.0
+#: A run may cost at most this many times each recorded host-scaled
+#: metric.
+MAX_RECORD_RATIO = 2.0
+#: The recorded metrics, with the unit each is printed in.
+RECORDED_METRICS = {"us_per_tx": "us", "warm_s": "s"}
 #: The cache-served pass must be at least this many times faster than
 #: the cold pass.
 MIN_COLD_WARM_RATIO = 10.0
@@ -51,13 +54,15 @@ def check_workload(workload: str, entry: Dict[str, Any], results_dir: str) -> Li
             f"{workload}: failed {result['failed']}/{result['attempted']} cells"
         )
     metrics = result["metrics"]
-    us_per_tx = metrics["us_per_tx"]["value"]
-    ratio = us_per_tx / entry["us_per_tx"]
-    if ratio > MAX_US_PER_TX_RATIO:
-        failures.append(
-            f"{workload}: us_per_tx {us_per_tx:.1f} us is {ratio:.2f}x the "
-            f"record's {entry['us_per_tx']:.1f} us (limit {MAX_US_PER_TX_RATIO:g}x)"
-        )
+    ratios = {}
+    for name, unit in RECORDED_METRICS.items():
+        value = metrics[name]["value"]
+        ratios[name] = ratio = value / entry[name]
+        if ratio > MAX_RECORD_RATIO:
+            failures.append(
+                f"{workload}: {name} {value:.4g} {unit} is {ratio:.2f}x the "
+                f"record's {entry[name]:.4g} {unit} (limit {MAX_RECORD_RATIO:g}x)"
+            )
     cold_s, warm_s = metrics["cold_s"]["value"], metrics["warm_s"]["value"]
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     if speedup < MIN_COLD_WARM_RATIO:
@@ -67,7 +72,8 @@ def check_workload(workload: str, entry: Dict[str, Any], results_dir: str) -> Li
         )
     if not failures:
         print(
-            f"perf-gate {workload}: us_per_tx {ratio:.2f}x the record, "
+            f"perf-gate {workload}: us_per_tx {ratios['us_per_tx']:.2f}x and "
+            f"warm_s {ratios['warm_s']:.2f}x the record, "
             f"cold_s / warm_s {speedup:.0f}x, {result['attempted']} cells ok"
         )
     return failures
