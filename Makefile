@@ -10,7 +10,8 @@
 #   make equiv       replicated-seed equivalence gate against EQUIV_pool.json
 #   make fuzz        seeded scenario fuzz campaign + corpus replay
 #   make reproduce   every figure and table, parallel, cached
-#   make startup     what a warm run imports: repro modules + self time
+#   make startup     what a warm run and closed-cpu's set-up import, from
+#                    a copy of src/ with no bytecode: repro modules + self time
 #
 # JOBS and CACHE_DIR are overridable: `make reproduce JOBS=16`.
 
@@ -108,22 +109,40 @@ smoke:
 reproduce:
 	$(PYTHON) -m repro.experiments all --jobs $(JOBS) --cache-dir $(CACHE_DIR)
 
-# Import cost of a warm run (observability; gates nothing): fill the
-# cache with figure 4 if needed, rerun it warm under -X importtime with
-# no bytecode written, and print each repro module it loaded, in import
-# order, with its self time.  The whole log is startup-importtime.log.
+# Import cost of start-up (observability; gates nothing), measured the
+# way a fresh checkout pays it: repro is imported from a copy of src/
+# with no __pycache__ (the interpreter's own stdlib bytecode is kept)
+# and no bytecode is written.  Fill the cache with figure 4 if needed,
+# then print each repro module two paths load, in import order, with
+# its self time under -X importtime: a warm figure 4, and closed-cpu's
+# set-up (build its throughput_grid cells and build_system each one).
+# The whole logs are startup-importtime.log and startup-setup-importtime.log.
+STARTUP_SRC = .startup-src
+STARTUP_RUN = PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=$(STARTUP_SRC) $(PYTHON) -X importtime
+STARTUP_SETUP = from repro.core.cluster import build_system; \
+	from repro.experiments import figures; \
+	[build_system(cell.build_config()) for cell in \
+	figures.throughput_grid((1, 2, 15), (1, 2, 3, 5, 7, 10, 15, 20, 30), 1000)]
+STARTUP_TABLE = $$3 ~ /^ +repro/ { split($$1, self, ":"); n++; total += self[2]; \
+	printf "%9d us %s\n", self[2], $$3 } \
+	END { printf "%9d us self time of %d repro modules\n", total, n }
 startup:
-	PYTHONDONTWRITEBYTECODE=1 $(PYTHON) -m repro.experiments 4 --jobs 1 \
-		--cache-dir $(CACHE_DIR) > /dev/null
-	PYTHONDONTWRITEBYTECODE=1 $(PYTHON) -X importtime -m repro.experiments 4 --jobs 1 \
-		--cache-dir $(CACHE_DIR) > /dev/null 2> startup-importtime.log
-	@awk -F'|' '$$3 ~ /^ +repro/ { split($$1, self, ":"); n++; total += self[2]; \
-		printf "%9d us %s\n", self[2], $$3 } \
-		END { printf "%9d us self time of %d repro modules\n", total, n }' \
-		startup-importtime.log
+	rm -rf $(STARTUP_SRC) && mkdir $(STARTUP_SRC) && cp -R src/repro $(STARTUP_SRC)/ \
+		&& find $(STARTUP_SRC) -name __pycache__ -prune -exec rm -rf {} +
+	PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=$(STARTUP_SRC) $(PYTHON) -m repro.experiments 4 \
+		--jobs 1 --cache-dir $(CACHE_DIR) > /dev/null
+	$(STARTUP_RUN) -m repro.experiments 4 --jobs 1 --cache-dir $(CACHE_DIR) \
+		> /dev/null 2> startup-importtime.log
+	$(STARTUP_RUN) -c '$(STARTUP_SETUP)' 2> startup-setup-importtime.log
+	@echo "warm figure 4:"
+	@awk -F'|' '$(STARTUP_TABLE)' startup-importtime.log
+	@echo "closed-cpu set-up:"
+	@awk -F'|' '$(STARTUP_TABLE)' startup-setup-importtime.log
+	@rm -rf $(STARTUP_SRC)
 
 clean:
 	rm -rf $(CACHE_DIR) .perfbench-out src/*.egg-info
 	rm -f .scenario-rt-a.json .scenario-rt-b.json
-	rm -f startup-importtime.log
+	rm -f startup-importtime.log startup-setup-importtime.log
+	rm -rf $(STARTUP_SRC)
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,9 +9,10 @@ Run with:  python examples/ecommerce_priority.py
 """
 
 from repro import get_setup
+from repro.core.arrivals import HIGH_PRIORITY_FRACTION
 from repro.experiments.parallel import run_grid, run_grid_outcomes
 from repro.experiments.runner import scenario_for, tuning_scenario
-from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
+from repro.priority.evaluation import outcome_from_runs
 
 
 def main() -> None:

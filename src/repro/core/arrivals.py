@@ -22,12 +22,12 @@ runner.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.spec_codec import UNIONS, check_fields, spec_field
+from repro.core.specclass import specclass
 from repro.dbms.transaction import Priority
 from repro.sim.distributions import Exponential
 
@@ -39,6 +39,10 @@ if TYPE_CHECKING:
     from repro.workloads.spec import WorkloadSpec
 
 PriorityAssigner = Callable[[random.Random], int]
+
+
+#: The paper's §5 assignment: 10% of transactions are high priority.
+HIGH_PRIORITY_FRACTION = 0.10
 
 
 def fraction_high_assigner(fraction: float) -> PriorityAssigner:
@@ -71,7 +75,7 @@ class RateFunction:
         raise NotImplementedError
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class PiecewiseRate(RateFunction):
     """Piecewise-constant λ(t): steps at the given breakpoints.
 
@@ -124,7 +128,7 @@ class PiecewiseRate(RateFunction):
         return max(rate for _t, rate in self.points)
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class SinusoidRate(RateFunction):
     """Sinusoidal λ(t) = base + amplitude · sin(2πt/period + phase).
 
@@ -174,7 +178,7 @@ class ArrivalSpec:
         raise NotImplementedError
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ClosedArrivals(ArrivalSpec):
     """The paper's closed system: a fixed client population (§2.2)."""
 
@@ -196,7 +200,7 @@ class ClosedArrivals(ArrivalSpec):
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class OpenArrivals(ArrivalSpec):
     """The paper's open system: Poisson arrivals at ``rate`` tx/s (§3.2)."""
 
@@ -215,7 +219,7 @@ class OpenArrivals(ArrivalSpec):
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class PartlyOpenArrivals(ArrivalSpec):
     """Partly-open sessions: Poisson session arrivals, geometric bursts.
 
@@ -264,7 +268,7 @@ class PartlyOpenArrivals(ArrivalSpec):
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ModulatedArrivals(ArrivalSpec):
     """Open arrivals whose Poisson rate follows a deterministic profile."""
 
@@ -283,7 +287,7 @@ class ModulatedArrivals(ArrivalSpec):
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class TraceArrivals(ArrivalSpec):
     """Replay a named :mod:`repro.workloads.traces` timestamp stream.
 

@@ -56,7 +56,6 @@ from repro.core.cluster_config import (
     split_mpl,
 )
 from repro.core.control_types import Baseline, ControllerReport, Thresholds
-from repro.core.controller import MplController
 from repro.core.faults import DegradeShard, FaultEvent, FaultSpec, KillShard, RestoreShard
 from repro.core.frontend import ExternalScheduler
 from repro.core.simulation import (
@@ -66,6 +65,7 @@ from repro.core.simulation import (
     build_engine_stack,
 )
 from repro.core.sources import ArrivalProcess
+from repro.core.specclass import specclass
 from repro.core.system import SystemConfig
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.transaction import Transaction, TxStatus
@@ -411,7 +411,7 @@ class ReplicaGroup:
         return revived
 
 
-@dataclasses.dataclass
+@specclass
 class _Shard:
     """One shard's live pieces.
 
@@ -725,6 +725,8 @@ class ClusteredSystem(MeasuredSystem):
         observes, every other shard keeps serving its own traffic under
         its current MPL.
         """
+        from repro.core.controller import MplController
+
         thresholds = thresholds or Thresholds()
         weights = (
             self.config.routing_weights
@@ -752,7 +754,7 @@ class ClusteredSystem(MeasuredSystem):
 # -- fault injection ----------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class AppliedFault:
     """One fault event as it actually fired during a run."""
 

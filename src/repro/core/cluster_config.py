@@ -17,6 +17,7 @@ import math
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.arrivals import ArrivalSpec
+from repro.core.specclass import specclass
 from repro.core.system import SystemConfig, content_digest
 from repro.sim.random import derive_seed
 
@@ -80,7 +81,7 @@ def split_mpl(
     return floors  # type: ignore[return-value]
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ClusterConfig:
     """Everything needed to build one sharded cluster.
 

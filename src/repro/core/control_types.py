@@ -3,16 +3,22 @@
 Pure data shared by the control specs of :mod:`repro.core.scenario`
 and the live controllers of :mod:`repro.core.controller`: the DBA's
 tolerances (:class:`Thresholds`), the no-MPL reference
-(:class:`Baseline`), the range checks every observe-then-step loop
-shares (:func:`check_loop_ranges`), and each loop's observations and
-report.  A cached scenario outcome decodes its control report into
-these types without loading a controller.
+(:class:`Baseline`) and how long a tuning measures it
+(:func:`scaled_baseline_transactions`), the range checks every
+observe-then-step loop shares (:func:`check_loop_ranges`), and each
+loop's observations and report.  A cached scenario outcome decodes
+its control report into these types without loading a controller.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
+
+from repro.core.specclass import specclass
+
+if TYPE_CHECKING:
+    from repro.core.system import SystemConfig
 
 
 def check_loop_ranges(
@@ -45,7 +51,35 @@ def check_loop_ranges(
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+def miss_probability(config: SystemConfig) -> float:
+    """The analytic buffer-pool miss probability of a config."""
+    from repro.dbms.bufferpool import AnalyticBufferPool
+
+    pool = AnalyticBufferPool(
+        config.workload.db_pages,
+        config.hardware.cache_pages,
+        hot_access_fraction=config.workload.hot_access_fraction,
+        hot_page_fraction=config.workload.hot_page_fraction,
+    )
+    return 1.0 - pool.hit_probability
+
+
+def scaled_baseline_transactions(config: SystemConfig, transactions: int) -> int:
+    """The no-MPL baseline's run length, scaled by the demand C².
+
+    Heavy-tailed workloads need proportionally longer measurements for
+    a stable mean (the window-sizing argument of §4.3 applied to the
+    baseline itself), so ``transactions`` is multiplied by the
+    workload's demand C², clamped to [1, 8].
+    """
+    _mean, demand_scv = config.workload.demand_moments(
+        config.hardware.disk_service_mean_ms / 1000.0,
+        miss_probability=miss_probability(config),
+    )
+    return int(transactions * min(8.0, max(1.0, demand_scv)))
+
+
+@specclass(frozen=True)
 class Thresholds:
     """The DBA's tolerances (e.g. "not more than 5% throughput loss")."""
 
@@ -64,7 +98,7 @@ class Thresholds:
             )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class Observation:
     """One observation window's measurements."""
 
@@ -77,7 +111,7 @@ class Observation:
     feasible: bool
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ControllerReport:
     """Outcome of a tuning session."""
 
@@ -87,7 +121,7 @@ class ControllerReport:
     trajectory: List[Observation]
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class Baseline:
     """No-MPL reference performance the penalties are measured against."""
 
@@ -99,7 +133,7 @@ class Baseline:
             raise ValueError(f"baseline throughput must be positive, got {self.throughput!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class SloObservation:
     """One observation window of the per-class SLO loop."""
 
@@ -111,7 +145,7 @@ class SloObservation:
     feasible: bool
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class SloReport:
     """Outcome of a per-class SLO tuning session."""
 
@@ -121,7 +155,7 @@ class SloReport:
     trajectory: List[SloObservation]
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ElasticAction:
     """One decision the elastic controller took at a tick."""
 
@@ -131,7 +165,7 @@ class ElasticAction:
     detail: str = ""
 
 
-@dataclasses.dataclass
+@specclass
 class ElasticReport:
     """The elastic controller's decision log for one run.
 
@@ -149,7 +183,7 @@ class ElasticReport:
         return sum(1 for action in self.actions if action.kind == "resplit")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ClusterSloObservation:
     """One observation window of the cluster-wide SLO loop."""
 
@@ -162,7 +196,7 @@ class ClusterSloObservation:
     feasible: bool
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ClusterSloReport:
     """Outcome of a cluster-wide SLO tuning session."""
 

@@ -10,9 +10,8 @@ simulated two-phase commit of
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.core.spec_codec import check_fields, spec_field
+from repro.core.specclass import specclass
 
 
 #: Coordinator-placement policies: which participant runs the home
@@ -21,7 +20,7 @@ from repro.core.spec_codec import check_fields, spec_field
 COORDINATOR_POLICIES = ("hash", "lowest")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class DistributedSpec:
     """The distributed axis: cross-shard transactions over simulated 2PC.
 

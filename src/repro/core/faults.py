@@ -24,14 +24,14 @@ through any kill/restore sequence.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Tuple
 
 from repro.core.spec_codec import UNIONS, check_fields, spec_field
+from repro.core.specclass import specclass
 from repro.core.system import content_digest
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class FaultEvent:
     """One scheduled fault: something happens to ``shard`` at ``at``."""
 
@@ -53,7 +53,7 @@ class FaultEvent:
         return f"t={self.at:g}s {self.kind} shard {self.shard}"
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class KillShard(FaultEvent):
     """Fail-stop the shard's acting primary (or the whole shard).
 
@@ -65,7 +65,7 @@ class KillShard(FaultEvent):
     kind = "kill"
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class RestoreShard(FaultEvent):
     """Bring a shard's dead members back (and undo any degrade).
 
@@ -77,7 +77,7 @@ class RestoreShard(FaultEvent):
     kind = "restore"
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class DegradeShard(FaultEvent):
     """Scale the shard's MPL by ``factor`` (partial brown-out).
 
@@ -101,7 +101,7 @@ FAULT_EVENT_TYPES: Dict[str, type] = {
 UNIONS[FaultEvent] = FAULT_EVENT_TYPES
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class FaultSpec:
     """The fault axis of a scenario: an ordered tuple of events."""
 

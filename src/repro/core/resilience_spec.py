@@ -13,10 +13,10 @@ half-open with probe admissions).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.core.spec_codec import check_fields, spec_field
+from repro.core.specclass import specclass
 from repro.dbms.transaction import Priority
 
 
@@ -24,7 +24,7 @@ from repro.dbms.transaction import Priority
 SHED_POLICIES = ("reject_newest", "reject_oldest", "by_class")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ResilienceSpec:
     """The resilience axis: what the front end does when work goes bad.
 

@@ -91,6 +91,7 @@ from repro.core.faults import FaultSpec, KillShard, RestoreShard
 from repro.core.policies import make_policy
 from repro.core.resilience_spec import ResilienceSpec
 from repro.core.spec_codec import ScenarioValidationError, check_fields, spec_field
+from repro.core.specclass import specclass
 from repro.core.system import (
     RunResult,
     SystemConfig,
@@ -133,7 +134,7 @@ def component_fingerprint(spec: Any) -> str:
 # -- the axes ------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class WorkloadRef:
     """What runs: a Table 2 setup id, or a named demand trace.
 
@@ -178,7 +179,7 @@ class WorkloadRef:
         return trace.workload, HardwareConfig(), IsolationLevel.RR
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class TopologySpec:
     """Where it runs: N engines behind a router (1 = the plain engine).
 
@@ -216,7 +217,7 @@ class TopologySpec:
             )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class MeasurementSpec:
     """How the run is measured: sample size, warmup, metric families."""
 
@@ -273,7 +274,7 @@ class ControlSpec:
         raise NotImplementedError
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class StaticMpl(ControlSpec):
     """A fixed MPL (None = unlimited, the paper's baseline system)."""
 
@@ -286,7 +287,7 @@ class StaticMpl(ControlSpec):
         return None
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class FeedbackMpl(ControlSpec):
     """The paper's §4 loop: queueing-model jump-start + feedback control.
 
@@ -447,7 +448,7 @@ class FeedbackMpl(ControlSpec):
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class _SloControl(ControlSpec):
     """Fields and checks shared by the two highest-feasible SLO loops.
 
@@ -472,7 +473,7 @@ class _SloControl(ControlSpec):
         return self.initial_mpl
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class PerClassSlo(_SloControl):
     """Hold HIGH's p95 under ``high_p95_target_s``, maximize LOW work.
 
@@ -496,7 +497,7 @@ class PerClassSlo(_SloControl):
         return controller.tune()
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ElasticMpl(ControlSpec):
     """Elastic capacity: periodic global-MPL re-split + shard rotation.
 
@@ -551,7 +552,7 @@ class ElasticMpl(ControlSpec):
         return controller.install().report
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ClusterSlo(_SloControl):
     """Hold the *cluster-wide* HIGH p95 under a target, maximize LOW work.
 
@@ -590,7 +591,7 @@ class ClusterSlo(_SloControl):
         return controller.tune()
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ShardReports:
     """Per-shard controller reports from a sharded feedback run."""
 
@@ -605,7 +606,7 @@ ControlReport = Union[
 # -- the composed scenario -----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ScenarioSpec:
     """One experiment, composed from orthogonal axes.
 
@@ -1009,7 +1010,7 @@ _OUTCOME_BLOCKS = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class ScenarioOutcome:
     """Everything one scenario run produced."""
 

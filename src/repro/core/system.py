@@ -22,6 +22,7 @@ from repro.core.arrivals import (
     OpenArrivals,
     fraction_high_assigner,
 )
+from repro.core.specclass import specclass
 from repro.dbms.config import HardwareConfig, InternalPolicy, IsolationLevel
 from repro.dbms.transaction import Priority
 from repro.workloads.spec import WorkloadSpec
@@ -226,7 +227,7 @@ _WRITERS: Dict[type, _Writer] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class SystemConfig:
     """Everything needed to build one simulated system.
 
@@ -291,7 +292,7 @@ class SystemConfig:
         return content_digest(self, extra)
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class RunResult:
     """Post-warmup measurements of one run."""
 

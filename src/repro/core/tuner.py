@@ -13,9 +13,11 @@ tuner
    which converges to the lowest feasible MPL in a few iterations.
 
 The queueing models, the simulator and the controller load when a
-model is first solved or a tuning first runs, so sizing a tuning
-scenario's baseline (:func:`scaled_baseline_transactions`) loads none
-of them.
+model is first solved or a tuning first runs.  Sizing a tuning
+scenario's baseline
+(:func:`~repro.core.control_types.scaled_baseline_transactions`) is
+control data, so building a tuning scenario loads none of them and
+not this module either.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.core.control_types import ControllerReport, Thresholds
+from repro.core.control_types import (
+    ControllerReport,
+    Thresholds,
+    miss_probability,
+    scaled_baseline_transactions,
+)
+from repro.core.specclass import specclass
 from repro.core.system import RunResult, SystemConfig
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class TuningResult:
     """Everything one single-engine tuning learned.
 
@@ -58,19 +66,6 @@ def model_initial_mpl_throughput(
 
     model = ThroughputModel.from_utilizations(utilizations, counts)
     return model.min_mpl_for_fraction(1.0 - max_throughput_loss)
-
-
-def miss_probability(config: SystemConfig) -> float:
-    """The analytic buffer-pool miss probability of a config."""
-    from repro.dbms.bufferpool import AnalyticBufferPool
-
-    pool = AnalyticBufferPool(
-        config.workload.db_pages,
-        config.hardware.cache_pages,
-        hot_access_fraction=config.workload.hot_access_fraction,
-        hot_page_fraction=config.workload.hot_page_fraction,
-    )
-    return 1.0 - pool.hit_probability
 
 
 def model_jump_start(
@@ -138,21 +133,6 @@ def model_initial_mpl_response_time(
     return max_mpl
 
 
-def scaled_baseline_transactions(config: SystemConfig, transactions: int) -> int:
-    """The no-MPL baseline's run length, scaled by the demand C².
-
-    Heavy-tailed workloads need proportionally longer measurements for
-    a stable mean (the window-sizing argument of §4.3 applied to the
-    baseline itself), so ``transactions`` is multiplied by the
-    workload's demand C², clamped to [1, 8].
-    """
-    _mean, demand_scv = config.workload.demand_moments(
-        config.hardware.disk_service_mean_ms / 1000.0,
-        miss_probability=miss_probability(config),
-    )
-    return int(transactions * min(8.0, max(1.0, demand_scv)))
-
-
 class MplTuner:
     """End-to-end MPL tuning for a system configuration.
 
@@ -189,7 +169,7 @@ class MplTuner:
         """Measure the no-MPL baseline, then jump-start and run the loop.
 
         The baseline's run length scales with the workload's demand C²
-        (see :func:`scaled_baseline_transactions`).
+        (see :func:`~repro.core.control_types.scaled_baseline_transactions`).
         """
         from repro.core.arrivals import ClosedArrivals
         from repro.core.scenario import FeedbackMpl

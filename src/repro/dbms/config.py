@@ -10,9 +10,10 @@ knobs and :class:`InternalPolicy` the internal-scheduling knobs used in
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Dict, Optional
+
+from repro.core.specclass import specclass
 
 
 class IsolationLevel(enum.Enum):
@@ -44,7 +45,7 @@ class LockSchedulingPolicy(enum.Enum):
     POW = "pow"
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class HardwareConfig:
     """The simulated machine.
 
@@ -115,7 +116,7 @@ class HardwareConfig:
         return max(1, int(effective_mb * 1024) // self.page_kb)
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class InternalPolicy:
     """Internal (inside-the-DBMS) scheduling configuration (§5.2).
 

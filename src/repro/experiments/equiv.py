@@ -37,6 +37,7 @@ import platform
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scenario import METRIC_SETS, ScenarioOutcome, ScenarioSpec
+from repro.core.specclass import specclass
 from repro.experiments.figures import FIGURE_GRIDS
 from repro.experiments.parallel import ParallelRunner
 from repro.sim.random import replicate_seeds
@@ -239,7 +240,7 @@ def t_critical(df: int) -> float:
     return high
 
 
-@dataclasses.dataclass
+@specclass
 class PairedTest:
     """A paired t-test over scaled candidate-minus-reference differences.
 
@@ -291,7 +292,7 @@ def scaled_differences(reference: dict, candidate: dict, metric: str) -> List[fl
     return [(cand - ref) / scale for ref, cand in pairs]
 
 
-@dataclasses.dataclass
+@specclass
 class GateRow:
     """One (grid, metric) test and its Holm verdict."""
 
@@ -302,7 +303,7 @@ class GateRow:
     rejected: bool = False
 
 
-@dataclasses.dataclass
+@specclass
 class Comparison:
     rows: List[GateRow]
     #: grid -> [(cell label, {metric: PairedTest})]

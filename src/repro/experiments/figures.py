@@ -14,6 +14,7 @@ import functools
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.arrivals import (
+    HIGH_PRIORITY_FRACTION,
     ModulatedArrivals,
     OpenArrivals,
     PartlyOpenArrivals,
@@ -33,10 +34,10 @@ from repro.core.scenario import (
     TopologySpec,
     WorkloadRef,
 )
+from repro.core.specclass import specclass
 from repro.core.system import RunResult
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
-from repro.experiments import report
 from repro.experiments.parallel import (
     DEFAULT_SEED,
     AnalyticCell,
@@ -45,15 +46,10 @@ from repro.experiments.parallel import (
     run_grid_outcomes,
 )
 from repro.experiments.runner import scenario_for, tuning_scenario
-from repro.priority.evaluation import (
-    HIGH_PRIORITY_FRACTION,
-    PrioritizationOutcome,
-    outcome_from_runs,
-)
 from repro.workloads.setups import SETUPS, get_setup
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class Series:
     """One plotted line: a label and y-values over the figure's x-axis."""
 
@@ -61,7 +57,7 @@ class Series:
     ys: Tuple[float, ...]
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class FigureResult:
     """One figure panel: x-axis, series, and free-form notes."""
 
@@ -74,6 +70,8 @@ class FigureResult:
 
     def render(self) -> str:
         """Numeric table + ASCII chart + notes."""
+        from repro.experiments import report
+
         headers = [self.xlabel] + [s.label for s in self.series]
         rows = []
         for index, x in enumerate(self.xs):
@@ -481,6 +479,8 @@ def figure11(fast: bool = True, seed: int = 11) -> List[FigureResult]:
         )
         for loss, sid in cells
     ], transactions)
+    from repro.priority.evaluation import outcome_from_runs
+
     outcomes = iter([
         outcome_from_runs(f"setup {sid} mpl={mpl}", mpl, run, reference)
         for (_loss, sid), mpl, run, reference in zip(
@@ -544,6 +544,8 @@ def _internal_vs_external(
         )
         for _label, loss in budgets
     ], transactions)
+    from repro.priority.evaluation import PrioritizationOutcome, outcome_from_runs
+
     columns: List[Tuple[str, PrioritizationOutcome]] = [
         ("internal", outcome_from_runs("internal", None, internal_run, no_prio))
     ]

@@ -82,6 +82,7 @@ from repro.core.scenario import (
     WorkloadRef,
     run_scenario,
 )
+from repro.core.specclass import specclass
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.sim.random import derive_seed
@@ -460,7 +461,7 @@ class ScenarioWalker:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
+@specclass
 class OracleContext:
     """Everything one scenario run produced, for the oracles to judge."""
 
@@ -1006,7 +1007,7 @@ def replay_corpus(
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
+@specclass
 class FuzzFailure:
     """One oracle violation, before and after shrinking."""
 
@@ -1033,7 +1034,7 @@ class FuzzFailure:
         }
 
 
-@dataclasses.dataclass
+@specclass
 class FuzzReport:
     """One fuzzing campaign's deterministic summary."""
 

@@ -52,6 +52,7 @@ from repro.core.scenario import (
     ScenarioSpec,
     execute_scenario,
 )
+from repro.core.specclass import specclass
 from repro.core.system import RunResult
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
 OUTCOME_SCHEMA = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class AnalyticCell:
     """A pure function of JSON parameters, run and cached like a scenario.
 
@@ -191,7 +192,7 @@ def _as_served(cell: Cell, value: Any) -> Any:
     return ScenarioOutcome.from_json_dict(json.loads(text), value.spec)
 
 
-@dataclasses.dataclass
+@specclass
 class RunnerStats:
     """Counters from one grid submitted to a :class:`ParallelRunner` (or a
     running total).

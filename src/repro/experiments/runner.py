@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.arrivals import ArrivalSpec
+from repro.core.control_types import scaled_baseline_transactions
 from repro.core.scenario import (
     FeedbackMpl,
     MeasurementSpec,
@@ -27,7 +28,6 @@ from repro.core.scenario import (
     TopologySpec,
     WorkloadRef,
 )
-from repro.core.tuner import scaled_baseline_transactions
 from repro.dbms.config import InternalPolicy
 from repro.workloads.setups import Setup
 
@@ -87,7 +87,7 @@ def tuning_scenario(
 
     A :class:`FeedbackMpl` scenario jump-started from the queueing
     models, whose no-MPL baseline runs ``transactions`` scaled by the
-    demand C² (:func:`~repro.core.tuner.scaled_baseline_transactions`).
+    demand C² (:func:`~repro.core.control_types.scaled_baseline_transactions`).
     Its measurement window is a single transaction: the outcome's
     ``result.mpl`` is the tuned MPL and its ``control`` the
     :class:`~repro.core.control_types.ControllerReport`, so a grid of

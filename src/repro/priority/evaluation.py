@@ -14,16 +14,13 @@ Figures 11–13 run both cells through the scenario runner;
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
+from repro.core.specclass import specclass
 from repro.core.system import RunResult
 
-#: The paper's §5 assignment: 10% of transactions are high priority.
-HIGH_PRIORITY_FRACTION = 0.10
 
-
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class PrioritizationOutcome:
     """Results of one prioritization experiment.
 

@@ -14,11 +14,12 @@ the bottleneck.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.specclass import specclass
 
-@dataclasses.dataclass(frozen=True)
+
+@specclass(frozen=True)
 class Station:
     """One service station of the closed network.
 
@@ -48,7 +49,7 @@ class Station:
             raise ValueError(f"servers must be >= 1, got {self.servers!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class MvaResult:
     """Solution of the closed network for populations 1..N."""
 

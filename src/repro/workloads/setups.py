@@ -9,9 +9,9 @@ measured comparison.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Tuple
 
+from repro.core.specclass import specclass
 from repro.dbms.config import HardwareConfig, IsolationLevel
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.tpcc import tpcc_workload
@@ -101,7 +101,7 @@ WORKLOAD_LOAD: Dict[str, Tuple[str, str]] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class Setup:
     """One row of Table 2: a workload on a concrete machine."""
 

@@ -13,15 +13,15 @@ safe MPL.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import List, Optional, Tuple
 
+from repro.core.specclass import specclass
 from repro.dbms.transaction import Priority, Transaction
 from repro.sim.distributions import Distribution, Exponential
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class TransactionType:
     """One transaction type within a mix.
 
@@ -62,7 +62,7 @@ class TransactionType:
             raise ValueError("lock counts must be non-negative")
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class WorkloadSpec:
     """A complete workload: mix + database footprint + lock geometry.
 

@@ -14,7 +14,6 @@ substitution is behaviour-preserving.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -24,11 +23,12 @@ import random
 import struct
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.core.specclass import specclass
 from repro.sim.distributions import Deterministic, Empirical, LogNormal
 from repro.workloads.spec import TransactionType, WorkloadSpec
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class TraceRecord:
     """One trace line: arrival offset and service demand (seconds)."""
 
@@ -36,7 +36,7 @@ class TraceRecord:
     service_demand: float
 
 
-@dataclasses.dataclass(frozen=True)
+@specclass(frozen=True)
 class Trace:
     """A service-demand trace with summary statistics."""
 

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core.arrivals import HIGH_PRIORITY_FRACTION
 from repro.core.simulation import SimulatedSystem
 from repro.core.system import SystemConfig
 from repro.dbms.config import HardwareConfig, InternalPolicy
 from repro.experiments.parallel import run_grid
 from repro.experiments.runner import scenario_for
-from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
+from repro.priority.evaluation import outcome_from_runs
 from repro.queueing.mpl_ps_queue import MplPsQueue
 from repro.workloads.setups import get_setup
 from repro.workloads.synthetic import synthetic_workload

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from repro.core.arrivals import HIGH_PRIORITY_FRACTION
 from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments.parallel import run_grid
 from repro.experiments.runner import scenario_for
 from repro.priority.assignment import PriorityAssignment
-from repro.priority.evaluation import HIGH_PRIORITY_FRACTION, outcome_from_runs
+from repro.priority.evaluation import outcome_from_runs
 from repro.workloads.setups import get_setup
 
 

@@ -110,6 +110,35 @@ print(json.dumps({"cells": cells, "modules": sorted(sys.modules)}))
 """
 
 
+#: What only runs a tuning, a controller or a figure's reducer: none of
+#: it may load while a benchmark worker or a CLI call sets cells up.
+SETUP_PATH_FORBIDDEN = (
+    "repro.core.controller",
+    "repro.core.tuner",
+    "repro.experiments.report",
+    "repro.priority.evaluation",
+    "numpy",
+)
+
+SETUP_PROBE = """
+import json
+import sys
+
+from repro.core.cluster import build_system
+from repro.core.scenario import ScenarioSpec
+from repro.experiments import figures
+
+cells = figures.throughput_grid((1, 2, 15), (1, 2, 3, 5, 7, 10, 15, 20, 30), 1000)
+decoded = [
+    ScenarioSpec.from_json_dict(json.loads(json.dumps(cell.to_json_dict())))
+    for cell in cells
+]
+assert [cell.fingerprint() for cell in decoded] == [cell.fingerprint() for cell in cells]
+systems = [build_system(cell.build_config()) for cell in decoded]
+print(json.dumps({"systems": len(systems), "modules": sorted(sys.modules)}))
+"""
+
+
 PACKAGES_PROBE = """
 import importlib
 import json
@@ -180,10 +209,21 @@ def test_warm_figures_load_no_runtime_and_cold_cells_simulate(tmp_path):
     assert _forbidden(warm) == [], "a warm run imported the runtime"
 
 
+def test_setting_up_closed_cpu_cells_loads_no_controller_tuner_or_reducer():
+    # closed-cpu's set-up: import build_system, build the cells, decode
+    # them from their JSON and build every cell's system
+    report = _fresh_interpreter(SETUP_PROBE)
+    assert report["systems"] == 27
+    assert "repro.sim.engine" in report["modules"], "the systems were built"
+    loaded = [name for name in SETUP_PATH_FORBIDDEN if name in report["modules"]]
+    assert loaded == [], "setting cells up loaded runtime-only modules"
+
+
 def test_importing_a_package_loads_no_submodule():
     # repro.queueing binds mva eagerly: the function shares its
-    # submodule's name, which a later submodule import would rebind
-    eager = {"repro.queueing": {"repro.queueing.mva"}}
+    # submodule's name, which a later submodule import would rebind;
+    # mva's dataclasses bring the decorator's module and its package
+    eager = {"repro.queueing": {"repro.queueing.mva", "repro.core", "repro.core.specclass"}}
     report = _fresh_interpreter(PACKAGES_PROBE)
     for package, loaded in report.items():
         parents = {".".join(package.split(".")[:n]) for n in range(1, package.count(".") + 2)}
