@@ -55,8 +55,9 @@ lint:
 # benchmark) on every workload PERF_RECORD.json records, at its recorded
 # seed, then check the results against the record.  tools/perf_gate.py
 # fails when a run fails a cell, runs over 2x the recorded host-scaled
-# us_per_tx or warm_s, serves its cached pass less than 10x faster than
-# its cold pass, or left no result.  A stale result is removed before each run.
+# us_per_tx, warm_s or setup_s, serves its cached pass less than 10x
+# faster than its cold pass, or left no result.  A stale result is
+# removed before each run.
 perf-gate:
 	@for run in $$($(PYTHON) -c 'import json; print(*("%s:%d" % (name, entry["seed"]) \
 			for name, entry in json.load(open("PERF_RECORD.json"))["workloads"].items()))'); do \

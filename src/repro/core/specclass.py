@@ -34,6 +34,7 @@ refused with a ``TypeError``; no class here uses them.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import reprlib
 from operator import attrgetter
 from typing import Any, Callable, Optional, Tuple
@@ -75,7 +76,7 @@ def _build(cls: type, frozen: bool) -> type:
         raise TypeError(f"{cls.__qualname__}: kw_only and InitVar fields are not supported")
 
     _add(cls, "__init__", _init(cls, fields, params, frozen))
-    _add(cls, "__repr__", _repr(names))
+    _add(cls, "__repr__", _repr(tuple(f.name for f in fields if f.repr)))
     compared = _values([f.name for f in fields if f.compare])
     _add(cls, "__eq__", _eq(compared))
     class_hash = cls.__dict__.get("__hash__", dataclasses.MISSING)
@@ -93,8 +94,6 @@ def _build(cls: type, frozen: bool) -> type:
         cls.__setattr__ = _qualified(cls, _frozen_setattr(cls, names))
         cls.__delattr__ = _qualified(cls, _frozen_delattr(cls, names))
     if not documented:
-        import inspect
-
         try:
             text_sig = str(inspect.signature(cls)).replace(" -> None", "")
         except (TypeError, ValueError):

@@ -30,9 +30,9 @@ def _write_runs(results_dir, skip=(), **overrides):
     """One run record per recorded workload, at the recorded values.
 
     ``overrides`` maps a field to its value for every written run:
-    ``us_per_tx_ratio`` and ``warm_s_ratio`` scale the recorded
-    ``us_per_tx`` and ``warm_s``, ``cold_warm`` sets ``cold_s / warm_s``,
-    ``failed`` the failed cells.
+    ``us_per_tx_ratio``, ``warm_s_ratio`` and ``setup_s_ratio`` scale
+    the recorded ``us_per_tx``, ``warm_s`` and ``setup_s``,
+    ``cold_warm`` sets ``cold_s / warm_s``, ``failed`` the failed cells.
     """
     os.makedirs(results_dir, exist_ok=True)
     for workload, entry in RECORD["workloads"].items():
@@ -52,6 +52,10 @@ def _write_runs(results_dir, skip=(), **overrides):
                 },
                 "cold_s": {"value": warm_s * overrides.get("cold_warm", 300.0), "unit": "s"},
                 "warm_s": {"value": warm_s, "unit": "s"},
+                "setup_s": {
+                    "value": entry["setup_s"] * overrides.get("setup_s_ratio", 1.0),
+                    "unit": "s",
+                },
             },
         }
         path = perf_gate.result_path(str(results_dir), workload, entry["seed"])
@@ -75,6 +79,9 @@ def test_checked_in_record_gates_closed_cpu_and_cluster_faults():
         assert len(entry["warm_s_runs"]) >= 5
         assert entry["warm_s"] == statistics.median(entry["warm_s_runs"])
         assert entry["warm_s_commit"] and entry["warm_s_host"]
+        assert len(entry["setup_s_runs"]) >= 5
+        assert entry["setup_s"] == statistics.median(entry["setup_s_runs"])
+        assert entry["setup_s_commit"] and entry["setup_s_host"]
 
 
 def test_passes_at_the_recorded_values(tmp_path, capsys):
@@ -104,6 +111,18 @@ def test_warm_s_above_twice_the_record_fails(tmp_path, capsys, ratio, status):
             assert f"{workload}: warm_s" in err
         assert "2.01x the record's" in err
         assert "us_per_tx" not in err
+
+
+@pytest.mark.parametrize("ratio, status", [(2.0, 0), (2.01, 1)])
+def test_setup_s_above_twice_the_record_fails(tmp_path, capsys, ratio, status):
+    _write_runs(tmp_path, setup_s_ratio=ratio)
+    assert _gate(tmp_path) == status
+    if status:
+        err = capsys.readouterr().err
+        for workload in RECORD["workloads"]:
+            assert f"{workload}: setup_s" in err
+        assert "2.01x the record's" in err
+        assert "us_per_tx" not in err and "warm_s" not in err
 
 
 def test_a_failed_cell_fails(tmp_path, capsys):

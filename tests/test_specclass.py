@@ -40,6 +40,9 @@ _GENERATED = {
     "__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
     "__dataclass_fields__", "__dataclass_params__", "__match_args__",
     "__dict__", "__weakref__", "__doc__", "_abc_impl", "__abstractmethods__",
+    # CPython 3.13: the stdlib's copy.replace hook, and what the compiler
+    # records about the class body
+    "__replace__", "__static_attributes__", "__firstlineno__",
 }
 
 
@@ -321,6 +324,21 @@ def test_zero_and_one_field_classes_hash_like_the_stdlib():
 
     assert hash(Empty()) == hash(()) and Empty() == Empty() and repr(Empty()).endswith("Empty()")
     assert hash(One((1, 2))) == hash(((1, 2),)) and One((1,)) != One((2,))
+
+
+def test_field_repr_compare_and_hash_options_act_as_under_the_stdlib():
+    def body():
+        return {
+            "__annotations__": {"a": int, "b": int, "c": int},
+            "b": dataclasses.field(default=2, repr=False),
+            "c": dataclasses.field(default=3, compare=False),
+        }
+
+    ours = specclass(type("Options", (), body()), frozen=True)
+    theirs = dataclasses.dataclass(type("Options", (), body()), frozen=True)
+    assert repr(ours(1)) == repr(theirs(1)) == "Options(a=1, c=3)"
+    assert (ours(1, 2, 3) == ours(1, 2, 4)) == (theirs(1, 2, 3) == theirs(1, 2, 4))
+    assert hash(ours(1, 2, 3)) == hash(theirs(1, 2, 4))
 
 
 def test_each_class_is_built_with_one_exec(monkeypatch):

@@ -10,10 +10,12 @@ RECORD defaults to ``PERF_RECORD.json`` and RESULTS_DIR to
 ``.perfbench-out/results``, where perfbench writes one
 ``<workload>-seed<N>-trace0.json`` per run.  A recorded workload fails
 the gate when its run failed a cell, when its host-scaled ``us_per_tx``
-(µs per committed transaction) or ``warm_s`` (seconds per cache-served
-pass) is more than ``MAX_RECORD_RATIO`` times the record's, when its
-cache-served pass is less than ``MIN_COLD_WARM_RATIO`` times faster
-than its cold pass, or when it has no result.  Exit status: 0 when
+(µs per committed transaction), ``warm_s`` (seconds per cache-served
+pass) or ``setup_s`` (seconds a fresh process takes to import ``repro``
+and build the workload's systems) is more than ``MAX_RECORD_RATIO``
+times the record's, when its cache-served pass is less than
+``MIN_COLD_WARM_RATIO`` times faster than its cold pass, or when it has
+no result.  Exit status: 0 when
 every recorded workload passes, 1 otherwise, with one line per failure
 naming the workload, the metric and the ratio.
 """
@@ -29,7 +31,7 @@ from typing import Any, Dict, List, Sequence
 #: metric.
 MAX_RECORD_RATIO = 2.0
 #: The recorded metrics, with the unit each is printed in.
-RECORDED_METRICS = {"us_per_tx": "us", "warm_s": "s"}
+RECORDED_METRICS = {"us_per_tx": "us", "warm_s": "s", "setup_s": "s"}
 #: The cache-served pass must be at least this many times faster than
 #: the cold pass.
 MIN_COLD_WARM_RATIO = 10.0
@@ -72,9 +74,9 @@ def check_workload(workload: str, entry: Dict[str, Any], results_dir: str) -> Li
         )
     if not failures:
         print(
-            f"perf-gate {workload}: us_per_tx {ratios['us_per_tx']:.2f}x and "
-            f"warm_s {ratios['warm_s']:.2f}x the record, "
-            f"cold_s / warm_s {speedup:.0f}x, {result['attempted']} cells ok"
+            f"perf-gate {workload}: us_per_tx {ratios['us_per_tx']:.2f}x, "
+            f"warm_s {ratios['warm_s']:.2f}x and setup_s {ratios['setup_s']:.2f}x "
+            f"the record, cold_s / warm_s {speedup:.0f}x, {result['attempted']} cells ok"
         )
     return failures
 
